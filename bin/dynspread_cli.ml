@@ -385,25 +385,15 @@ let sigma_arg =
     & info [ "sigma" ] ~docv:"SIGMA"
         ~doc:"Edge-stability enforced on oblivious environments (>= 1).")
 
-let schedule_of_env ~env ~seed ~n ~sigma =
-  let stable s =
-    if sigma <= 1 then s else Adversary.Schedule.stabilized ~sigma s
-  in
-  match env with
-  | Env_static ->
-      Some
-        (Adversary.Oblivious.static
-           (Dynet.Graph_gen.random_connected (Dynet.Rng.make ~seed) ~n ~p:0.15))
-  | Env_rotator -> Some (stable (Adversary.Oblivious.tree_rotator ~seed ~n))
-  | Env_rewiring ->
-      Some
-        (stable (Adversary.Oblivious.rewiring ~seed ~n ~extra:n ~rate:0.25))
+(* The CLI's committed envs as scenario envs, with the CLI's family
+   constants; [Scenario.Runner.builtin_schedule] builds their schedules. *)
+let spec_env = function
+  | Env_static -> Some (Scenario.Spec.Static { p = 0.15 })
+  | Env_rotator -> Some Scenario.Spec.Tree_rotator
+  | Env_rewiring -> Some (Scenario.Spec.Rewiring { extra = None; rate = 0.25 })
   | Env_markovian ->
-      Some
-        (stable
-           (Adversary.Oblivious.edge_markovian ~seed ~n
-              ~p_up:(2. /. float_of_int n) ~p_down:0.3))
-  | Env_fresh -> Some (Adversary.Oblivious.fresh_random ~seed ~n ~p:0.25)
+      Some (Scenario.Spec.Edge_markovian { p_up = None; p_down = 0.3 })
+  | Env_fresh -> Some (Scenario.Spec.Fresh_random { p = 0.25 })
   | Env_cutter | Env_lb -> None
 
 let timeline_arg =
@@ -592,7 +582,10 @@ let run_cmd =
            "request-cutter needs a unicast protocol; lower-bound needs \
             flooding")
     | _, _ -> (
-        match schedule_of_env ~env ~seed ~n ~sigma with
+        match
+          Option.bind (spec_env env) (fun env ->
+              Scenario.Runner.builtin_schedule ~env ~sigma ~n ~seed)
+        with
         | None -> `Error (false, "unsupported environment")
         | Some schedule -> (
             match protocol with
@@ -808,7 +801,11 @@ let sweep_cmd =
                       (Gossip.Runners.multi_source ~instance ~env:envv ~obs ()))
           | _, (Env_cutter | Env_lb) -> None
           | _, _ -> (
-              match schedule_of_env ~env ~seed:(seed + n) ~n ~sigma with
+              match
+                Option.bind (spec_env env) (fun env ->
+                    Scenario.Runner.builtin_schedule ~env ~sigma ~n
+                      ~seed:(seed + n))
+              with
               | None -> None
               | Some schedule -> (
                   match protocol with

@@ -210,8 +210,8 @@ let free_edges ?(n = 64) ?(trials = 25) ?metrics ~seed () =
         | [ (_, c) ] -> components := float_of_int c :: !components
         | _ -> ()
       done;
-      let mean = Engine.Stats.mean !components in
-      let max_c = Engine.Stats.maximum !components in
+      let mean = Obs.Stats.mean !components in
+      let max_c = Obs.Stats.maximum !components in
       if float_of_int b <= threshold && max_c > 1. then
         sparse_always_one := false;
       if max_c > 4. *. Gossip.Bounds.logn n then log_bound_holds := false;
@@ -459,7 +459,7 @@ let rw_scaling ?(n = 32) ?(ks = [ 32; 64; 128; 256; 512 ]) ?jobs ?metrics
         acc_deliver := deliver :: !acc_deliver;
         acc_walk := walk :: !acc_walk
       done;
-      let mean = Engine.Stats.mean in
+      let mean = Obs.Stats.mean in
       let kf = float_of_int k in
       let total = mean !acc_total in
       let amort = total /. kf in
@@ -480,9 +480,9 @@ let rw_scaling ?(n = 32) ?(ks = [ 32; 64; 128; 256; 512 ]) ?jobs ?metrics
         ]
         :: !rows)
     ks;
-  let announce_slope = Engine.Stats.loglog_slope (List.rev !announce_pts) in
-  let deliver_slope = Engine.Stats.loglog_slope (List.rev !deliver_pts) in
-  let amort_slope = Engine.Stats.loglog_slope (List.rev !amort_pts) in
+  let announce_slope = Obs.Stats.loglog_slope (List.rev !announce_pts) in
+  let deliver_slope = Obs.Stats.loglog_slope (List.rev !deliver_pts) in
+  let amort_slope = Obs.Stats.loglog_slope (List.rev !amort_pts) in
   let rec strictly_decreasing = function
     | a :: (b :: _ as rest) -> a > b && strictly_decreasing rest
     | [ _ ] | [] -> true
@@ -700,7 +700,7 @@ let ablation ?(n = 20) ?(k = 40) ?metrics ~seed () =
             rounds :=
               float_of_int result.Engine.Run_result.rounds :: !rounds
           done;
-          let mean = Engine.Stats.mean in
+          let mean = Obs.Stats.mean in
           Hashtbl.replace summary (env_name, variant_name)
             (mean !msgs, mean !tokens, mean !rounds);
           rows :=
@@ -741,7 +741,7 @@ let ablation ?(n = 20) ?(k = 40) ?metrics ~seed () =
               :: !tokens;
             rounds := float_of_int result.Engine.Run_result.rounds :: !rounds
           done;
-          let mean = Engine.Stats.mean in
+          let mean = Obs.Stats.mean in
           rows :=
             [
               env_name;
@@ -824,7 +824,7 @@ let rw_tradeoff ?(n = 32) ?(k = 128) ?metrics ~seed () =
         acc_centers := float_of_int r.Gossip.Oblivious_rw.centers :: !acc_centers;
         acc_ph1 := float_of_int r.Gossip.Oblivious_rw.phase1_rounds :: !acc_ph1
       done;
-      let mean = Engine.Stats.mean in
+      let mean = Obs.Stats.mean in
       walks := mean !acc_walk :: !walks;
       announces := mean !acc_announce :: !announces;
       rows :=
@@ -910,8 +910,8 @@ let coding_gap ?(ns = [ 12; 16; 24; 32 ]) ?metrics ~seed () =
         ]
         :: !rows)
     ns;
-  let flood_slope = Engine.Stats.loglog_slope (List.rev !flood_pts) in
-  let coded_slope = Engine.Stats.loglog_slope (List.rev !coded_pts) in
+  let flood_slope = Obs.Stats.loglog_slope (List.rev !flood_pts) in
+  let coded_slope = Obs.Stats.loglog_slope (List.rev !coded_pts) in
   Table.make
     ~title:
       "E12 (Section 1.2): the token-forwarding barrier - phased flooding \

@@ -1,13 +1,12 @@
 (** The common [ENGINE] seam.
 
-    Both simulation engines — the fast-path {!Default} and the
-    pseudocode-faithful {!Reference} — implement the same pair of
-    [run] signatures, packaged as a first-class {!module-type-ENGINE}
-    value.  Anything that executes a protocol against an adversary can
-    be parameterized over the engine (see [Gossip.Runners]' [?engine]
-    and the [lib/fuzz] differential harness), and future engines (the
-    sharded mega-scale engine, the serve daemon's workers) plug into
-    the same seam.
+    All three simulation engines — the fast-path {!Default}, the
+    struct-of-arrays {!Soa}, and the pseudocode-faithful {!Reference}
+    — implement the same pair of [run] signatures, packaged as a
+    first-class {!module-type-ENGINE} value.  Anything that executes a
+    protocol against an adversary can be parameterized over the engine
+    (see [Gossip.Runners]' [?engine], the [lib/fuzz] differential
+    harness, and the serve daemon's workers).
 
     The [PROTOCOL] module types and adversary types are {e owned} by
     {!Runner_broadcast} / {!Runner_unicast}: every engine runs the
@@ -15,36 +14,25 @@
     which is what makes bit-identical differential comparison
     meaningful.
 
+    The cross-cutting settings of a run — tracing sink, fault plan,
+    profiler, recorder hook, stall window, cancel poll — travel in one
+    {!Ctx.t}, whose documentation is their contract.
+
     The contract an implementation must honour (the differential
     fuzzer enforces it): given identical protocols, initial states,
-    adversaries, fault plans, and caps, produce an identical
+    adversaries, contexts, and caps, produce an identical
     {!Run_result.t} — same outcome, ledger counts, per-sender loads,
-    and timeline — and drive [?on_graph] with the identical committed
-    round-graph sequence.  Trace-event streams and profiling spans
-    must match the engine docs but are not part of the bit-identity
-    contract.
-
-    Cooperative cancellation: engines poll [?cancel] once per round
-    boundary (including before the first round, so a pre-cancelled run
-    executes zero rounds).  A poll returning [true] ends the run with
-    a {!Run_result.Cancelled} outcome carrying the progress achieved
-    so far; once it has returned [true] the engine treats the run as
-    cancelled without polling again.  Completion observed at the same
-    boundary wins over cancellation (cancel-after-completion is a
-    no-op), and the default ([None]) costs one option test per
-    round. *)
+    and timeline — and drive the context's [on_graph] with the
+    identical committed round-graph sequence.  Trace-event streams and
+    profiling spans must match the engine docs but are not part of the
+    bit-identity contract. *)
 
 module type BROADCAST = sig
   val run :
     (module Runner_broadcast.PROTOCOL with type state = 's and type msg = 'm) ->
+    ?ctx:Ctx.t ->
     ?init_prev:Dynet.Graph.t ->
-    ?obs:Obs.Sink.t ->
-    ?faults:Faults.Plan.t ->
-    ?prof:Obs.Span.t ->
-    ?on_graph:(round:int -> Dynet.Graph.t -> unit) ->
     ?target_progress:int ->
-    ?stall_after:int ->
-    ?cancel:(unit -> bool) ->
     states:'s array ->
     adversary:('s, 'm) Runner_broadcast.adversary ->
     max_rounds:int ->
@@ -57,14 +45,9 @@ end
 module type UNICAST = sig
   val run :
     (module Runner_unicast.PROTOCOL with type state = 's and type msg = 'm) ->
+    ?ctx:Ctx.t ->
     ?init_prev:Dynet.Graph.t ->
-    ?obs:Obs.Sink.t ->
-    ?faults:Faults.Plan.t ->
-    ?prof:Obs.Span.t ->
-    ?on_graph:(round:int -> Dynet.Graph.t -> unit) ->
     ?target_progress:int ->
-    ?stall_after:int ->
-    ?cancel:(unit -> bool) ->
     states:'s array ->
     adversary:'s Runner_unicast.adversary ->
     max_rounds:int ->
@@ -77,7 +60,7 @@ end
 module type ENGINE = sig
   val name : string
   (** Stable identifier for reports and diagnostics (["fastpath"],
-      ["reference"]). *)
+      ["soa"], ["soa-N"], ["reference"]). *)
 
   module Broadcast : BROADCAST
   module Unicast : UNICAST

@@ -5,7 +5,7 @@ open Dynet.Ops
    fast path's bitsets, cached counts, or binary searches.  What it
    MUST share with [Default] is observable behaviour: the same fault
    stream is drawn in the same order, the same ledger entries are
-   recorded, the same trace events are emitted, [?on_graph] sees the
+   recorded, the same trace events are emitted, [on_graph] sees the
    same committed graphs, and the returned [Run_result.t] is
    bit-identical.  The differential fuzzer ([lib/fuzz]) holds the two
    engines to exactly that contract. *)
@@ -42,11 +42,11 @@ let sum_progress progress states =
 module Broadcast = struct
   let run (type s m) (module P : Runner_broadcast.PROTOCOL
              with type state = s
-              and type msg = m) ?init_prev ?(obs = Obs.Sink.null)
-      ?(faults = Faults.Plan.none) ?(prof = Obs.Span.null) ?on_graph
-      ?target_progress ?stall_after ?cancel ~(states : s array)
+              and type msg = m) ?(ctx = Ctx.default) ?init_prev
+      ?target_progress ~(states : s array)
       ~(adversary : (s, m) Runner_broadcast.adversary) ~max_rounds ~stop () =
     let n = Array.length states in
+    let { Ctx.obs; faults; prof; on_graph; stall_after; cancel } = ctx in
     let ledger = Ledger.create () in
     let timeline = ref [] in
     let tracing = not (Obs.Sink.is_null obs) in
@@ -328,11 +328,11 @@ end
 module Unicast = struct
   let run (type s m) (module P : Runner_unicast.PROTOCOL
              with type state = s
-              and type msg = m) ?init_prev ?(obs = Obs.Sink.null)
-      ?(faults = Faults.Plan.none) ?(prof = Obs.Span.null) ?on_graph
-      ?target_progress ?stall_after ?cancel ~(states : s array)
+              and type msg = m) ?(ctx = Ctx.default) ?init_prev
+      ?target_progress ~(states : s array)
       ~(adversary : s Runner_unicast.adversary) ~max_rounds ~stop () =
     let n = Array.length states in
+    let { Ctx.obs; faults; prof; on_graph; stall_after; cancel } = ctx in
     let ledger = Ledger.create () in
     let timeline = ref [] in
     let tracing = not (Obs.Sink.is_null obs) in

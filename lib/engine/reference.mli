@@ -12,7 +12,7 @@
     Its value is as the semantic baseline of the differential fuzzer
     ([lib/fuzz]): on every generated case, {!Default} (the optimized
     fast path) and this engine must produce {e bit-identical} run
-    reports and drive [?on_graph] with identical committed round-graph
+    reports and drive the context's [on_graph] with identical committed round-graph
     sequences.  An optimization that drifts from the model shows up as
     a mismatch with a shrunk counterexample, not as silent skew in
     experiment data.

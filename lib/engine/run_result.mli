@@ -10,8 +10,8 @@
     rounds (at least the caller's [stall_after] window, typically a
     full schedule period), so the run was cut short instead of spinning
     to the round cap — the outcome a protocol livelocking against a
-    periodic schedule reports.  [Cancelled] — the caller's cooperative
-    [?cancel] poll fired at a round boundary and the run stopped there;
+    periodic schedule reports.  [Cancelled] — the run context's cooperative
+    [cancel] poll ({!Ctx}) fired at a round boundary and the run stopped there;
     like [Partial] it carries the progress achieved so far and the
     declared target, so a cancelled run still reports its coverage.  A
     run whose stop predicate fired before the cancel poll was observed

@@ -36,20 +36,15 @@ type ('state, 'msg) adversary =
   Dynet.Graph.t
 
 let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
-    ?init_prev ?(obs = Obs.Sink.null) ?(faults = Faults.Plan.none)
-    ?(prof = Obs.Span.null) ?on_graph ?target_progress ?stall_after ?cancel
-    ~(states : s array)
+    ?(ctx = Ctx.default) ?init_prev ?target_progress ~(states : s array)
     ~(adversary : (s, m) adversary)
     ~max_rounds ~stop () =
   let n = Array.length states in
   let ledger = Ledger.create () in
-  let timeline = ref [] in
+  let { Ctx.obs; faults; _ } = ctx in
   (* Hoisted so the default Null sink costs one boolean test per
      emission site and never allocates an event. *)
   let tracing = not (Obs.Sink.is_null obs) in
-  (* Hoisted like [tracing]: with the default null profiler every
-     span site below is one boolean test, nothing more. *)
-  let profiling = not (Obs.Span.is_null prof) in
   (* Hoisted fault-layer activity test: with [Faults.Plan.none] the
      round loop below is the pre-fault-layer code path. *)
   let frun = Faults.Plan.start faults ~n in
@@ -75,61 +70,26 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
   let sum_progress () =
     Array.fold_left (fun acc st -> acc + P.progress st) 0 states
   in
-  let p0 = sum_progress () in
-  Ledger.note_progress ledger p0;
-  if tracing then
-    Obs.Sink.emit obs
-      (Obs.Trace.Progress { round = 0; progress = p0; learnings = 0 });
   let prev = ref (Option.value init_prev ~default:(Dynet.Graph.empty ~n)) in
-  (* Opt-in livelock detector: [stall_after = Some w] stops the run
-     once global progress has not increased for [w] consecutive rounds
-     (callers pass a full schedule period, so a protocol limit-cycling
-     against a periodic schedule is cut short instead of spinning to
-     the round cap).  Off by default: the Section-2 lower-bound
-     adversary legitimately starves progress for long stretches. *)
-  let best_progress = ref p0 in
-  let stagnant = ref 0 in
-  let stalled = ref false in
-  let completed = ref (stop states) in
-  let aborted = ref None in
-  (* Cooperative cancellation, polled once per round boundary (the
-     first poll happens before round 1, so a pre-cancelled run
-     executes zero rounds).  Latched: once the caller's poll returns
-     true the run is cancelled for good and the poll never fires
-     again. *)
-  let cancelled = ref false in
-  let cancel_requested () =
-    (match cancel with
-    | None -> ()
-    | Some c -> if not !cancelled then cancelled := c ());
-    !cancelled
+  let run =
+    Ctx.start ctx ~ledger ~max_rounds ~target:target_progress
+      ~progress:sum_progress
+      ~stop:(fun () -> stop states)
   in
-  let round = ref 0 in
-  while
-    (not !completed) && (not !stalled) && Option.is_none !aborted
-    && (not (cancel_requested ()))
-    && !round < max_rounds
-  do
-    incr round;
-    let r = !round in
-    if tracing then Obs.Sink.emit obs (Obs.Trace.Round_start { round = r });
-    if profiling then begin
-      Obs.Span.enter prof ~cat:"round" "round";
-      Obs.Span.add_counter prof "round" (float_of_int r)
-    end;
+  while Ctx.next run do
+    let r = Ctx.round run in
     if faulty then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "faults";
+      Ctx.phase run "faults";
       Faults.Plan.begin_round frun ~round:r
         ~on_crash:(fun v -> emit_fault ~round:r ~kind:"crash" ~node:v ())
         ~on_restart:(fun v ->
           states.(v) <- initial.(v);
           emit_fault ~round:r ~kind:"restart" ~node:v ());
       if Faults.Plan.doomed frun then
-        aborted := Some "all nodes crashed with no possible restart";
-      if profiling then Obs.Span.leave prof
+        Ctx.abort run "all nodes crashed with no possible restart"
     end;
-    if Option.is_none !aborted then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "intent";
+    if not (Ctx.aborted run) then begin
+      Ctx.phase run "intent";
       let intents =
         Array.map
           (fun _ -> (None : m option))
@@ -143,34 +103,12 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
           intents.(v) <- m
         end
       done;
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "adversary"
-      end;
+      Ctx.phase run "adversary";
       let g = adversary ~round:r ~prev:!prev ~states ~intents in
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "graph"
-      end;
+      Ctx.phase run "graph";
       Engine_error.check_graph ~round:r ~n g;
-      (* Recorder hook: see Runner_unicast — the committed round graph,
-         once per round, for realized-schedule capture. *)
-      (match on_graph with None -> () | Some f -> f ~round:r g);
-      let tc0 = Ledger.tc ledger and rm0 = Ledger.removals ledger in
-      Ledger.note_graph_change ledger ~prev:!prev ~cur:g;
-      if tracing then
-        Obs.Sink.emit obs
-          (Obs.Trace.Graph_change
-             {
-               round = r;
-               added = Ledger.tc ledger - tc0;
-               removed = Ledger.removals ledger - rm0;
-             });
-      Ledger.note_round ledger;
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "send"
-      end;
+      Ctx.commit_graph run ~prev:!prev g;
+      Ctx.phase run "send";
       Array.iteri
         (fun v intent ->
           match intent with
@@ -190,10 +128,7 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
                        cls = Msg_class.to_string cls;
                      }))
         intents;
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "deliver"
-      end;
+      Ctx.phase run "deliver";
       let inboxes =
         if not faulty then
           Array.init n (fun v ->
@@ -286,10 +221,7 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
           inboxes
         end
       in
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "receive"
-      end;
+      Ctx.phase run "receive";
       for v = 0 to n - 1 do
         if (not faulty) || Faults.Plan.alive frun v then begin
           if checking then
@@ -297,9 +229,8 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
           states.(v) <- P.receive states.(v) ~round:r ~inbox:inboxes.(v)
         end
       done;
-      if profiling then Obs.Span.leave prof;
       if checking then begin
-        if profiling then Obs.Span.enter prof ~cat:"phase" "check";
+        Ctx.phase run "check";
         Check.connected
           ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
           g;
@@ -307,58 +238,11 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
           (fun () -> Ledger.total ledger = !c_sent);
         Check.require ~what:"message-copy conservation" (fun () ->
             Check.conserved ~created:!c_created ~consumed:!c_consumed
-              ~dropped:!c_dropped ~in_flight:!c_inflight);
-        if profiling then Obs.Span.leave prof
+              ~dropped:!c_dropped ~in_flight:!c_inflight)
       end;
-      let p = sum_progress () in
-      Ledger.note_progress ledger p;
-      if tracing then
-        Obs.Sink.emit obs
-          (Obs.Trace.Progress
-             { round = r; progress = p; learnings = Ledger.learnings ledger });
-      if p > !best_progress then begin
-        best_progress := p;
-        stagnant := 0
-      end
-      else begin
-        incr stagnant;
-        match stall_after with
-        | Some w when !stagnant >= w -> stalled := true
-        | Some _ | None -> ()
-      end;
-      timeline :=
-        (r, Ledger.total ledger, Ledger.learnings ledger) :: !timeline;
       prev := g;
-      completed := stop states
-    end;
-    if profiling then Obs.Span.leave prof
+      Ctx.round_done run
+    end
   done;
-  if tracing then begin
-    Obs.Sink.emit obs
-      (Obs.Trace.Run_end
-         {
-           rounds = !round;
-           completed = !completed;
-           messages = Ledger.total ledger;
-         });
-    Obs.Sink.flush obs
-  end;
-  let outcome =
-    match !aborted with
-    | Some reason -> Run_result.Aborted reason
-    | None ->
-        if !completed then Run_result.Completed
-        else if !stalled then
-          Run_result.Stalled { rounds_without_progress = !stagnant }
-        else if !cancelled then
-          Run_result.Cancelled
-            { achieved = sum_progress (); target = target_progress }
-        else
-          Run_result.Partial
-            { achieved = sum_progress (); target = target_progress }
-  in
-  ( Run_result.make ~outcome
-      ?fault_counts:(if faulty then Some fcounts else None)
-      ~rounds:!round ~completed:!completed ~ledger
-      ~timeline:(List.rev !timeline) (),
+  ( Ctx.finish run ~fault_counts:(if faulty then Some fcounts else None),
     states )

@@ -80,14 +80,9 @@ type ('state, 'msg) adversary =
 
 val run :
   (module PROTOCOL with type state = 's and type msg = 'm) ->
+  ?ctx:Ctx.t ->
   ?init_prev:Dynet.Graph.t ->
-  ?obs:Obs.Sink.t ->
-  ?faults:Faults.Plan.t ->
-  ?prof:Obs.Span.t ->
-  ?on_graph:(round:int -> Dynet.Graph.t -> unit) ->
   ?target_progress:int ->
-  ?stall_after:int ->
-  ?cancel:(unit -> bool) ->
   states:'s array ->
   adversary:('s, 'm) adversary ->
   max_rounds:int ->
@@ -97,52 +92,17 @@ val run :
 (** Runs until [stop] holds (checked after each round, and once before
     round 1 for already-solved instances) or [max_rounds] is reached.
 
-    [stall_after] (default: off) arms the livelock detector: if the
-    global progress sum does not increase for [stall_after] consecutive
-    executed rounds the run stops with a {!Run_result.Stalled} outcome
-    instead of spinning to the cap.  Pass a window covering a full
-    schedule period (and a full protocol phase cycle) — see
-    {!Scenario.Runner} for the window used on looped traces.  Leave it
-    off against adaptive adversaries, which starve progress
-    legitimately.
-
-    [cancel] (default: off) is the cooperative cancellation poll of
-    the serve scheduler: it is consulted once per round boundary —
-    including before round 1, so a pre-cancelled run executes zero
-    rounds — and a [true] latches, ending the run with a
-    {!Run_result.Cancelled} outcome carrying the progress achieved.
-    Completion observed at the same boundary wins (cancelling a
-    finished run is a no-op).
+    [ctx] (default {!Ctx.default}) carries the tracing sink, fault
+    plan, profiler, recorder hook, stall window and cancel poll; see
+    {!Ctx} for their contract.  Under a fault plan a local broadcast is
+    still {e charged once}, but its per-edge deliveries drop /
+    duplicate / lag independently, and a crashed node broadcasts
+    nothing and loses its inbox.
 
     [init_prev] (default: the empty graph [G_0]) seeds the
     topological-change accounting when chaining runs.
 
-    [on_graph] (default: nothing) is the recorder hook of
-    {!Runner_unicast.run}: called once per executed round with the
-    validated round graph, enabling realized-schedule capture of
-    adaptive adversaries (e.g. the Section-2 lower-bound adversary).
-
-    [obs] (default {!Obs.Sink.null}: zero overhead, nothing emitted)
-    receives the {!Obs.Trace} event stream: an initial round-0
-    [Progress], then per executed round [Round_start], [Graph_change],
-    one [Send] per charged broadcast ([dst = None]), and [Progress];
-    finally [Run_end] and a sink flush.  Summing [Send] events gives
-    [Ledger.total]; summing [Graph_change.added] gives [Ledger.tc].
-
-    [prof] (default {!Obs.Span.null}: one hoisted boolean test per
-    site) records hierarchical profiling spans: one [round] span per
-    executed round with nested phase children — [faults] (when a plan
-    is active), [intent], [adversary], [graph] (validation, recorder
-    hook, and change accounting), [send], [deliver], [receive], and
-    [check] (when invariants are on) — each carrying wall-clock and
-    allocation; see {!Obs.Span}.
-
-    [faults] (default {!Faults.Plan.none}, bit-identical to the
-    pre-fault-layer engine) injects faults as in
-    {!Runner_unicast.run}, with the broadcast-specific reading that a
-    local broadcast is still {e charged once} but its per-edge
-    deliveries drop / duplicate / lag independently — and a crashed
-    node broadcasts nothing and loses its inbox.  [target_progress]
-    enables [Partial] coverage reporting on capped runs; an execution
-    whose nodes are all permanently crashed returns [Aborted].
+    [target_progress] (e.g. [n*k] for full dissemination) is the
+    progress a successful run would reach; a capped or cancelled run
+    reports its coverage against it.
     @raise Engine_error.Adversary_violation on invalid round graphs. *)

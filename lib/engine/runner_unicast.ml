@@ -48,20 +48,15 @@ let mem_sorted arr x =
 [@@dynlint.hot]
 
 let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
-    ?init_prev ?(obs = Obs.Sink.null) ?(faults = Faults.Plan.none)
-    ?(prof = Obs.Span.null) ?on_graph ?target_progress ?stall_after ?cancel
-    ~(states : s array)
+    ?(ctx = Ctx.default) ?init_prev ?target_progress ~(states : s array)
     ~(adversary : s adversary)
     ~max_rounds ~stop () =
   let n = Array.length states in
   let ledger = Ledger.create () in
-  let timeline = ref [] in
+  let { Ctx.obs; faults; _ } = ctx in
   (* Hoisted so the default Null sink costs one boolean test per
      emission site and never allocates an event. *)
   let tracing = not (Obs.Sink.is_null obs) in
-  (* Hoisted like [tracing]: with the default null profiler every
-     span site below is one boolean test, nothing more. *)
-  let profiling = not (Obs.Span.is_null prof) in
   (* Same null-object pattern for the fault layer: with
      [Faults.Plan.none] every fault hook below is behind one hoisted
      boolean and the round loop is the pre-fault-layer code path. *)
@@ -93,85 +88,35 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
   let sum_progress () =
     Array.fold_left (fun acc st -> acc + P.progress st) 0 states
   in
-  let p0 = sum_progress () in
-  Ledger.note_progress ledger p0;
-  if tracing then
-    Obs.Sink.emit obs
-      (Obs.Trace.Progress { round = 0; progress = p0; learnings = 0 });
   let prev = ref (Option.value init_prev ~default:(Dynet.Graph.empty ~n)) in
   (* One bit per ordered (src, dst) pair, allocated once and cleared
      per round — replaces a fresh per-round Hashtbl keyed by tuples. *)
   let token_sent = Dynet.Bitset.create (n * n) in
   let traffic = ref ([] : traffic) in
-  (* Opt-in livelock detector, identical to Runner_broadcast: stop
-     once global progress has not increased for [stall_after]
-     consecutive rounds.  Off by default — adaptive adversaries starve
-     progress legitimately. *)
-  let best_progress = ref p0 in
-  let stagnant = ref 0 in
-  let stalled = ref false in
-  let completed = ref (stop states) in
-  let aborted = ref None in
-  (* Cooperative cancellation, polled once per round boundary; see
-     Runner_broadcast for the latching scheme. *)
-  let cancelled = ref false in
-  let cancel_requested () =
-    (match cancel with
-    | None -> ()
-    | Some c -> if not !cancelled then cancelled := c ());
-    !cancelled
+  let run =
+    Ctx.start ctx ~ledger ~max_rounds ~target:target_progress
+      ~progress:sum_progress
+      ~stop:(fun () -> stop states)
   in
-  let round = ref 0 in
-  while
-    (not !completed) && (not !stalled) && Option.is_none !aborted
-    && (not (cancel_requested ()))
-    && !round < max_rounds
-  do
-    incr round;
-    let r = !round in
-    if tracing then Obs.Sink.emit obs (Obs.Trace.Round_start { round = r });
-    if profiling then begin
-      Obs.Span.enter prof ~cat:"round" "round";
-      Obs.Span.add_counter prof "round" (float_of_int r)
-    end;
+  while Ctx.next run do
+    let r = Ctx.round run in
     if faulty then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "faults";
+      Ctx.phase run "faults";
       Faults.Plan.begin_round frun ~round:r
         ~on_crash:(fun v -> emit_fault ~round:r ~kind:"crash" ~node:v ())
         ~on_restart:(fun v ->
           states.(v) <- initial.(v);
           emit_fault ~round:r ~kind:"restart" ~node:v ());
       if Faults.Plan.doomed frun then
-        aborted := Some "all nodes crashed with no possible restart";
-      if profiling then Obs.Span.leave prof
+        Ctx.abort run "all nodes crashed with no possible restart"
     end;
-    if Option.is_none !aborted then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "adversary";
+    if not (Ctx.aborted run) then begin
+      Ctx.phase run "adversary";
       let g = adversary ~round:r ~prev:!prev ~states ~traffic:!traffic in
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "graph"
-      end;
+      Ctx.phase run "graph";
       Engine_error.check_graph ~round:r ~n g;
-      (* Recorder hook: the committed (validated) round graph, once per
-         round — what a trace of this execution's realized schedule
-         must contain, whether the adversary was oblivious or not. *)
-      (match on_graph with None -> () | Some f -> f ~round:r g);
-      let tc0 = Ledger.tc ledger and rm0 = Ledger.removals ledger in
-      Ledger.note_graph_change ledger ~prev:!prev ~cur:g;
-      if tracing then
-        Obs.Sink.emit obs
-          (Obs.Trace.Graph_change
-             {
-               round = r;
-               added = Ledger.tc ledger - tc0;
-               removed = Ledger.removals ledger - rm0;
-             });
-      Ledger.note_round ledger;
-      if profiling then begin
-        Obs.Span.leave prof;
-        Obs.Span.enter prof ~cat:"phase" "send"
-      end;
+      Ctx.commit_graph run ~prev:!prev g;
+      Ctx.phase run "send";
       let inboxes = Array.make n [] in
       let round_traffic = ref [] in
       Dynet.Bitset.clear token_sent;
@@ -257,9 +202,8 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
             out
         end
       done;
-      if profiling then Obs.Span.leave prof;
       if faulty then begin
-        if profiling then Obs.Span.enter prof ~cat:"phase" "deliver";
+        Ctx.phase run "deliver";
         (* Messages whose bounded delay expires this round arrive now,
            after the on-time traffic (the sort below interleaves them
            into sender order). *)
@@ -286,10 +230,9 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
               (List.rev inboxes.(v));
             inboxes.(v) <- []
           end
-        done;
-        if profiling then Obs.Span.leave prof
+        done
       end;
-      if profiling then Obs.Span.enter prof ~cat:"phase" "receive";
+      Ctx.phase run "receive";
       for v = 0 to n - 1 do
         if (not faulty) || Faults.Plan.alive frun v then begin
           let inbox =
@@ -302,9 +245,8 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
               ~inbox
         end
       done;
-      if profiling then Obs.Span.leave prof;
       if checking then begin
-        if profiling then Obs.Span.enter prof ~cat:"phase" "check";
+        Ctx.phase run "check";
         Check.connected
           ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
           g;
@@ -312,59 +254,12 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
             Ledger.total ledger = !c_sent);
         Check.require ~what:"message-copy conservation" (fun () ->
             Check.conserved ~created:!c_created ~consumed:!c_consumed
-              ~dropped:!c_dropped ~in_flight:!c_inflight);
-        if profiling then Obs.Span.leave prof
+              ~dropped:!c_dropped ~in_flight:!c_inflight)
       end;
-      let p = sum_progress () in
-      Ledger.note_progress ledger p;
-      if tracing then
-        Obs.Sink.emit obs
-          (Obs.Trace.Progress
-             { round = r; progress = p; learnings = Ledger.learnings ledger });
-      if p > !best_progress then begin
-        best_progress := p;
-        stagnant := 0
-      end
-      else begin
-        incr stagnant;
-        match stall_after with
-        | Some w when !stagnant >= w -> stalled := true
-        | Some _ | None -> ()
-      end;
-      timeline :=
-        (r, Ledger.total ledger, Ledger.learnings ledger) :: !timeline;
       prev := g;
       traffic := List.rev !round_traffic;
-      completed := stop states
-    end;
-    if profiling then Obs.Span.leave prof
+      Ctx.round_done run
+    end
   done;
-  if tracing then begin
-    Obs.Sink.emit obs
-      (Obs.Trace.Run_end
-         {
-           rounds = !round;
-           completed = !completed;
-           messages = Ledger.total ledger;
-         });
-    Obs.Sink.flush obs
-  end;
-  let outcome =
-    match !aborted with
-    | Some reason -> Run_result.Aborted reason
-    | None ->
-        if !completed then Run_result.Completed
-        else if !stalled then
-          Run_result.Stalled { rounds_without_progress = !stagnant }
-        else if !cancelled then
-          Run_result.Cancelled
-            { achieved = sum_progress (); target = target_progress }
-        else
-          Run_result.Partial
-            { achieved = sum_progress (); target = target_progress }
-  in
-  ( Run_result.make ~outcome
-      ?fault_counts:(if faulty then Some fcounts else None)
-      ~rounds:!round ~completed:!completed ~ledger
-      ~timeline:(List.rev !timeline) (),
+  ( Ctx.finish run ~fault_counts:(if faulty then Some fcounts else None),
     states )

@@ -59,78 +59,30 @@ type 'state adversary =
 
 val run :
   (module PROTOCOL with type state = 's and type msg = 'm) ->
+  ?ctx:Ctx.t ->
   ?init_prev:Dynet.Graph.t ->
-  ?obs:Obs.Sink.t ->
-  ?faults:Faults.Plan.t ->
-  ?prof:Obs.Span.t ->
-  ?on_graph:(round:int -> Dynet.Graph.t -> unit) ->
   ?target_progress:int ->
-  ?stall_after:int ->
-  ?cancel:(unit -> bool) ->
   states:'s array ->
   adversary:'s adversary ->
   max_rounds:int ->
   stop:('s array -> bool) ->
   unit ->
   Run_result.t * 's array
-(** [stall_after] (default: off) arms the livelock detector of
-    {!Runner_broadcast.run}: a run whose global progress sum does not
-    increase for [stall_after] consecutive executed rounds stops with
-    {!Run_result.Stalled} instead of spinning to the round cap — the
-    honest verdict for a deterministic protocol limit-cycling against
-    a periodic (looped-trace) schedule.
+(** Runs until [stop] holds (checked after each round, and once before
+    round 1 for already-solved instances) or [max_rounds] is reached.
 
-    [cancel] (default: off) is the cooperative cancellation poll of
-    {!Runner_broadcast.run}: polled once per round boundary (including
-    before round 1), latching, with completion winning over a cancel
-    observed at the same boundary.
+    [ctx] (default {!Ctx.default}) carries the tracing sink, fault
+    plan, profiler, recorder hook, stall window and cancel poll; see
+    {!Ctx} for their contract.
 
     [init_prev] (default: the empty graph [G_0]) seeds the
     topological-change accounting — pass the previous phase's last
     graph when chaining runs so [TC] is not inflated by a phantom
     re-insertion of every edge.
 
-    [on_graph] (default: nothing) is the recorder hook: it is called
-    exactly once per executed round with the validated round graph the
-    adversary committed to, {e before} any message is sent.  Unlike the
-    count-only [Graph_change] trace event it carries the graph itself,
-    so a scenario recorder can capture the realized schedule of an
-    {e adaptive} adversary and replay it later as an oblivious one.
-
-    [obs] (default {!Obs.Sink.null}: zero overhead, nothing emitted)
-    receives the {!Obs.Trace} event stream: an initial round-0
-    [Progress], then per executed round [Round_start], [Graph_change],
-    one [Send] per unicast message (with its [dst]), and [Progress];
-    finally [Run_end] and a sink flush.  Summing [Send] events gives
-    [Ledger.total]; summing [Graph_change.added] gives [Ledger.tc].
-
-    [prof] (default {!Obs.Span.null}: one hoisted boolean test per
-    site) records hierarchical profiling spans: one [round] span per
-    executed round with nested phase children — [faults] (when a plan
-    is active), [adversary], [graph] (validation, recorder hook, and
-    change accounting), [send], [deliver] (the fault layer's delayed
-    and crash-time delivery work), [receive], and [check] (when
-    invariants are on) — each carrying wall-clock and allocation; see
-    {!Obs.Span}.
-
-    [faults] (default {!Faults.Plan.none}: the clean model, with the
-    round loop bit-identical to a build without the fault layer)
-    injects message loss / duplication / bounded delay and node
-    crash-restart.  Faulty rounds run as: node fates advance (a
-    restarting node re-enters with its {e initial} state); crashed
-    nodes are skipped in the send phase; each sent message is charged
-    to the ledger, then dropped, duplicated, or delayed by the plan;
-    messages due this round (on-time or expired delays) are delivered
-    except to nodes crashed at delivery time, whose inboxes are
-    discarded.  Every fault is emitted as an {!Obs.Trace.Fault} event
-    and tallied in the result's [fault_counts].  A delayed message is
-    delivered even if its edge has since vanished (delay models
-    asynchrony, not routing).
-
     [target_progress] (e.g. [n*k] for full dissemination) is the
-    progress a successful run would reach; a capped run then reports
-    [Partial] coverage against it.  If every node is crashed and the
-    plan can never restart one, the run stops with [Aborted].
+    progress a successful run would reach; a capped or cancelled run
+    reports its coverage against it.
     @raise Engine_error.Adversary_violation on invalid round graphs.
     @raise Engine_error.Protocol_violation on sends to non-neighbors or
     token-bandwidth violations. *)

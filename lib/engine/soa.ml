@@ -35,41 +35,19 @@ open Dynet.Ops
 
 let kernel_name = "soa"
 
-(* Growable int log for the timeline: the round loop appends two ints
-   per round with amortized-doubling growth, and the [(round, total,
-   learnings)] list the result needs is materialised once at the end,
-   outside the hot loop. *)
-module Ilog = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create () = { a = Array.make 256 0; len = 0 }
-
-  let push t x =
-    if t.len = Array.length t.a then begin
-      let a' = Array.make (2 * t.len) 0 in
-      Array.blit t.a 0 a' 0 t.len;
-      t.a <- a'
-    end;
-    t.a.(t.len) <- x;
-    t.len <- t.len + 1
-
-  let get t i = t.a.(i)
-  let len t = t.len
-end
-
 (* {2 The plane kernel} *)
 
 let run_plane (type s m)
     (module P : Runner_broadcast.PROTOCOL with type state = s and type msg = m)
-    (spec : (s, m) Runner_broadcast.plane_spec) ~spans ?init_prev ~obs ~prof
-    ?on_graph ?target_progress ?stall_after ?cancel ~(states : s array)
+    (spec : (s, m) Runner_broadcast.plane_spec) ~spans ~ctx ?init_prev
+    ?target_progress ~(states : s array)
     ~(adversary : (s, m) Runner_broadcast.adversary) ~max_rounds ~stop () =
   let n = Array.length states in
   let shards = Array.length spans in
   let k = spec.Runner_broadcast.width states.(0) in
   let ledger = Ledger.create () in
+  let obs = ctx.Ctx.obs in
   let tracing = not (Obs.Sink.is_null obs) in
-  let profiling = not (Obs.Span.is_null prof) in
   let checking = Check.enabled () in
   let c_sent = ref 0 and c_created = ref 0 and c_consumed = ref 0 in
   (* One contiguous plane per run: row v is node v's known-token mask. *)
@@ -115,8 +93,6 @@ let run_plane (type s m)
   let active = Array.make (max 1 n) 0 in
   let cur_phase = ref 0 in
   let b = ref 0 in
-  let timeline_totals = Ilog.create () in
-  let timeline_learnings = Ilog.create () in
   let prev = ref (Option.value init_prev ~default:(Dynet.Graph.empty ~n)) in
   (* Validity gate, delta-gated like the CSR: a graph physically equal
      to the last validated one (what Stability returns on stable
@@ -131,24 +107,11 @@ let run_plane (type s m)
       last_valid := g
     end
   in
-  Ledger.note_progress ledger !total_known;
-  if tracing then
-    Obs.Sink.emit obs
-      (Obs.Trace.Progress { round = 0; progress = !total_known; learnings = 0 });
-  let best_progress = ref !total_known in
-  let stagnant = ref 0 in
-  let stalled = ref false in
-  let completed = ref (stop states) in
-  (* Cooperative cancellation, polled once per round boundary; see
-     Runner_broadcast for the latching scheme. *)
-  let cancelled = ref false in
-  let cancel_requested () =
-    (match cancel with
-    | None -> ()
-    | Some c -> if not !cancelled then cancelled := c ());
-    !cancelled
+  let run =
+    Ctx.start ctx ~ledger ~max_rounds ~target:target_progress
+      ~progress:(fun () -> !total_known)
+      ~stop:(fun () -> stop states)
   in
-  let round = ref 0 in
   (* Hoisted phase jobs: the same two closures fire every round, so the
      barrier machinery allocates nothing inside the loop. *)
   let intent_job ~shard ~lo ~hi =
@@ -254,19 +217,9 @@ let run_plane (type s m)
   [@@dynlint.hot]
   in
   Shard_pool.with_pool ~spans @@ fun pool ->
-  while
-    (not !completed) && (not !stalled)
-    && (not (cancel_requested ()))
-    && !round < max_rounds
-  do
-    incr round;
-    let r = !round in
-    if tracing then Obs.Sink.emit obs (Obs.Trace.Round_start { round = r });
-    if profiling then begin
-      Obs.Span.enter prof ~cat:"round" "round";
-      Obs.Span.add_counter prof "round" (float_of_int r)
-    end;
-    if profiling then Obs.Span.enter prof ~cat:"phase" "intent";
+  while Ctx.next run do
+    let r = Ctx.round run in
+    Ctx.phase run "intent";
     let p = spec.phase_of states.(0) ~round:r in
     cur_phase := p;
     (match phase_msgs.(p) with
@@ -299,32 +252,12 @@ let run_plane (type s m)
       done;
       b := !b + shard_sends.(s)
     done;
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "adversary"
-    end;
+    Ctx.phase run "adversary";
     let g = adversary ~round:r ~prev:!prev ~states ~intents in
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "graph"
-    end;
+    Ctx.phase run "graph";
     validate ~round:r g;
-    (match on_graph with None -> () | Some f -> f ~round:r g);
-    let tc0 = Ledger.tc ledger and rm0 = Ledger.removals ledger in
-    Ledger.note_graph_change ledger ~prev:!prev ~cur:g;
-    if tracing then
-      Obs.Sink.emit obs
-        (Obs.Trace.Graph_change
-           {
-             round = r;
-             added = Ledger.tc ledger - tc0;
-             removed = Ledger.removals ledger - rm0;
-           });
-    Ledger.note_round ledger;
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "send"
-    end;
+    Ctx.commit_graph run ~prev:!prev g;
+    Ctx.phase run "send";
     if !b > 0 then Ledger.record ledger phase_cls.(p) !b;
     if checking then c_sent := !c_sent + !b;
     if tracing then begin
@@ -335,15 +268,9 @@ let run_plane (type s m)
             (Obs.Trace.Send { round = r; src = v; dst = None; cls = cls_name })
       done
     end;
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "deliver"
-    end;
+    Ctx.phase run "deliver";
     ignore (Dynet.Csr.update csr g : bool);
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "receive"
-    end;
+    Ctx.phase run "receive";
     (* Conservation checking needs the pull path (it counts every
        delivered copy per receiver); otherwise pick by density — pull
        when broadcasters are dense (scans stop early), push when they
@@ -368,9 +295,8 @@ let run_plane (type s m)
         shard_copies.(s) <- 0
       end
     done;
-    if profiling then Obs.Span.leave prof;
     if checking then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "check";
+      Ctx.phase run "check";
       Check.connected
         ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
         g;
@@ -378,68 +304,22 @@ let run_plane (type s m)
           Ledger.total ledger = !c_sent);
       Check.require ~what:"message-copy conservation" (fun () ->
           Check.conserved ~created:!c_created ~consumed:!c_consumed ~dropped:0
-            ~in_flight:0);
-      if profiling then Obs.Span.leave prof
+            ~in_flight:0)
     end;
-    let pnow = !total_known in
-    Ledger.note_progress ledger pnow;
-    if tracing then
-      Obs.Sink.emit obs
-        (Obs.Trace.Progress
-           { round = r; progress = pnow; learnings = Ledger.learnings ledger });
-    if pnow > !best_progress then begin
-      best_progress := pnow;
-      stagnant := 0
-    end
-    else begin
-      incr stagnant;
-      match stall_after with
-      | Some w when !stagnant >= w -> stalled := true
-      | Some _ | None -> ()
-    end;
-    Ilog.push timeline_totals (Ledger.total ledger);
-    Ilog.push timeline_learnings (Ledger.learnings ledger);
     prev := g;
-    completed := stop states;
-    if profiling then Obs.Span.leave prof
+    Ctx.round_done run
   done;
-  if tracing then begin
-    Obs.Sink.emit obs
-      (Obs.Trace.Run_end
-         {
-           rounds = !round;
-           completed = !completed;
-           messages = Ledger.total ledger;
-         });
-    Obs.Sink.flush obs
-  end;
   for v = 0 to n - 1 do
     if loads.(v) > 0 then Ledger.record_sender ledger v loads.(v)
   done;
-  let timeline =
-    List.init (Ilog.len timeline_totals) (fun i ->
-        (i + 1, Ilog.get timeline_totals i, Ilog.get timeline_learnings i))
-  in
-  let outcome =
-    if !completed then Run_result.Completed
-    else if !stalled then
-      Run_result.Stalled { rounds_without_progress = !stagnant }
-    else if !cancelled then
-      Run_result.Cancelled { achieved = !total_known; target = target_progress }
-    else Run_result.Partial { achieved = !total_known; target = target_progress }
-  in
-  ( Run_result.make ~outcome ~rounds:!round ~completed:!completed ~ledger
-      ~timeline (),
-    states )
+  (Ctx.finish run ~fault_counts:None, states)
 
 (* {2 The sharded unicast path} *)
 
 let run_unicast_sharded (type s m)
     (module P : Runner_unicast.PROTOCOL with type state = s and type msg = m)
-    ~spans ?init_prev ~obs ~prof ?on_graph ?target_progress ?stall_after
-    ?cancel ~(states : s array) ~(adversary : s Runner_unicast.adversary)
-    ~max_rounds
-    ~stop () =
+    ~spans ~ctx ?init_prev ?target_progress ~(states : s array)
+    ~(adversary : s Runner_unicast.adversary) ~max_rounds ~stop () =
   let n = Array.length states in
   let shards = Array.length spans in
   let shard_of = Array.make (max n 1) 0 in
@@ -450,36 +330,21 @@ let run_unicast_sharded (type s m)
       done)
     spans;
   let ledger = Ledger.create () in
-  let timeline = ref [] in
+  let obs = ctx.Ctx.obs in
   let tracing = not (Obs.Sink.is_null obs) in
-  let profiling = not (Obs.Span.is_null prof) in
   let checking = Check.enabled () in
   let c_sent = ref 0 and c_created = ref 0 and c_consumed = ref 0 in
   let sum_progress () =
     Array.fold_left (fun acc st -> acc + P.progress st) 0 states
   in
-  let p0 = sum_progress () in
-  Ledger.note_progress ledger p0;
-  if tracing then
-    Obs.Sink.emit obs
-      (Obs.Trace.Progress { round = 0; progress = p0; learnings = 0 });
   let prev = ref (Option.value init_prev ~default:(Dynet.Graph.empty ~n)) in
   let token_sent = Dynet.Bitset.create (n * n) in
   let traffic = ref ([] : Runner_unicast.traffic) in
-  let best_progress = ref p0 in
-  let stagnant = ref 0 in
-  let stalled = ref false in
-  let completed = ref (stop states) in
-  (* Cooperative cancellation, polled once per round boundary; see
-     Runner_broadcast for the latching scheme. *)
-  let cancelled = ref false in
-  let cancel_requested () =
-    (match cancel with
-    | None -> ()
-    | Some c -> if not !cancelled then cancelled := c ());
-    !cancelled
+  let run =
+    Ctx.start ctx ~ledger ~max_rounds ~target:target_progress
+      ~progress:sum_progress
+      ~stop:(fun () -> stop states)
   in
-  let round = ref 0 in
   (* Send phase scratch: workers park the new state and raw send list
      per node (committed by the coordinator in node order, so a
      protocol violation aborts with exactly the sequential engine's
@@ -541,41 +406,14 @@ let run_unicast_sharded (type s m)
     done
   in
   Shard_pool.with_pool ~spans @@ fun pool ->
-  while
-    (not !completed) && (not !stalled)
-    && (not (cancel_requested ()))
-    && !round < max_rounds
-  do
-    incr round;
-    let r = !round in
-    if tracing then Obs.Sink.emit obs (Obs.Trace.Round_start { round = r });
-    if profiling then begin
-      Obs.Span.enter prof ~cat:"round" "round";
-      Obs.Span.add_counter prof "round" (float_of_int r)
-    end;
-    if profiling then Obs.Span.enter prof ~cat:"phase" "adversary";
+  while Ctx.next run do
+    let r = Ctx.round run in
+    Ctx.phase run "adversary";
     let g = adversary ~round:r ~prev:!prev ~states ~traffic:!traffic in
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "graph"
-    end;
+    Ctx.phase run "graph";
     Engine_error.check_graph ~round:r ~n g;
-    (match on_graph with None -> () | Some f -> f ~round:r g);
-    let tc0 = Ledger.tc ledger and rm0 = Ledger.removals ledger in
-    Ledger.note_graph_change ledger ~prev:!prev ~cur:g;
-    if tracing then
-      Obs.Sink.emit obs
-        (Obs.Trace.Graph_change
-           {
-             round = r;
-             added = Ledger.tc ledger - tc0;
-             removed = Ledger.removals ledger - rm0;
-           });
-    Ledger.note_round ledger;
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "send"
-    end;
+    Ctx.commit_graph run ~prev:!prev g;
+    Ctx.phase run "send";
     cur_graph := g;
     cur_round := r;
     Array.iter (fun row -> Array.iter (fun cell -> cell := []) row) stage;
@@ -629,19 +467,15 @@ let run_unicast_sharded (type s m)
         outs.(v);
       outs.(v) <- []
     done;
-    if profiling then begin
-      Obs.Span.leave prof;
-      Obs.Span.enter prof ~cat:"phase" "receive"
-    end;
+    Ctx.phase run "receive";
     Shard_pool.run pool receive_job;
     if checking then
       for s = 0 to shards - 1 do
         c_consumed := !c_consumed + shard_consumed.(s);
         shard_consumed.(s) <- 0
       done;
-    if profiling then Obs.Span.leave prof;
     if checking then begin
-      if profiling then Obs.Span.enter prof ~cat:"phase" "check";
+      Ctx.phase run "check";
       Check.connected
         ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
         g;
@@ -649,55 +483,13 @@ let run_unicast_sharded (type s m)
           Ledger.total ledger = !c_sent);
       Check.require ~what:"message-copy conservation" (fun () ->
           Check.conserved ~created:!c_created ~consumed:!c_consumed ~dropped:0
-            ~in_flight:0);
-      if profiling then Obs.Span.leave prof
+            ~in_flight:0)
     end;
-    let p = sum_progress () in
-    Ledger.note_progress ledger p;
-    if tracing then
-      Obs.Sink.emit obs
-        (Obs.Trace.Progress
-           { round = r; progress = p; learnings = Ledger.learnings ledger });
-    if p > !best_progress then begin
-      best_progress := p;
-      stagnant := 0
-    end
-    else begin
-      incr stagnant;
-      match stall_after with
-      | Some w when !stagnant >= w -> stalled := true
-      | Some _ | None -> ()
-    end;
-    timeline :=
-      (r, Ledger.total ledger, Ledger.learnings ledger) :: !timeline;
     prev := g;
     traffic := List.rev !round_traffic;
-    completed := stop states;
-    if profiling then Obs.Span.leave prof
+    Ctx.round_done run
   done;
-  if tracing then begin
-    Obs.Sink.emit obs
-      (Obs.Trace.Run_end
-         {
-           rounds = !round;
-           completed = !completed;
-           messages = Ledger.total ledger;
-         });
-    Obs.Sink.flush obs
-  end;
-  let outcome =
-    if !completed then Run_result.Completed
-    else if !stalled then
-      Run_result.Stalled { rounds_without_progress = !stagnant }
-    else if !cancelled then
-      Run_result.Cancelled
-        { achieved = sum_progress (); target = target_progress }
-    else
-      Run_result.Partial { achieved = sum_progress (); target = target_progress }
-  in
-  ( Run_result.make ~outcome ~rounds:!round ~completed:!completed ~ledger
-      ~timeline:(List.rev !timeline) (),
-    states )
+  (Ctx.finish run ~fault_counts:None, states)
 
 (* {2 Engine packaging} *)
 
@@ -723,49 +515,45 @@ let make ?(shards = 1) ?(boundary_bug = false) () =
       let run (type s m)
           (module P : Runner_broadcast.PROTOCOL
             with type state = s
-             and type msg = m) ?init_prev ?(obs = Obs.Sink.null)
-          ?(faults = Faults.Plan.none) ?(prof = Obs.Span.null) ?on_graph
-          ?target_progress ?stall_after ?cancel ~states ~adversary
-          ~max_rounds ~stop () =
+             and type msg = m) ?(ctx = Ctx.default) ?init_prev
+          ?target_progress ~states ~adversary ~max_rounds ~stop () =
         let n = Array.length states in
         match P.plane with
         | Some spec
-          when Faults.Plan.is_none faults
+          when Faults.Plan.is_none ctx.Ctx.faults
                && n > 0
                && spec.Runner_broadcast.width states.(0) > 0 ->
             run_plane
               (module P)
               spec
               ~spans:(spans_for ~n ~shards ~boundary_bug)
-              ?init_prev ~obs ~prof ?on_graph ?target_progress ?stall_after
-              ?cancel ~states ~adversary ~max_rounds ~stop ()
+              ~ctx ?init_prev ?target_progress ~states ~adversary ~max_rounds
+              ~stop ()
         | Some _ | None ->
             Runner_broadcast.run
               (module P)
-              ?init_prev ~obs ~faults ~prof ?on_graph ?target_progress
-              ?stall_after ?cancel ~states ~adversary ~max_rounds ~stop ()
+              ~ctx ?init_prev ?target_progress ~states ~adversary ~max_rounds
+              ~stop ()
     end
 
     module Unicast = struct
       let run (type s m)
           (module P : Runner_unicast.PROTOCOL
             with type state = s
-             and type msg = m) ?init_prev ?(obs = Obs.Sink.null)
-          ?(faults = Faults.Plan.none) ?(prof = Obs.Span.null) ?on_graph
-          ?target_progress ?stall_after ?cancel ~states ~adversary
-          ~max_rounds ~stop () =
+             and type msg = m) ?(ctx = Ctx.default) ?init_prev
+          ?target_progress ~states ~adversary ~max_rounds ~stop () =
         let n = Array.length states in
-        if Faults.Plan.is_none faults && n > 0 then
+        if Faults.Plan.is_none ctx.Ctx.faults && n > 0 then
           run_unicast_sharded
             (module P)
             ~spans:(spans_for ~n ~shards ~boundary_bug)
-            ?init_prev ~obs ~prof ?on_graph ?target_progress ?stall_after
-            ?cancel ~states ~adversary ~max_rounds ~stop ()
+            ~ctx ?init_prev ?target_progress ~states ~adversary ~max_rounds
+            ~stop ()
         else
           Runner_unicast.run
             (module P)
-            ?init_prev ~obs ~faults ~prof ?on_graph ?target_progress
-            ?stall_after ?cancel ~states ~adversary ~max_rounds ~stop ()
+            ~ctx ?init_prev ?target_progress ~states ~adversary ~max_rounds
+            ~stop ()
     end
   end in
   (module E : Engine_sig.ENGINE)

@@ -95,7 +95,8 @@ let execute ~engine ?(flooding = real_flooding) ?prof (case : Case.t) =
               ~default:(Gossip.Runners.default_broadcast_cap ~n ~k)
           in
           let result, _ =
-            E.Broadcast.run F.protocol ~faults ?prof ~on_graph ~stall_after
+            E.Broadcast.run F.protocol
+              ~ctx:(Engine.Ctx.make ~faults ?prof ~on_graph ~stall_after ())
               ~target_progress:(n * k)
               ~states:(F.init ~instance)
               ~adversary:(Adversary.Schedule.broadcast schedule)

@@ -3,8 +3,8 @@
     The differential property is {e bit identity}: for the same
     {!Case.t}, both engines must produce byte-identical run-report
     JSON (outcome, ledger totals and per-class counts, per-node loads,
-    timeline) and byte-identical realized schedules (the [?on_graph]
-    round-graph sequence, serialized through {!Scenario.Record}).
+    timeline) and byte-identical realized schedules (the run context's
+    [on_graph] round-graph sequence, serialized through {!Scenario.Record}).
     Engine failures are part of the contract too: a typed engine error
     ({!Engine.Engine_error.Protocol_violation},
     [Adversary_violation], {!Check.Check_failed}) must be raised by

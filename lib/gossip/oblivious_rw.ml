@@ -21,6 +21,7 @@ let run ~instance ~schedule ~seed ?(const_f = 1.0) ?(const_gamma = 1.0)
   let phase2_cap =
     Option.value phase2_cap ~default:((4 * n * k) + (4 * n * n))
   in
+  let ctx = Engine.Ctx.make ~obs ~prof () in
   let emit_phase name round =
     if not (Obs.Sink.is_null obs) then
       Obs.Sink.emit obs (Obs.Trace.Phase { name; round })
@@ -30,8 +31,8 @@ let run ~instance ~schedule ~seed ?(const_f = 1.0) ?(const_gamma = 1.0)
     let adversary ~round ~prev:_ ~states:_ ~traffic:_ =
       Adversary.Schedule.get schedule (round + offset)
     in
-    Engine.Runner_unicast.run Multi_source.protocol ?init_prev ~obs ~prof
-      ~states ~adversary ~max_rounds:cap
+    Engine.Runner_unicast.run Multi_source.protocol ~ctx ?init_prev ~states
+      ~adversary ~max_rounds:cap
       ~stop:(Multi_source.all_complete ~k)
       ()
   in
@@ -75,7 +76,7 @@ let run ~instance ~schedule ~seed ?(const_f = 1.0) ?(const_gamma = 1.0)
     emit_phase "random-walk" 0;
     let res1, states =
       Obs.Span.with_span prof ~cat:"algo-phase" "random-walk" (fun () ->
-          Engine.Runner_unicast.run Rw_phase.protocol ~obs ~prof ~states
+          Engine.Runner_unicast.run Rw_phase.protocol ~ctx ~states
             ~adversary ~max_rounds:phase1_cap ~stop:Rw_phase.settled ())
     in
     let settled = res1.Engine.Run_result.completed in

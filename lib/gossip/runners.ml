@@ -18,8 +18,8 @@ let single_source ~instance ~env ?(engine = Engine.Default.engine)
     Option.value max_rounds ~default:(default_unicast_cap ~n ~k)
   in
   let states = Single_source.init ?config ~instance () in
-  E.Unicast.run Single_source.protocol ?obs ?faults ?prof ?on_graph
-    ?stall_after ?cancel
+  E.Unicast.run Single_source.protocol
+    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ?on_graph ?stall_after ?cancel ())
     ~target_progress:(n * k) ~states
     ~adversary:(unicast_adversary ~n env)
     ~max_rounds
@@ -34,8 +34,8 @@ let multi_source ~instance ~env ?(engine = Engine.Default.engine) ?max_rounds
     Option.value max_rounds ~default:(default_unicast_cap ~n ~k)
   in
   let states = Multi_source.init ?source_order ?seed ~instance () in
-  E.Unicast.run Multi_source.protocol ?obs ?faults ?prof ?on_graph
-    ?stall_after ?cancel
+  E.Unicast.run Multi_source.protocol
+    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ?on_graph ?stall_after ?cancel ())
     ~target_progress:(n * k) ~states
     ~adversary:(unicast_adversary ~n env)
     ~max_rounds
@@ -80,7 +80,8 @@ let reliable_single_source ~instance ~env ?max_rounds ?config ?rto ?backoff
       (Single_source.init ?config ~instance ())
   in
   let result, states =
-    Engine.Runner_unicast.run Reliable_single.protocol ?obs ?faults ?prof
+    Engine.Runner_unicast.run Reliable_single.protocol
+      ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
       ~target_progress:(n * k) ~states
       ~adversary:(unicast_adversary ~n env)
       ~max_rounds
@@ -108,7 +109,8 @@ let reliable_multi_source ~instance ~env ?max_rounds ?source_order ?seed ?rto
       (Multi_source.init ?source_order ?seed ~instance ())
   in
   let result, states =
-    Engine.Runner_unicast.run Reliable_multi.protocol ?obs ?faults ?prof
+    Engine.Runner_unicast.run Reliable_multi.protocol
+      ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
       ~target_progress:(n * k) ~states
       ~adversary:(unicast_adversary ~n env)
       ~max_rounds
@@ -132,8 +134,8 @@ let flooding ~instance ~schedule ?(engine = Engine.Default.engine) ?phase_len
     Option.value max_rounds ~default:(default_broadcast_cap ~n ~k)
   in
   let states = Flooding.init ~instance ?phase_len () in
-  E.Broadcast.run Flooding.protocol ?obs ?faults ?prof ?on_graph ?stall_after
-    ?cancel
+  E.Broadcast.run Flooding.protocol
+    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ?on_graph ?stall_after ?cancel ())
     ~target_progress:(n * k) ~states
     ~adversary:(Adversary.Schedule.broadcast schedule)
     ~max_rounds
@@ -160,7 +162,8 @@ let flooding_vs_lower_bound ~instance ~seed ?max_rounds ?obs ?prof () =
   in
   let states = Flooding.init ~instance () in
   let result, states =
-    Engine.Runner_broadcast.run Flooding.protocol ?obs ?prof ~states
+    Engine.Runner_broadcast.run Flooding.protocol
+      ~ctx:(Engine.Ctx.make ?obs ?prof ()) ~states
       ~adversary
       ~max_rounds
       ~stop:(Flooding.all_complete ~k)
@@ -182,7 +185,8 @@ let greedy_vs_lower_bound ~instance ~policy ~seed ?max_rounds ?obs ?prof () =
   in
   let states = Greedy_bcast.init ~instance ~policy ~seed () in
   let result, states =
-    Engine.Runner_broadcast.run Greedy_bcast.protocol ?obs ?prof ~states
+    Engine.Runner_broadcast.run Greedy_bcast.protocol
+      ~ctx:(Engine.Ctx.make ?obs ?prof ()) ~states
       ~adversary
       ~max_rounds
       ~stop:(Greedy_bcast.all_complete ~k)
@@ -196,7 +200,8 @@ let random_push ~instance ~env ~seed ?max_rounds ?faults ?obs ?prof () =
     Option.value max_rounds ~default:(4 * default_unicast_cap ~n ~k)
   in
   let states = Random_push.init ~instance ~seed in
-  Engine.Runner_unicast.run Random_push.protocol ?obs ?faults ?prof
+  Engine.Runner_unicast.run Random_push.protocol
+    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
     ~target_progress:(n * k) ~states
     ~adversary:(unicast_adversary ~n env)
     ~max_rounds
@@ -206,7 +211,8 @@ let random_push ~instance ~env ~seed ?max_rounds ?faults ?obs ?prof () =
 let leader_election ~n ~env ?max_rounds ?faults ?obs ?prof () =
   let max_rounds = Option.value max_rounds ~default:((8 * n * n) + 64) in
   let states = Leader_election.init ~n in
-  Engine.Runner_unicast.run Leader_election.protocol ?obs ?faults ?prof
+  Engine.Runner_unicast.run Leader_election.protocol
+    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
     ~target_progress:n ~states
     ~adversary:(unicast_adversary ~n env)
     ~max_rounds
@@ -220,7 +226,8 @@ let coded_broadcast ~instance ~schedule ~seed ?max_rounds ?faults ?obs ?prof
     Option.value max_rounds ~default:(default_broadcast_cap ~n ~k)
   in
   let states = Coded_bcast.init ~instance ~seed in
-  Engine.Runner_broadcast.run Coded_bcast.protocol ?obs ?faults ?prof
+  Engine.Runner_broadcast.run Coded_bcast.protocol
+    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
     ~target_progress:(n * k) ~states
     ~adversary:(Adversary.Schedule.broadcast schedule)
     ~max_rounds

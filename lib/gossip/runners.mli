@@ -6,46 +6,29 @@
     engine, and returns the {!Engine.Run_result.t} plus the final node
     states for inspection.
 
-    Every runner forwards an optional [?obs] event sink to the engine
-    (default {!Obs.Sink.null}, costing nothing); pass
-    {!Obs.Sink.Memory} or {!Obs.Sink.Jsonl} to capture the per-round
-    {!Obs.Trace} stream.
-
-    Every runner also forwards an optional [?prof] span profiler to
-    the engine (default {!Obs.Span.null}, costing one hoisted boolean
-    test); pass an {!Obs.Span.create}d profiler to capture
-    hierarchical round/phase spans — see the engine docs for the span
-    tree.
-
-    Runners on the schedule-driven engines likewise forward an
-    optional [?faults] plan (default {!Faults.Plan.none}, costing
-    nothing): pass a {!Faults.Plan.make} to inject message loss /
-    duplication / delay and node crash-restart.  Each such runner
-    declares its full-dissemination progress target to the engine, so
-    capped runs come back as [Partial] with a coverage fraction
-    instead of a bare failure bit.  The lower-bound runners
+    Each runner takes the run-context settings it supports as
+    labelled arguments and builds one {!Engine.Ctx.t} from them;
+    {!Engine.Ctx} documents every setting and its zero-cost default.
+    Every runner takes [?obs] (trace sink) and [?prof] (span
+    profiler).  Runners on the schedule-driven engines also take
+    [?faults], and declare their full-dissemination progress target to
+    the engine, so capped runs come back as [Partial] with a coverage
+    fraction instead of a bare failure bit.  The lower-bound runners
     ({!flooding_vs_lower_bound}, {!greedy_vs_lower_bound}) model a
     worst-case {e adversary}, not a faulty {e environment}, and take
     no fault plan.
 
     The workhorse runners ({!single_source}, {!multi_source},
-    {!flooding}) also forward the engines' [?on_graph] recorder hook,
-    so {!Scenario.Record} (in [lib/scenario]) can capture the realized
-    round-graph sequence of any run — including adaptive environments
-    like the request-cutter — into a replayable trace.
-
-    The workhorse runners are additionally {e engine-parametric}: the
-    optional [?engine] (default {!Engine.Default.engine}) selects the
-    {!Engine.Engine_sig.ENGINE} implementation that executes the run —
-    pass {!Engine.Reference.engine} for the pseudocode-faithful
-    baseline the differential fuzzer checks against.  They also
-    forward the engines' [?stall_after] livelock window, which
-    {!Scenario.Runner} arms on looped-trace environments so a
-    deterministic protocol limit-cycling against a periodic schedule
-    reports [Stalled] instead of spinning to its round cap, and the
-    engines' [?cancel] cooperative-cancellation poll, which the serve
-    scheduler uses to stop a running job at the next round boundary
-    with a [Cancelled] outcome. *)
+    {!flooding}) additionally take [?on_graph] (so {!Scenario.Record}
+    can capture the realized round-graph sequence of any run, adaptive
+    environments included), [?stall_after] (which {!Scenario.Runner}
+    arms on looped-trace environments), [?cancel] (the serve
+    scheduler's round-boundary cancellation), and are
+    {e engine-parametric}: the optional [?engine] (default
+    {!Engine.Default.engine}) selects the {!Engine.Engine_sig.ENGINE}
+    implementation that executes the run — pass
+    {!Engine.Reference.engine} for the pseudocode-faithful baseline the
+    differential fuzzer checks against. *)
 
 type unicast_env =
   | Oblivious of Adversary.Schedule.t

@@ -8,8 +8,8 @@
       {!Trace_io.t}, making the workload reproducible bit-for-bit
       across machines and CI;
     - a {!t} recorder accumulates round graphs one at a time as a run
-      executes.  Feed it through the engines' [?on_graph] hook (see
-      {!Engine.Runner_unicast.run}) or the {!unicast}/{!broadcast}
+      executes.  Feed it through the run context's [on_graph] hook (see
+      {!Engine.Ctx}) or the {!unicast}/{!broadcast}
       adversary wrappers to capture the {e realized} schedule of an
       adaptive adversary — the sequence it actually played against this
       execution, which is then replayable as an oblivious workload.
@@ -31,8 +31,8 @@ val observe : t -> round:int -> Dynet.Graph.t -> unit
     mismatch. *)
 
 val hook : t -> round:int -> Dynet.Graph.t -> unit
-(** [observe] shaped for the engines' [?on_graph] parameter:
-    [~on_graph:(Record.hook recorder)]. *)
+(** [observe] shaped for the [on_graph] setting of {!Engine.Ctx} and
+    the runners: [~on_graph:(Record.hook recorder)]. *)
 
 val recorded_rounds : t -> int
 

@@ -260,36 +260,94 @@ module Idle = struct
   let plane = None
 end
 
+module Idle_unicast = struct
+  type state = unit
+  type msg = Gossip.Payload.t
+
+  let classify = Gossip.Payload.classify
+  let send st ~round:_ ~neighbors:_ = (st, [])
+  let receive st ~round:_ ~neighbors:_ ~inbox:_ = st
+  let progress _ = 0
+end
+
+(* Every engine must cut a livelocked run short the same way, on each
+   of its loops: the idle plane-less broadcast runs on the generic
+   broadcast loop everywhere; flooding with a phase far longer than the
+   spread stalls between phases, on SoA's plane kernel; the idle
+   unicast protocol runs on SoA's sharded unicast loop. *)
 let test_stalled_engines_agree () =
-  let protocol =
-    (module Idle : Engine.Runner_broadcast.PROTOCOL
-      with type state = unit
-       and type msg = Gossip.Payload.t)
-  in
-  let run engine =
+  let window = 5 in
+  let ctx = Engine.Ctx.make ~stall_after:window () in
+  let cycle n = Adversary.Oblivious.static (Dynet.Graph_gen.cycle ~n) in
+  let idle_broadcast engine =
     let module E = (val engine : Engine.Engine_sig.ENGINE) in
-    let schedule = Adversary.Oblivious.static (Dynet.Graph_gen.cycle ~n:4) in
-    let result, _ =
-      E.Broadcast.run protocol ~stall_after:5
-        ~states:(Array.make 4 ())
-        ~adversary:(Adversary.Schedule.broadcast schedule)
-        ~max_rounds:100
-        ~stop:(fun _ -> false)
-        ()
-    in
-    result
+    fst
+      (E.Broadcast.run
+         (module Idle : Engine.Runner_broadcast.PROTOCOL
+           with type state = unit
+            and type msg = Gossip.Payload.t)
+         ~ctx ~states:(Array.make 4 ())
+         ~adversary:(Adversary.Schedule.broadcast (cycle 4))
+         ~max_rounds:100
+         ~stop:(fun _ -> false)
+         ())
   in
-  let ra = run Engine.Reference.engine and rb = run Engine.Default.engine in
-  (match ra.Engine.Run_result.outcome with
-  | Engine.Run_result.Stalled { rounds_without_progress } ->
-      check Alcotest.int "stalled after the window" 5 rounds_without_progress
-  | _ -> Alcotest.fail "reference engine did not report Stalled");
-  check Alcotest.int "stalled at round = window" 5 ra.Engine.Run_result.rounds;
-  check Alcotest.string "both engines report the stall identically"
-    (Obs.Json.to_string
-       (Obs.Report.to_json (Engine.Run_result.to_report ra)))
-    (Obs.Json.to_string
-       (Obs.Report.to_json (Engine.Run_result.to_report rb)))
+  let long_phase_flooding engine =
+    let n = 8 and k = 3 in
+    let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
+    let module E = (val engine : Engine.Engine_sig.ENGINE) in
+    fst
+      (E.Broadcast.run Gossip.Flooding.protocol ~ctx ~target_progress:(n * k)
+         ~states:(Gossip.Flooding.init ~instance ~phase_len:20 ())
+         ~adversary:(Adversary.Schedule.broadcast (cycle n))
+         ~max_rounds:200
+         ~stop:(Gossip.Flooding.all_complete ~k)
+         ())
+  in
+  let idle_unicast engine =
+    let module E = (val engine : Engine.Engine_sig.ENGINE) in
+    fst
+      (E.Unicast.run
+         (module Idle_unicast : Engine.Runner_unicast.PROTOCOL
+           with type state = unit
+            and type msg = Gossip.Payload.t)
+         ~ctx ~states:(Array.make 4 ())
+         ~adversary:(Adversary.Schedule.unicast (cycle 4))
+         ~max_rounds:100
+         ~stop:(fun _ -> false)
+         ())
+  in
+  let report r =
+    Obs.Json.to_string (Obs.Report.to_json (Engine.Run_result.to_report r))
+  in
+  List.iter
+    (fun (shape, run) ->
+      let ra = run Engine.Reference.engine in
+      (match ra.Engine.Run_result.outcome with
+      | Engine.Run_result.Stalled { rounds_without_progress } ->
+          check Alcotest.int
+            (shape ^ ": stalled after the window")
+            window rounds_without_progress
+      | _ -> Alcotest.failf "%s: reference engine did not report Stalled" shape);
+      List.iter
+        (fun engine ->
+          let module E = (val engine : Engine.Engine_sig.ENGINE) in
+          check Alcotest.string
+            (Printf.sprintf "%s: %s reports the stall like the reference" shape
+               E.name)
+            (report ra) (report (run engine)))
+        [
+          Engine.Default.engine;
+          Engine.Soa.engine ();
+          Engine.Soa.engine ~shards:2 ();
+        ])
+    [
+      ("idle broadcast", idle_broadcast);
+      ("long-phase flooding", long_phase_flooding);
+      ("idle unicast", idle_unicast);
+    ];
+  check Alcotest.int "idle run stalls at round = window" window
+    (idle_broadcast Engine.Reference.engine).Engine.Run_result.rounds
 
 (* {2 The committed corpus} *)
 

@@ -7,14 +7,14 @@ let check = Alcotest.check
 
 (* {2 Helpers} *)
 
-let spec_string ?(name = "serve-flood") ?(n = 16) ?(k = 6) ?(seed = 7)
-    ?(repeats = 2) () =
+let spec_string ?(name = "serve-flood") ?(algorithm = "flooding") ?(n = 16)
+    ?(k = 6) ?(seed = 7) ?(repeats = 2) () =
   Printf.sprintf
     {|{ "schema": "dynspread-scenario/v1", "name": "%s",
-        "algorithm": "flooding",
+        "algorithm": "%s",
         "env": { "family": "rewiring", "rate": 0.25 },
         "n": %d, "k": %d, "seed": %d, "repeats": %d }|}
-    name n k seed repeats
+    name algorithm n k seed repeats
 
 let spec_of_string s =
   match Scenario.Spec.of_string s with
@@ -179,12 +179,23 @@ let engines =
     ("fastpath", None);
     ("reference", Some Engine.Reference.engine);
     ("soa", Some (Engine.Soa.engine ~shards:1 ()));
+    ("soa-2", Some (Engine.Soa.engine ~shards:2 ()));
   ]
 
-let test_cancel_before_start () =
+(* Each engine × each run shape: flooding takes SoA's plane kernel,
+   multi-source its sharded unicast loop.  [n] is large enough that a
+   full run outlasts the mid-run cuts below. *)
+let cancel_cases f =
   List.iter
-    (fun (tag, engine) ->
-      let p = prepared_of (spec_string ~n:32 ~k:4 ()) in
+    (fun (algorithm, n) ->
+      List.iter
+        (fun (tag, engine) -> f ~tag:(algorithm ^ "/" ^ tag) ~engine ~algorithm ~n)
+        engines)
+    [ ("flooding", 256); ("multi-source", 64) ]
+
+let test_cancel_before_start () =
+  cancel_cases (fun ~tag ~engine ~algorithm ~n:_ ->
+      let p = prepared_of (spec_string ~algorithm ~n:32 ~k:4 ()) in
       let line =
         report_line
           (Scenario.Runner.run_repeat ?engine p ~seed:p.seeds.(0)
@@ -193,7 +204,6 @@ let test_cancel_before_start () =
       check Alcotest.string (tag ^ ": outcome") "cancelled"
         (report_outcome line);
       check Alcotest.int (tag ^ ": zero rounds") 0 (report_int line "rounds"))
-    engines
 
 (* Cancel after [polls] round-boundary checks; coverage at the later
    cut must dominate the earlier one (the informed set only grows). *)
@@ -206,9 +216,8 @@ let cancelled_after ?engine p polls =
   report_line (Scenario.Runner.run_repeat ?engine p ~seed:p.seeds.(0) ~cancel)
 
 let test_cancel_mid_run () =
-  List.iter
-    (fun (tag, engine) ->
-      let p = prepared_of (spec_string ~n:256 ~k:4 ()) in
+  cancel_cases (fun ~tag ~engine ~algorithm ~n ->
+      let p = prepared_of (spec_string ~algorithm ~n ~k:4 ()) in
       let full =
         report_line (Scenario.Runner.run_repeat ?engine p ~seed:p.seeds.(0))
       in
@@ -231,7 +240,6 @@ let test_cancel_mid_run () =
       check Alcotest.bool (tag ^ ": some coverage") true (a_early >= 1);
       check Alcotest.bool (tag ^ ": monotone coverage") true
         (a_early <= a_late && a_late <= target))
-    engines
 
 let test_cancel_completion_wins () =
   let p = prepared_of (spec_string ~n:16 ~k:4 ()) in
