@@ -7,10 +7,10 @@ let dense_schedule ~seed ~n = Adversary.Oblivious.fresh_random ~seed ~n ~p:0.25
 
 let stable sched = Adversary.Schedule.stabilized ~sigma:3 sched
 
-(* Every experiment runs inside a named Obs.Timer span; with ?metrics
+(* Every experiment runs inside Obs.Span.observe_span; with ?metrics
    supplied, its wall-clock lands in an "experiment/<id>" histogram so
    the harness can report where simulator time goes. *)
-let timed ?metrics id body = Obs.Timer.observe_span ?metrics ~name:id body
+let timed ?metrics id body = Obs.Span.observe_span ?metrics ~name:id body
 
 (* {2 E1 — Table 1} *)
 
@@ -1354,7 +1354,7 @@ let mega ?(ns = [ 1_000; 10_000 ]) ?(k = 32) ?(shards = 4) ?metrics ~seed ()
         in
         let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
         let run engine =
-          Obs.Timer.time (fun () ->
+          Obs.Span.time (fun () ->
               fst
                 (Gossip.Runners.flooding ~instance ~schedule:(schedule ())
                    ~engine ~phase_len ()))

@@ -11,7 +11,7 @@
 
     Every experiment accepts an optional [?metrics] registry: its
     wall-clock is then recorded as an ["experiment/<id>"] histogram
-    sample (via {!Obs.Timer.observe_span}), so callers — the bench
+    sample (via {!Obs.Span.observe_span}), so callers — the bench
     harness, the CLI's [experiments --timings] — can report where
     simulator time goes.
 

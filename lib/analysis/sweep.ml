@@ -36,7 +36,7 @@ let run ~jobs f points =
 let map ?(jobs = 1) f points = run ~jobs f points
 
 let map_timed ?(jobs = 1) ?metrics ~name f points =
-  let timed = run ~jobs (fun x -> Obs.Timer.time (fun () -> f x)) points in
+  let timed = run ~jobs (fun x -> Obs.Span.time (fun () -> f x)) points in
   Array.map
     (fun (r, dt) ->
       (match metrics with
@@ -60,7 +60,7 @@ let map_span ?(jobs = 1) ?metrics ?(prof = Obs.Span.null) ~name
         (try
            Ok
              (Obs.Span.with_span wp ~cat:"point" name (fun () ->
-                  Obs.Timer.time (fun () -> f ~prof:wp points.(i))))
+                  Obs.Span.time (fun () -> f ~prof:wp points.(i))))
          with e -> Error e)
   in
   Obs.Span.with_span prof ~cat:"sweep" ("sweep:" ^ name) (fun () ->
@@ -83,7 +83,7 @@ let map_span ?(jobs = 1) ?metrics ?(prof = Obs.Span.null) ~name
         in
         let worker w () =
           let wp = lanes.(w) in
-          let t0 = Obs.Timer.now_s () in
+          let t0 = Obs.Span.now_s () in
           let rec loop () =
             let i = Atomic.fetch_and_add cursor 1 in
             if i < n then begin
@@ -92,7 +92,7 @@ let map_span ?(jobs = 1) ?metrics ?(prof = Obs.Span.null) ~name
             end
           in
           loop ();
-          busy.(w) <- Obs.Timer.now_s () -. t0
+          busy.(w) <- Obs.Span.now_s () -. t0
         in
         let helpers =
           List.init (workers - 1) (fun w -> Domain.spawn (worker (w + 1)))

@@ -38,7 +38,7 @@ val map_timed :
   ?jobs:int -> ?metrics:Obs.Metrics.t -> name:string ->
   ('a -> 'b) -> 'a array -> 'b array
 (** [map] plus per-point wall-clock: each point's elapsed seconds is
-    measured inside its worker ({!Obs.Timer.time}) but recorded into
+    measured inside its worker ({!Obs.Span.time}) but recorded into
     [metrics] under histogram [name] only after the domains have
     joined, in input order — the registry is touched by the calling
     domain alone, and the sample order is schedule-independent. *)

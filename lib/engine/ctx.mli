@@ -64,9 +64,10 @@
 
     {2 Run control}
 
-    {!start} … {!finish} is the round-boundary policy of the
-    production loops ({!Runner_broadcast}, {!Runner_unicast} and
-    {!Soa}'s two kernels), written once.  {!Reference} deliberately
+    {!start} … {!finish} is the round-boundary policy of the three
+    production loops, written once: {!Runner_broadcast}, the unicast
+    loop {!Runner_unicast.run_sharded} (which {!Default} runs over one
+    span and {!Soa} over its shards), and {!Soa}'s plane kernel.  {!Reference} deliberately
     keeps its own copy: it is the differential fuzzer's oracle, and a
     control bug shared with it would be invisible. *)
 

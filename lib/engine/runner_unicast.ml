@@ -47,11 +47,23 @@ let mem_sorted arr x =
   search arr x 0 (Array.length arr)
 [@@dynlint.hot]
 
-let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
+(* The one production unicast round loop: [run] is this loop over a
+   single span, and [Soa] runs it over its shard spans.
+
+   [P.send] and [P.receive] fan out over a [Shard_pool]; everything
+   whose order is observable happens sequentially between the two
+   barriers, in node order — state commits, the neighbor and
+   token-bandwidth checks, ledger, trace, the traffic fed to the next
+   round's adversary, the fault layer's delivery draws, and the inbox
+   conses themselves.  Reports, fault draws and violation behaviour
+   (including which states a violation leaves committed) are
+   therefore identical at any shard count. *)
+let run_sharded (type s m)
+    (module P : PROTOCOL with type state = s and type msg = m) ~spans
     ?(ctx = Ctx.default) ?init_prev ?target_progress ~(states : s array)
-    ~(adversary : s adversary)
-    ~max_rounds ~stop () =
+    ~(adversary : s adversary) ~max_rounds ~stop () =
   let n = Array.length states in
+  let shards = Array.length spans in
   let ledger = Ledger.create () in
   let { Ctx.obs; faults; _ } = ctx in
   (* Hoisted so the default Null sink costs one boolean test per
@@ -59,7 +71,7 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
   let tracing = not (Obs.Sink.is_null obs) in
   (* Same null-object pattern for the fault layer: with
      [Faults.Plan.none] every fault hook below is behind one hoisted
-     boolean and the round loop is the pre-fault-layer code path. *)
+     boolean. *)
   let frun = Faults.Plan.start faults ~n in
   let faulty = Faults.Plan.active frun in
   let fcounts = Faults.Plan.counts frun in
@@ -85,19 +97,63 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
     if tracing then
       Obs.Sink.emit obs (Obs.Trace.Fault { round; kind; node; dst; cls })
   in
+  let live v = (not faulty) || Faults.Plan.alive frun v in
   let sum_progress () =
     Array.fold_left (fun acc st -> acc + P.progress st) 0 states
   in
   let prev = ref (Option.value init_prev ~default:(Dynet.Graph.empty ~n)) in
-  (* One bit per ordered (src, dst) pair, allocated once and cleared
-     per round — replaces a fresh per-round Hashtbl keyed by tuples. *)
-  let token_sent = Dynet.Bitset.create (n * n) in
+  (* Token bandwidth in O(n): the replay visits one sender at a time,
+     and [sender_mark] is bumped per visited (round, sender), so
+     [token_mark.(dst) = !sender_mark] exactly when the sender being
+     replayed already sent [dst] a token this round. *)
+  let token_mark = Array.make (max n 1) 0 in
+  let sender_mark = ref 0 in
   let traffic = ref ([] : traffic) in
   let run =
     Ctx.start ctx ~ledger ~max_rounds ~target:target_progress
       ~progress:sum_progress
       ~stop:(fun () -> stop states)
   in
+  (* Send-phase scratch: workers park each live node's new state and
+     raw send list, which the replay commits and delivers in node
+     order. *)
+  let new_states = Array.copy states in
+  let outs : (Dynet.Node_id.t * m) list array = Array.make (max n 1) [] in
+  let inboxes : (Dynet.Node_id.t * m) list array = Array.make (max n 1) [] in
+  let shard_consumed = Array.make shards 0 in
+  let cur_graph = ref (Dynet.Graph.empty ~n) in
+  let cur_round = ref 0 in
+  let send_job ~shard:_ ~lo ~hi =
+    let g = !cur_graph and r = !cur_round in
+    for v = lo to hi - 1 do
+      if live v then begin
+        let st, out =
+          P.send states.(v) ~round:r ~neighbors:(Dynet.Graph.neighbors g v)
+        in
+        new_states.(v) <- st;
+        outs.(v) <- out
+      end
+    done
+  in
+  let receive_job ~shard ~lo ~hi =
+    let g = !cur_graph and r = !cur_round in
+    for v = lo to hi - 1 do
+      if live v then begin
+        let inbox =
+          List.stable_sort
+            (fun (a, _) (b, _) -> Dynet.Node_id.compare a b)
+            (List.rev inboxes.(v))
+        in
+        inboxes.(v) <- [];
+        if checking then
+          shard_consumed.(shard) <- shard_consumed.(shard) + List.length inbox;
+        states.(v) <-
+          P.receive states.(v) ~round:r ~neighbors:(Dynet.Graph.neighbors g v)
+            ~inbox
+      end
+    done
+  in
+  Shard_pool.with_pool ~spans @@ fun pool ->
   while Ctx.next run do
     let r = Ctx.round run in
     if faulty then begin
@@ -117,14 +173,18 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
       Engine_error.check_graph ~round:r ~n g;
       Ctx.commit_graph run ~prev:!prev g;
       Ctx.phase run "send";
-      let inboxes = Array.make n [] in
+      cur_graph := g;
+      cur_round := r;
+      Shard_pool.run pool send_job;
+      (* The replay.  Only live nodes sent, so only their states are
+         committed: a dead node keeps its state, and a node restarted
+         this round has already sent from its initial one. *)
       let round_traffic = ref [] in
-      Dynet.Bitset.clear token_sent;
       for v = 0 to n - 1 do
-        if (not faulty) || Faults.Plan.alive frun v then begin
+        if live v then begin
+          states.(v) <- new_states.(v);
+          incr sender_mark;
           let neighbors = Dynet.Graph.neighbors g v in
-          let st, out = P.send states.(v) ~round:r ~neighbors in
-          states.(v) <- st;
           List.iter
             (fun (dst, m) ->
               if not (mem_sorted neighbors dst) then
@@ -135,14 +195,13 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
               let cls = P.classify m in
               (match cls with
               | Msg_class.Token | Msg_class.Walk ->
-                  let pair = (v * n) + dst in
-                  if Dynet.Bitset.mem token_sent pair then
+                  if token_mark.(dst) = !sender_mark then
                     raise
                       (Engine_error.Protocol_violation
                          (Printf.sprintf
                             "round %d: node %d sent two tokens to %d in one round"
                             r v dst));
-                  Dynet.Bitset.set token_sent pair
+                  token_mark.(dst) <- !sender_mark
               | Msg_class.Completeness | Msg_class.Request | Msg_class.Center
               | Msg_class.Control ->
                   ());
@@ -159,7 +218,7 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
                        cls = Msg_class.to_string cls;
                      });
               round_traffic := (v, dst, cls) :: !round_traffic;
-              (* Collect in reverse, fix sender order below. *)
+              (* Collect in reverse, fix sender order at receive. *)
               if not faulty then begin
                 if checking then incr c_created;
                 inboxes.(dst) <- (v, m) :: inboxes.(dst)
@@ -199,14 +258,15 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
                           cell := (dst, v, m) :: !cell
                         end)
                       delays)
-            out
+            outs.(v);
+          outs.(v) <- []
         end
       done;
       if faulty then begin
         Ctx.phase run "deliver";
         (* Messages whose bounded delay expires this round arrive now,
-           after the on-time traffic (the sort below interleaves them
-           into sender order). *)
+           after the on-time traffic (the receive sort interleaves
+           them into sender order). *)
         (match Hashtbl.find_opt delayed r with
         | None -> ()
         | Some cell ->
@@ -233,19 +293,12 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
         done
       end;
       Ctx.phase run "receive";
-      for v = 0 to n - 1 do
-        if (not faulty) || Faults.Plan.alive frun v then begin
-          let inbox =
-            List.stable_sort (fun (a, _) (b, _) -> Dynet.Node_id.compare a b)
-              (List.rev inboxes.(v))
-          in
-          if checking then c_consumed := !c_consumed + List.length inbox;
-          states.(v) <-
-            P.receive states.(v) ~round:r ~neighbors:(Dynet.Graph.neighbors g v)
-              ~inbox
-        end
-      done;
+      Shard_pool.run pool receive_job;
       if checking then begin
+        for s = 0 to shards - 1 do
+          c_consumed := !c_consumed + shard_consumed.(s);
+          shard_consumed.(s) <- 0
+        done;
         Ctx.phase run "check";
         Check.connected
           ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
@@ -263,3 +316,9 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
   done;
   ( Ctx.finish run ~fault_counts:(if faulty then Some fcounts else None),
     states )
+
+let run p ?ctx ?init_prev ?target_progress ~states ~adversary ~max_rounds ~stop
+    () =
+  run_sharded p
+    ~spans:[| (0, Array.length states) |]
+    ?ctx ?init_prev ?target_progress ~states ~adversary ~max_rounds ~stop ()

@@ -11,7 +11,12 @@
     {!Msg_class.Token}-class message crosses a directed edge per round
     ("one token can go through an edge per round"); control traffic
     (announcements, requests) may share the edge, as the model allows a
-    constant number of tokens plus O(log n) bits per message. *)
+    constant number of tokens plus O(log n) bits per message.
+
+    This module's round loop is the only production unicast loop:
+    {!Default} runs it over one span and {!Soa} over its shard spans
+    ({!run_sharded}); only {!Reference} keeps its own, as the
+    differential oracle. *)
 
 module type PROTOCOL = sig
   type state
@@ -39,11 +44,6 @@ module type PROTOCOL = sig
 
   val progress : state -> int
 end
-
-val mem_sorted : Dynet.Node_id.t array -> Dynet.Node_id.t -> bool
-(** Binary search in a sorted neighbor row — the membership test behind
-    the non-neighbor protocol check, shared with the {!Soa} engine's
-    sequential replay so both engines reject exactly the same sends. *)
 
 type traffic = (Dynet.Node_id.t * Dynet.Node_id.t * Msg_class.t) list
 (** Last round's [(src, dst, class)] sends — what an adaptive adversary
@@ -86,3 +86,31 @@ val run :
     @raise Engine_error.Adversary_violation on invalid round graphs.
     @raise Engine_error.Protocol_violation on sends to non-neighbors or
     token-bandwidth violations. *)
+
+val run_sharded :
+  (module PROTOCOL with type state = 's and type msg = 'm) ->
+  spans:(int * int) array ->
+  ?ctx:Ctx.t ->
+  ?init_prev:Dynet.Graph.t ->
+  ?target_progress:int ->
+  states:'s array ->
+  adversary:'s adversary ->
+  max_rounds:int ->
+  stop:('s array -> bool) ->
+  unit ->
+  Run_result.t * 's array
+(** {!run} with node space split over [spans] (contiguous [[lo, hi)]
+    ranges covering [0 .. n-1], as {!Shard_pool.ranges} builds them):
+    [P.send] and [P.receive] run on a {!Shard_pool} with one domain per
+    span, and every order-sensitive step — state commits, protocol
+    checks, ledger, trace, fault delivery draws, inbox assembly —
+    replays sequentially in node order between the barriers.  The
+    result is identical to {!run}'s at any span count; {!run} is this
+    loop over the single span [[0, n)].  {!Soa}'s unicast side calls
+    it with its shard spans.
+
+    All of a round's [P.send] calls precede its replay, so an effect a
+    protocol performs inside [P.send] (the reliable wrapper's
+    retransmit hook) lands before the round's [Send] events.  With
+    more than one span, [P.send] and [P.receive] run concurrently on
+    different nodes and must touch only the node's own state. *)

@@ -13,25 +13,22 @@ open Dynet.Ops
      lists, and no per-round state records — allocation only happens
      when a node actually learns a token (to keep [states] live for
      [stop] and adaptive adversaries).
-   - {b sharded unicast}: [P.send]/[P.receive] fan out across the
-     Domain pool; per-(src,dst)-shard staging buffers are merged at
-     the barrier in ascending shard order, and all accounting (ledger,
-     checks, trace, traffic) replays sequentially in node order, so
-     reports and violation behaviour are bit-identical to
-     [Runner_unicast].
-   - {b delegation}: fault-injected runs, and broadcast protocols
-     without the plane capability, run on the sequential fast path
-     ([Runner_broadcast]/[Runner_unicast]) unchanged.  Fault
-     scheduling is inherently sequential (per-edge delivery draws in
-     node order), so sharding it would only re-serialize.
+   - {b sharded unicast}: every unicast run, faulty or not, runs the
+     shared production loop [Runner_unicast.run_sharded] over this
+     engine's shard spans — [P.send]/[P.receive] fan out across the
+     Domain pool, and all accounting (checks, ledger, trace, traffic,
+     fault draws, inbox assembly) replays sequentially in node order
+     between the barriers.
+   - {b delegation}: fault-injected broadcast runs, and broadcast
+     protocols without the plane capability, run on the sequential
+     fast path ([Runner_broadcast]) unchanged.
 
    Determinism: each worker owns a contiguous node range and writes
-   only its own plane rows, array slots, and staging buffers; every
-   cross-shard combination (bit-plane OR, counter sums, staging
-   drains) happens in ascending shard order, either in the coordinator
-   or in a phase whose reads are frozen by the barrier.  Reports are
-   therefore bit-identical at any shard count, which the differential
-   fuzz harness enforces against [Default]. *)
+   only its own plane rows and array slots; every cross-shard
+   combination (bit-plane OR, counter sums) happens in ascending shard
+   order, either in the coordinator or in a phase whose reads are
+   frozen by the barrier.  Reports are therefore bit-identical at any
+   shard count, which the differential fuzz harness enforces. *)
 
 let kernel_name = "soa"
 
@@ -314,183 +311,6 @@ let run_plane (type s m)
   done;
   (Ctx.finish run ~fault_counts:None, states)
 
-(* {2 The sharded unicast path} *)
-
-let run_unicast_sharded (type s m)
-    (module P : Runner_unicast.PROTOCOL with type state = s and type msg = m)
-    ~spans ~ctx ?init_prev ?target_progress ~(states : s array)
-    ~(adversary : s Runner_unicast.adversary) ~max_rounds ~stop () =
-  let n = Array.length states in
-  let shards = Array.length spans in
-  let shard_of = Array.make (max n 1) 0 in
-  Array.iteri
-    (fun s (lo, hi) ->
-      for v = lo to hi - 1 do
-        shard_of.(v) <- s
-      done)
-    spans;
-  let ledger = Ledger.create () in
-  let obs = ctx.Ctx.obs in
-  let tracing = not (Obs.Sink.is_null obs) in
-  let checking = Check.enabled () in
-  let c_sent = ref 0 and c_created = ref 0 and c_consumed = ref 0 in
-  let sum_progress () =
-    Array.fold_left (fun acc st -> acc + P.progress st) 0 states
-  in
-  let prev = ref (Option.value init_prev ~default:(Dynet.Graph.empty ~n)) in
-  let token_sent = Dynet.Bitset.create (n * n) in
-  let traffic = ref ([] : Runner_unicast.traffic) in
-  let run =
-    Ctx.start ctx ~ledger ~max_rounds ~target:target_progress
-      ~progress:sum_progress
-      ~stop:(fun () -> stop states)
-  in
-  (* Send phase scratch: workers park the new state and raw send list
-     per node (committed by the coordinator in node order, so a
-     protocol violation aborts with exactly the sequential engine's
-     states), and stage each message into the (src shard, dst shard)
-     buffer for the parallel delivery pass. *)
-  let new_states = Array.copy states in
-  let outs : (Dynet.Node_id.t * m) list array = Array.make (max n 1) [] in
-  let stage : (int * int * m) list ref array array =
-    Array.init shards (fun _ -> Array.init shards (fun _ -> ref []))
-  in
-  let inboxes : (Dynet.Node_id.t * m) list array = Array.make (max n 1) [] in
-  let shard_consumed = Array.make shards 0 in
-  let cur_graph = ref (Dynet.Graph.empty ~n) in
-  let cur_round = ref 0 in
-  let send_job ~shard ~lo ~hi =
-    let g = !cur_graph and r = !cur_round in
-    for v = lo to hi - 1 do
-      let neighbors = Dynet.Graph.neighbors g v in
-      let st, out = P.send states.(v) ~round:r ~neighbors in
-      new_states.(v) <- st;
-      outs.(v) <- out;
-      List.iter
-        (fun (dst, msg) ->
-          (* Out-of-range destinations are protocol violations; the
-             coordinator's replay raises them in node order, so here
-             they are simply not staged. *)
-          if dst >= 0 && dst < n then begin
-            let cell = stage.(shard).(shard_of.(dst)) in
-            cell := (v, dst, msg) :: !cell
-          end)
-        out
-    done
-  in
-  let receive_job ~shard ~lo ~hi =
-    let g = !cur_graph and r = !cur_round in
-    (* Drain the staging buffers addressed to this shard, in ascending
-       source-shard order; each buffer was built by conses, so its
-       reversal is send order, and the concatenation over source
-       shards is exactly the sequential engine's global send order. *)
-    for src_shard = 0 to shards - 1 do
-      List.iter
-        (fun (src, dst, msg) ->
-          if shard_of.(dst) = shard then
-            inboxes.(dst) <- (src, msg) :: inboxes.(dst))
-        (List.rev !(stage.(src_shard).(shard)))
-    done;
-    for v = lo to hi - 1 do
-      let inbox =
-        List.stable_sort
-          (fun (a, _) (b, _) -> Dynet.Node_id.compare a b)
-          (List.rev inboxes.(v))
-      in
-      inboxes.(v) <- [];
-      if checking then
-        shard_consumed.(shard) <- shard_consumed.(shard) + List.length inbox;
-      states.(v) <-
-        P.receive states.(v) ~round:r ~neighbors:(Dynet.Graph.neighbors g v)
-          ~inbox
-    done
-  in
-  Shard_pool.with_pool ~spans @@ fun pool ->
-  while Ctx.next run do
-    let r = Ctx.round run in
-    Ctx.phase run "adversary";
-    let g = adversary ~round:r ~prev:!prev ~states ~traffic:!traffic in
-    Ctx.phase run "graph";
-    Engine_error.check_graph ~round:r ~n g;
-    Ctx.commit_graph run ~prev:!prev g;
-    Ctx.phase run "send";
-    cur_graph := g;
-    cur_round := r;
-    Array.iter (fun row -> Array.iter (fun cell -> cell := []) row) stage;
-    Shard_pool.run pool send_job;
-    (* Sequential replay in node order: state commits, neighbor and
-       duplicate-token checks, ledger, trace, and the traffic fed to
-       the next round's adversary — bit-identical to Runner_unicast,
-       including which states a violation leaves untouched. *)
-    let round_traffic = ref [] in
-    Dynet.Bitset.clear token_sent;
-    for v = 0 to n - 1 do
-      states.(v) <- new_states.(v);
-      let neighbors = Dynet.Graph.neighbors g v in
-      List.iter
-        (fun (dst, msg) ->
-          if not (Runner_unicast.mem_sorted neighbors dst) then
-            raise
-              (Engine_error.Protocol_violation
-                 (Printf.sprintf "round %d: node %d sent to non-neighbor %d" r
-                    v dst));
-          let cls = P.classify msg in
-          (match cls with
-          | Msg_class.Token | Msg_class.Walk ->
-              let pair = (v * n) + dst in
-              if Dynet.Bitset.mem token_sent pair then
-                raise
-                  (Engine_error.Protocol_violation
-                     (Printf.sprintf
-                        "round %d: node %d sent two tokens to %d in one round"
-                        r v dst));
-              Dynet.Bitset.set token_sent pair
-          | Msg_class.Completeness | Msg_class.Request | Msg_class.Center
-          | Msg_class.Control ->
-              ());
-          Ledger.record ledger cls 1;
-          Ledger.record_sender ledger v 1;
-          if checking then begin
-            incr c_sent;
-            incr c_created
-          end;
-          if tracing then
-            Obs.Sink.emit obs
-              (Obs.Trace.Send
-                 {
-                   round = r;
-                   src = v;
-                   dst = Some dst;
-                   cls = Msg_class.to_string cls;
-                 });
-          round_traffic := (v, dst, cls) :: !round_traffic)
-        outs.(v);
-      outs.(v) <- []
-    done;
-    Ctx.phase run "receive";
-    Shard_pool.run pool receive_job;
-    if checking then
-      for s = 0 to shards - 1 do
-        c_consumed := !c_consumed + shard_consumed.(s);
-        shard_consumed.(s) <- 0
-      done;
-    if checking then begin
-      Ctx.phase run "check";
-      Check.connected
-        ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
-        g;
-      Check.require ~what:"ledger total equals physical sends" (fun () ->
-          Ledger.total ledger = !c_sent);
-      Check.require ~what:"message-copy conservation" (fun () ->
-          Check.conserved ~created:!c_created ~consumed:!c_consumed ~dropped:0
-            ~in_flight:0)
-    end;
-    prev := g;
-    traffic := List.rev !round_traffic;
-    Ctx.round_done run
-  done;
-  (Ctx.finish run ~fault_counts:None, states)
-
 (* {2 Engine packaging} *)
 
 let spans_for ~n ~shards ~boundary_bug =
@@ -537,23 +357,12 @@ let make ?(shards = 1) ?(boundary_bug = false) () =
     end
 
     module Unicast = struct
-      let run (type s m)
-          (module P : Runner_unicast.PROTOCOL
-            with type state = s
-             and type msg = m) ?(ctx = Ctx.default) ?init_prev
-          ?target_progress ~states ~adversary ~max_rounds ~stop () =
-        let n = Array.length states in
-        if Faults.Plan.is_none ctx.Ctx.faults && n > 0 then
-          run_unicast_sharded
-            (module P)
-            ~spans:(spans_for ~n ~shards ~boundary_bug)
-            ~ctx ?init_prev ?target_progress ~states ~adversary ~max_rounds
-            ~stop ()
-        else
-          Runner_unicast.run
-            (module P)
-            ~ctx ?init_prev ?target_progress ~states ~adversary ~max_rounds
-            ~stop ()
+      let run p ?ctx ?init_prev ?target_progress ~states ~adversary
+          ~max_rounds ~stop () =
+        Runner_unicast.run_sharded p
+          ~spans:(spans_for ~n:(Array.length states) ~shards ~boundary_bug)
+          ?ctx ?init_prev ?target_progress ~states ~adversary ~max_rounds
+          ~stop ()
     end
   end in
   (module E : Engine_sig.ENGINE)

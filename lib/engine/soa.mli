@@ -11,14 +11,16 @@
     - broadcast protocols advertising the
       {!Runner_broadcast.plane_spec} capability (and no fault plan) run
       on the plane kernel — allocation-free in steady state, sharded;
-    - unicast runs without a fault plan run sharded generically:
-      [P.send]/[P.receive] fan out over the pool, with all accounting
-      replayed sequentially in node order between the barriers;
-    - everything else (fault plans, plane-less broadcast protocols)
-      delegates to the sequential fast path unchanged.
+    - every unicast run, with or without a fault plan, runs the
+      shared production loop {!Runner_unicast.run_sharded} over the
+      shard spans: [P.send]/[P.receive] fan out over the pool, with all
+      accounting and fault delivery replayed sequentially in node
+      order between the barriers;
+    - fault-injected broadcast runs and plane-less broadcast protocols
+      delegate to the sequential {!Runner_broadcast} unchanged.
 
     Determinism: workers own contiguous node ranges and write only
-    their own plane rows / array slots / staging buffers; cross-shard
+    their own plane rows / array slots; cross-shard
     merges happen in ascending shard order.  Reports are bit-identical
     to {!Default} at any shard count — the property the differential
     fuzz harness ({!Fuzz.Diff}) enforces. *)

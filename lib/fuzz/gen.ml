@@ -71,12 +71,15 @@ let faults rng : Scenario.Spec.faults option =
         fault_seed = None;
       }
 
-(* The differential pairing is a case dimension too: a quarter of the
-   corpus runs Reference-vs-Default (the original pseudocode check),
-   the rest runs Soa-vs-Default at shard counts 1, 2 and 4 — so every
-   campaign exercises the plane kernel, the sharded unicast path, and
-   real multi-domain barriers on the same tiny instances.  Drawn from
-   a salted stream so adding the dimension shifted no case input. *)
+(* The differential pairing is a case dimension too.  Pair 0 (a
+   quarter of the corpus) runs Reference-vs-Default, the pseudocode
+   check.  Pairs 1-3 run Soa-vs-Default at shard counts 1, 2 and 4:
+   for broadcast they check the plane kernel against the fastpath
+   kernel; for unicast, where Default and Soa share one loop, they
+   check its shard-count independence, faulty runs included.  Every
+   campaign thus exercises real multi-domain barriers on the same
+   tiny instances.  Drawn from a salted stream so adding the
+   dimension shifted no case input. *)
 let engine_pair ~seed ~id =
   let rng = Dynet.Rng.make ~seed:(case_seed ~seed ~id lxor 0x50a) in
   match Dynet.Rng.int rng 4 with

@@ -327,3 +327,22 @@ let format_of_path path =
 let write t oc = function
   | Chrome -> Json.to_channel oc (to_chrome_json t)
   | Folded -> output_string oc (to_folded t)
+
+(* {2 Flat timing} *)
+
+let now_s () = Unix.gettimeofday ()
+let elapsed_s t0 = Float.max 0. (now_s () -. t0)
+
+let time f =
+  let t0 = now_s () in
+  let result = f () in
+  (result, elapsed_s t0)
+
+let observe_span ?metrics ~name f =
+  let t0 = now_s () in
+  Fun.protect
+    ~finally:(fun () ->
+      match metrics with
+      | Some m -> Metrics.observe m name (elapsed_s t0)
+      | None -> ())
+    f

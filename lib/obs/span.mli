@@ -1,12 +1,18 @@
 (** Hierarchical profiling spans with wall-clock, allocation deltas,
-    and counters.
+    and counters, plus flat wall-clock timing of single regions.
 
-    Where {!Timer} gives one flat duration per region, a [Span.t]
-    profiler records a {e tree} of nested spans — rounds containing
-    phases containing engine sub-steps — each carrying its
-    wall-clock ([Unix.gettimeofday], same caveats as {!Timer}), its
-    allocated words (from {!Gc.quick_stat} deltas:
-    [minor + major - promoted]), and optional named counters.
+    A [Span.t] profiler records a {e tree} of nested spans — rounds
+    containing phases containing engine sub-steps — each carrying its
+    wall-clock, its allocated words (from {!Gc.quick_stat} deltas:
+    [minor + major - promoted]), and optional named counters.  For one
+    flat duration per region, {!time} and {!observe_span} need no
+    profiler.
+
+    The clock is [Unix.gettimeofday] — the best no-new-dependency
+    approximation of a monotonic clock available here (OCaml's stdlib
+    has none).  Durations are clamped to be non-negative, so an NTP
+    step cannot produce negative readings; sub-microsecond readings
+    are below its resolution.
 
     {2 Cost discipline}
 
@@ -100,3 +106,16 @@ val format_of_path : string -> format
 val write : t -> out_channel -> format -> unit
 (** Write {!to_chrome_json} (one NDJSON-style line) or {!to_folded} to
     a channel.  Does not flush or close; the channel is the caller's. *)
+
+(** {2 Flat timing} *)
+
+val now_s : unit -> float
+(** Current wall-clock in seconds (arbitrary epoch; use differences). *)
+
+val time : (unit -> 'a) -> 'a * float
+(** Run a thunk, returning its result and elapsed seconds. *)
+
+val observe_span : ?metrics:Metrics.t -> name:string -> (unit -> 'a) -> 'a
+(** Run a thunk and record its elapsed seconds into [metrics] (when
+    given) under [name] — also if the thunk raises — so p50/p95/p99
+    per-region latencies fall out of {!Metrics.summary}. *)

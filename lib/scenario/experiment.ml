@@ -223,7 +223,7 @@ let sample_contacts =
 28800,101,110,20
 |csv}
 
-let timed ?metrics id body = Obs.Timer.observe_span ?metrics ~name:id body
+let timed ?metrics id body = Obs.Span.observe_span ?metrics ~name:id body
 
 let real_trace ?jobs ?metrics ~seed () =
   timed ?metrics "experiment/e17-real-trace" @@ fun () ->

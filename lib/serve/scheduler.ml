@@ -188,9 +188,9 @@ let rec worker_loop t ~w =
         t.running <- t.running + 1;
         Mutex.unlock t.m;
         t.notify (Started { job = job.jid });
-        let t0 = Obs.Timer.now_s () in
+        let t0 = Obs.Span.now_s () in
         let outcome, reports = execute t job in
-        let dt = Obs.Timer.now_s () -. t0 in
+        let dt = Obs.Span.now_s () -. t0 in
         Mutex.lock t.m;
         t.busy.(w) <- t.busy.(w) +. dt;
         Mutex.unlock t.m;

@@ -455,12 +455,12 @@ let drain_pipe fd buf =
    frames of a cancel-mode teardown — without waiting on slow peers
    past [deadline] seconds. *)
 let final_flush t ~deadline =
-  let until = Obs.Timer.now_s () +. deadline in
+  let until = Obs.Span.now_s () +. deadline in
   let rec go () =
     let waiting = List.filter has_output (conns_snapshot t) in
     match waiting with
     | [] -> ()
-    | _ when Obs.Timer.now_s () >= until -> ()
+    | _ when Obs.Span.now_s () >= until -> ()
     | _ ->
         (match Unix.select [] (List.map (fun s -> s.fd) waiting) [] 0.1 with
         | _, writable, _ ->

@@ -407,19 +407,28 @@ let test_unicast_rejects_double_token_on_edge () =
     let progress () = 0
   end in
   let schedule = Adversary.Oblivious.static (Dynet.Graph_gen.path ~n:3) in
-  Alcotest.check_raises "token bandwidth enforced"
-    (Engine.Engine_error.Protocol_violation
-       "round 1: node 0 sent two tokens to 1 in one round") (fun () ->
-      ignore
-        (Engine.Runner_unicast.run
-           (module Bad : Engine.Runner_unicast.PROTOCOL
-             with type state = unit
-              and type msg = int)
-           ~states:(Array.make 3 ())
-           ~adversary:(Adversary.Schedule.unicast schedule)
-           ~max_rounds:3
-           ~stop:(fun _ -> false)
-           ()))
+  List.iter
+    (fun engine ->
+      let module E = (val engine : Engine.Engine_sig.ENGINE) in
+      Alcotest.check_raises
+        (Printf.sprintf "token bandwidth enforced under %s" E.name)
+        (Engine.Engine_error.Protocol_violation
+           "round 1: node 0 sent two tokens to 1 in one round") (fun () ->
+          ignore
+            (E.Unicast.run
+               (module Bad : Engine.Runner_unicast.PROTOCOL
+                 with type state = unit
+                  and type msg = int)
+               ~states:(Array.make 3 ())
+               ~adversary:(Adversary.Schedule.unicast schedule)
+               ~max_rounds:3
+               ~stop:(fun _ -> false)
+               ())))
+    [
+      Engine.Default.engine;
+      Engine.Soa.engine ~shards:2 ();
+      Engine.Reference.engine;
+    ]
 
 let test_unicast_init_prev_tc () =
   (* With init_prev equal to the static round graph, TC stays 0. *)

@@ -274,7 +274,8 @@ end
    of its loops: the idle plane-less broadcast runs on the generic
    broadcast loop everywhere; flooding with a phase far longer than the
    spread stalls between phases, on SoA's plane kernel; the idle
-   unicast protocol runs on SoA's sharded unicast loop. *)
+   unicast protocol runs on the shared unicast loop, sharded under
+   soa-2. *)
 let test_stalled_engines_agree () =
   let window = 5 in
   let ctx = Engine.Ctx.make ~stall_after:window () in

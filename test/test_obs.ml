@@ -268,15 +268,15 @@ let test_metrics_to_json_parses () =
   check Alcotest.bool "registry JSON round-trips" true
     (Obs.Json.of_string (Obs.Json.to_string j) = Ok j)
 
-(* {2 Timer} *)
+(* {2 Flat timing} *)
 
 let test_timer_records_span () =
   let m = Obs.Metrics.create () in
-  let x = Obs.Timer.observe_span ~metrics:m ~name:"work" (fun () -> 7) in
+  let x = Obs.Span.observe_span ~metrics:m ~name:"work" (fun () -> 7) in
   check Alcotest.int "body result returned" 7 x;
   (* span recorded even when the body raises *)
   (try
-     Obs.Timer.observe_span ~metrics:m ~name:"work" (fun () ->
+     Obs.Span.observe_span ~metrics:m ~name:"work" (fun () ->
          failwith "boom")
    with Failure _ -> ());
   match Obs.Metrics.summary m "work" with

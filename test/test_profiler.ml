@@ -58,8 +58,8 @@ let test_span_folded_paths () =
           (* Make the inner span long enough that integer-µs self time
              survives the subtraction. *)
           ignore (Sys.opaque_identity (Array.init 50_000 Fun.id));
-          let t0 = Obs.Timer.now_s () in
-          while Obs.Timer.now_s () -. t0 < 0.002 do
+          let t0 = Obs.Span.now_s () in
+          while Obs.Span.now_s () -. t0 < 0.002 do
             ()
           done));
   let folded = Obs.Span.to_folded prof in
@@ -353,16 +353,10 @@ let test_merge_histogram_append_order () =
   check Alcotest.int "second merge appends again" 8
     (List.length (Obs.Metrics.samples a "h"))
 
-let test_timer_record_and_observe_span () =
+let test_observe_span_records_on_raise () =
   let m = Obs.Metrics.create () in
-  let sp = Obs.Timer.start "region" in
-  let dt = Obs.Timer.record ~metrics:m sp in
-  check Alcotest.bool "non-negative elapsed" true (dt >= 0.);
-  (match Obs.Metrics.summary m "region" with
-  | Some s -> check Alcotest.int "one sample under the span name" 1 s.count
-  | None -> Alcotest.fail "record did not feed metrics");
   (try
-     Obs.Timer.observe_span ~metrics:m ~name:"failing" (fun () ->
+     Obs.Span.observe_span ~metrics:m ~name:"failing" (fun () ->
          failwith "boom")
    with Failure _ -> ());
   match Obs.Metrics.summary m "failing" with
@@ -579,8 +573,8 @@ let suite =
     ("merge: disjoint names", `Quick, test_merge_disjoint_names);
     ("merge: histogram append order", `Quick,
      test_merge_histogram_append_order);
-    ("timer record and observe_span", `Quick,
-     test_timer_record_and_observe_span);
+    ("observe_span records on raise", `Quick,
+     test_observe_span_records_on_raise);
     ("sink close drains pending lines", `Quick,
      test_sink_close_drains_pending);
     ("sink killed mid-trace: no torn line", `Quick,

@@ -183,7 +183,7 @@ let engines =
   ]
 
 (* Each engine × each run shape: flooding takes SoA's plane kernel,
-   multi-source its sharded unicast loop.  [n] is large enough that a
+   multi-source the shared unicast loop.  [n] is large enough that a
    full run outlasts the mid-run cuts below. *)
 let cancel_cases f =
   List.iter

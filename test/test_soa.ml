@@ -262,13 +262,16 @@ let test_unicast_identical () =
     (fun (envname, env) ->
       let single = Gossip.Instance.single_source ~n ~k:4 ~source:0 in
       let multi = Gossip.Instance.one_per_node ~n in
+      (* The baseline is the Reference oracle: Default and SoA share
+         one unicast loop, so comparing them with each other would
+         only test shard-count independence. *)
       let base_s, _ =
         Gossip.Runners.single_source ~instance:single ~env
-          ~engine:Engine.Default.engine ()
+          ~engine:Engine.Reference.engine ()
       in
       let base_m, _ =
         Gossip.Runners.multi_source ~instance:multi ~env
-          ~engine:Engine.Default.engine ()
+          ~engine:Engine.Reference.engine ()
       in
       List.iter
         (fun (ename, engine) ->
@@ -276,23 +279,24 @@ let test_unicast_identical () =
             Gossip.Runners.single_source ~instance:single ~env ~engine ()
           in
           check Alcotest.string
-            (Printf.sprintf "single-source/%s under %s matches fastpath"
+            (Printf.sprintf "single-source/%s under %s matches reference"
                envname ename)
             (report base_s) (report r_s);
           let r_m, _ =
             Gossip.Runners.multi_source ~instance:multi ~env ~engine ()
           in
           check Alcotest.string
-            (Printf.sprintf "multi-source/%s under %s matches fastpath"
+            (Printf.sprintf "multi-source/%s under %s matches reference"
                envname ename)
             (report base_m) (report r_m))
         soa_engines)
     envs
 
-let test_faulty_runs_delegate_identically () =
-  (* With a fault plan active the SoA engine hands the run to the
-     sequential fastpath kernels, so faulty reports stay identical
-     too. *)
+let test_faulty_runs_identical () =
+  (* Faulty broadcast runs delegate to the sequential fastpath kernel;
+     faulty unicast runs go through the shared sharded loop, whose
+     fault delivery draws replay in global send order — so both stay
+     identical to their oracle at every shard count. *)
   let n = 12 in
   let instance = Gossip.Instance.single_source ~n ~k:3 ~source:0 in
   let schedule = Adversary.Oblivious.fresh_random ~seed:4 ~n ~p:0.4 in
@@ -308,6 +312,29 @@ let test_faulty_runs_delegate_identically () =
       in
       check Alcotest.string
         (Printf.sprintf "faulty flooding under %s matches fastpath" ename)
+        (report base) (report r))
+    soa_engines;
+  let n = 16 in
+  let instance = Gossip.Instance.one_per_node ~n in
+  let env =
+    Gossip.Runners.Oblivious
+      (Adversary.Oblivious.rewiring ~seed:5 ~n ~extra:3 ~rate:0.3)
+  in
+  let faults =
+    Faults.Plan.make ~seed:11 ~loss:0.1 ~dup:0.1 ~max_delay:2 ~crash:0.05
+      ~restart:0.5 ()
+  in
+  let base, _ =
+    Gossip.Runners.multi_source ~instance ~env ~faults
+      ~engine:Engine.Reference.engine ()
+  in
+  List.iter
+    (fun (ename, engine) ->
+      let r, _ =
+        Gossip.Runners.multi_source ~instance ~env ~faults ~engine ()
+      in
+      check Alcotest.string
+        (Printf.sprintf "faulty multi-source under %s matches reference" ename)
         (report base) (report r))
     soa_engines
 
@@ -463,8 +490,8 @@ let suite =
       test_flooding_identical;
     Alcotest.test_case "soa: unicast byte-identical at shards 1/2/4" `Quick
       test_unicast_identical;
-    Alcotest.test_case "soa: faulty runs delegate identically" `Quick
-      test_faulty_runs_delegate_identically;
+    Alcotest.test_case "soa: faulty runs identical" `Quick
+      test_faulty_runs_identical;
     Alcotest.test_case "soa: boundary mutant is observable" `Quick
       test_boundary_mutant_observable;
     Alcotest.test_case "soa: round loop allocation-free" `Quick
