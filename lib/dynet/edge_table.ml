@@ -1,13 +1,21 @@
 open Ops
 
-type t = { n : int; tbl : (int, unit) Hashtbl.t }
+(* [keys.(0 .. len - 1)] holds the appended keys.  [ascending] stays
+   true while every append was larger than the one before it, so the
+   in-order builders never sort; [normalise] sorts and dedupes the
+   buffer in place and makes it ascending again. *)
+type t = {
+  n : int;
+  mutable keys : int array;
+  mutable len : int;
+  mutable ascending : bool;
+}
 
 let create ~n ?(size_hint = 64) () =
   if n < 0 then invalid_arg "Edge_table.create: negative n";
-  { n; tbl = Hashtbl.create size_hint }
+  { n; keys = Array.make (max 1 size_hint) 0; len = 0; ascending = true }
 
 let n t = t.n
-let cardinal t = Hashtbl.length t.tbl
 
 let key ~n u v =
   if u = v then invalid_arg "Edge_table.key: self-loop";
@@ -17,41 +25,85 @@ let key ~n u v =
       (Printf.sprintf "Edge_table.key: endpoint out of range (%d,%d) n=%d" u v n);
   (u * n) + v
 
-let add_pair t u v = Hashtbl.replace t.tbl (key ~n:t.n u v) ()
+(* LSD radix sort in base n: a stable counting sort on the low digit
+   (the larger endpoint), then one on the high digit (the smaller). *)
+let sort_keys ~n a =
+  let len = Array.length a in
+  if len > 1 then begin
+    let tmp = Array.make len 0 in
+    let count = Array.make (n + 1) 0 in
+    let pass src dst digit =
+      Array.fill count 0 (n + 1) 0;
+      Array.iter (fun k -> count.(digit k + 1) <- count.(digit k + 1) + 1) src;
+      for d = 1 to n do
+        count.(d) <- count.(d) + count.(d - 1)
+      done;
+      Array.iter
+        (fun k ->
+          let d = digit k in
+          dst.(count.(d)) <- k;
+          count.(d) <- count.(d) + 1)
+        src
+    in
+    pass a tmp (fun k -> k mod n);
+    pass tmp a (fun k -> k / n)
+  end
+
+let normalise t =
+  if not t.ascending then begin
+    let a = Array.sub t.keys 0 t.len in
+    sort_keys ~n:t.n a;
+    let m = ref 0 in
+    for i = 0 to t.len - 1 do
+      if !m = 0 || a.(!m - 1) <> a.(i) then begin
+        a.(!m) <- a.(i);
+        incr m
+      end
+    done;
+    t.keys <- a;
+    t.len <- !m;
+    t.ascending <- true
+  end
+
+let cardinal t =
+  normalise t;
+  t.len
+
+let add_pair t u v =
+  let k = key ~n:t.n u v in
+  let last = if t.len = 0 then -1 else t.keys.(t.len - 1) in
+  if k <> last then begin
+    if k < last then t.ascending <- false;
+    if t.len = Array.length t.keys then begin
+      let bigger = Array.make (2 * t.len) 0 in
+      Array.blit t.keys 0 bigger 0 t.len;
+      t.keys <- bigger
+    end;
+    t.keys.(t.len) <- k;
+    t.len <- t.len + 1
+  end
 
 let add_edge t e =
   let u, v = Edge.endpoints e in
   add_pair t u v
 
-let mem_pair t u v =
-  u <> v
-  && u >= 0 && v >= 0 && u < t.n && v < t.n
-  && Hashtbl.mem t.tbl (key ~n:t.n u v)
-
-let remove_pair t u v =
-  if u <> v && u >= 0 && v >= 0 && u < t.n && v < t.n then
-    Hashtbl.remove t.tbl (key ~n:t.n u v)
-
-let iter_pairs f t =
-  Hashtbl.iter (fun k () -> f (k / t.n) (k mod t.n)) t.tbl
-
 let sorted_keys t =
-  let a = Array.make (Hashtbl.length t.tbl) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun k () ->
-      a.(!i) <- k;
-      incr i)
-    t.tbl;
-  Array.sort compare a;
-  a
+  normalise t;
+  Array.sub t.keys 0 t.len
 
-let of_edge_set ~n set =
-  let t = create ~n ~size_hint:(max 64 (Edge_set.cardinal set)) () in
-  Edge_set.iter (fun e -> add_edge t e) set;
-  t
-
-let to_edge_set t =
-  let acc = ref Edge_set.empty in
-  iter_pairs (fun u v -> acc := Edge_set.add_pair u v !acc) t;
-  !acc
+let merge_keys a la b lb =
+  let out = Array.make (la + lb) 0 in
+  let i = ref 0 and j = ref 0 and m = ref 0 in
+  while !i < la || !j < lb do
+    if !j >= lb || (!i < la && a.(!i) < b.(!j)) then begin
+      out.(!m) <- a.(!i);
+      incr i
+    end
+    else begin
+      if !i < la && a.(!i) = b.(!j) then incr i;
+      out.(!m) <- b.(!j);
+      incr j
+    end;
+    incr m
+  done;
+  if !m = la + lb then out else Array.sub out 0 !m

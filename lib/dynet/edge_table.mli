@@ -1,4 +1,5 @@
-(** Mutable hashed edge set keyed by a single packed int.
+(** Append buffer of packed edge keys, for building a graph edge by
+    edge.
 
     The canonical edge [(u, v)] with [u < v < n] maps to the key
     [u * n + v].  Because {!Edge.compare} is lexicographic on the
@@ -6,38 +7,39 @@
     the iteration order of {!Edge_set} — which is what lets
     {!Graph.of_table} build sorted adjacency without re-sorting.
 
-    This is the accumulation structure for graph generators and the
-    stability wrapper: O(1) amortised insert/membership instead of the
-    O(log m) of the balanced-tree [Edge_set], with zero per-edge boxing
-    (the key is an immediate). *)
+    Appends are O(1) amortised with zero per-edge boxing (the key is an
+    immediate).  Builders that append in ascending key order (paths,
+    cliques, grids) never pay for a sort; otherwise {!sorted_keys}
+    sorts once, by a two-pass radix sort in O(m + n), and drops
+    duplicates. *)
 
 type t
 
 val create : n:int -> ?size_hint:int -> unit -> t
-(** Empty table for graphs on [n] nodes.
+(** Empty buffer for graphs on [n] nodes.
     @raise Invalid_argument if [n < 0]. *)
 
 val n : t -> int
+
 val cardinal : t -> int
+(** Number of distinct edges appended so far. *)
 
 val key : n:int -> Node_id.t -> Node_id.t -> int
 (** Packed key of the canonical form of [(u, v)].
     @raise Invalid_argument on self-loops or out-of-range endpoints. *)
 
 val add_pair : t -> Node_id.t -> Node_id.t -> unit
-(** Insert the edge [{u, v}] (idempotent).
+(** Append the edge [{u, v}] (idempotent: duplicates are dropped).
     @raise Invalid_argument on self-loops or out-of-range endpoints. *)
 
 val add_edge : t -> Edge.t -> unit
-val mem_pair : t -> Node_id.t -> Node_id.t -> bool
-val remove_pair : t -> Node_id.t -> Node_id.t -> unit
-
-val iter_pairs : (Node_id.t -> Node_id.t -> unit) -> t -> unit
-(** Unordered iteration (hash order). *)
 
 val sorted_keys : t -> int array
-(** All packed keys in increasing order — i.e. in {!Edge.compare}
-    order of the corresponding edges. *)
+(** All distinct packed keys in increasing order — i.e. in
+    {!Edge.compare} order of the corresponding edges.  The result is a
+    fresh array. *)
 
-val of_edge_set : n:int -> Edge_set.t -> t
-val to_edge_set : t -> Edge_set.t
+val merge_keys : int array -> int -> int array -> int -> int array
+(** [merge_keys a la b lb] is the ascending union of the ascending
+    prefixes [a.(0 .. la - 1)] and [b.(0 .. lb - 1)], a key present in
+    both kept once.  The result is a fresh array. *)

@@ -14,36 +14,57 @@ type t = {
 }
 
 (* Packed keys sort in the same order as Edge.compare (lexicographic
-   on canonical endpoints), so a single ascending scan sees each
-   row's smaller-side neighbors in order, and a second one the
-   larger-side neighbors in order: concatenating the two passes gives
-   sorted adjacency without any per-row sort. *)
+   on canonical endpoints).  One ascending scan therefore fills every
+   row in order: row w receives its smaller-side neighbors u (from keys
+   (u, w), all below any key (w, _)) before its larger-side ones, so
+   no row needs a sort.  Ascending keys also visit the rows u in order,
+   so u is found by stepping a row boundary forward instead of dividing
+   each key by n.  The first scan checks that the keys are strictly
+   ascending and canonical. *)
 let adjacency_of_keys n keys =
+  let bad () =
+    invalid_arg
+      "Graph.of_sorted_keys: keys must be strictly ascending canonical \
+       packed edges"
+  in
+  let m = Array.length keys in
   let deg = Array.make n 0 in
-  Array.iter
-    (fun key ->
-      let u = key / n and v = key mod n in
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    keys;
+  let u = ref 0 and base = ref 0 in
+  for i = 0 to m - 1 do
+    let key = keys.(i) in
+    if key >= n * n || (i > 0 && key <= keys.(i - 1)) then bad ();
+    while key - !base >= n do
+      incr u;
+      base := !base + n
+    done;
+    let v = key - !base in
+    if v <= !u then bad ();
+    deg.(!u) <- deg.(!u) + 1;
+    deg.(v) <- deg.(v) + 1
+  done;
   let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
   let next = Array.make n 0 in
-  Array.iter
-    (fun key ->
-      let u = key / n and v = key mod n in
-      adj.(v).(next.(v)) <- u;
-      next.(v) <- next.(v) + 1)
-    keys;
-  Array.iter
-    (fun key ->
-      let u = key / n and v = key mod n in
-      adj.(u).(next.(u)) <- v;
-      next.(u) <- next.(u) + 1)
-    keys;
+  u := 0;
+  base := 0;
+  for i = 0 to m - 1 do
+    let key = keys.(i) in
+    while key - !base >= n do
+      incr u;
+      base := !base + n
+    done;
+    let r = !u and v = key - !base in
+    adj.(r).(next.(r)) <- v;
+    next.(r) <- next.(r) + 1;
+    adj.(v).(next.(v)) <- r;
+    next.(v) <- next.(v) + 1
+  done;
   adj
 
-let of_sorted_keys ~n ~eset keys =
-  { n; keys; adj = adjacency_of_keys n keys; eset }
+let build ~n ~eset keys = { n; keys; adj = adjacency_of_keys n keys; eset }
+
+let of_sorted_keys ~n keys =
+  if n < 0 then invalid_arg "Graph.of_sorted_keys: negative n";
+  build ~n ~eset:None keys
 
 let make ~n edges =
   if n < 0 then invalid_arg "Graph.make: negative n";
@@ -60,11 +81,10 @@ let make ~n edges =
       incr i)
     edges;
   (* Edge_set iterates in Edge.compare order, so [keys] is sorted. *)
-  of_sorted_keys ~n ~eset:(Some edges) keys
+  build ~n ~eset:(Some edges) keys
 
 let of_table table =
-  of_sorted_keys ~n:(Edge_table.n table) ~eset:None
-    (Edge_table.sorted_keys table)
+  of_sorted_keys ~n:(Edge_table.n table) (Edge_table.sorted_keys table)
 
 let empty ~n = make ~n Edge_set.empty
 let n t = t.n
@@ -82,6 +102,7 @@ let edges t =
       s
 
 let edge_count t = Array.length t.keys
+let keys t = t.keys
 
 let mem_key keys key =
   let lo = ref 0 and hi = ref (Array.length keys) in
@@ -218,25 +239,9 @@ let connect_components t =
 
 let union a b =
   if a.n <> b.n then invalid_arg "Graph.union: node counts differ";
-  (* Merge of two sorted key arrays, deduplicated. *)
-  let ka = a.keys and kb = b.keys in
-  let la = Array.length ka and lb = Array.length kb in
-  let out = Array.make (la + lb) 0 in
-  let i = ref 0 and j = ref 0 and m = ref 0 in
-  while !i < la || !j < lb do
-    let take_a =
-      !j >= lb || (!i < la && ka.(!i) <= kb.(!j))
-    in
-    let key = if take_a then ka.(!i) else kb.(!j) in
-    if take_a then begin
-      incr i;
-      if !j < lb && kb.(!j) = key then incr j
-    end
-    else incr j;
-    out.(!m) <- key;
-    incr m
-  done;
-  of_sorted_keys ~n:a.n ~eset:None (Array.sub out 0 !m)
+  of_sorted_keys ~n:a.n
+    (Edge_table.merge_keys a.keys (Array.length a.keys) b.keys
+       (Array.length b.keys))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>graph n=%d m=%d@ %a@]" t.n (edge_count t)

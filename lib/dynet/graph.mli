@@ -15,12 +15,20 @@ val make : n:int -> Edge_set.t -> t
 (** [make ~n edges] builds the snapshot.
     @raise Invalid_argument if [n < 0] or an endpoint is ≥ [n]. *)
 
+val of_sorted_keys : n:int -> int array -> t
+(** The round-graph constructor: the graph whose edges are the given
+    packed keys ([u * n + v] for the canonical [u < v], see
+    {!Edge_table}), which must be strictly ascending.  The array is
+    taken over, not copied — the caller must not mutate it afterwards.
+    Adjacency is built in O(n + m) with no sort, no division per key
+    and no [Edge_set]; the set view is created lazily on the first call
+    to {!edges}.
+    @raise Invalid_argument if [n < 0], or the keys are not strictly
+    ascending canonical keys of an [n]-node graph. *)
+
 val of_table : Edge_table.t -> t
-(** Fast-path constructor from an int-keyed edge table (the graph
-    generators and the stability wrapper accumulate into one).  The
-    sorted packed keys are used directly, so adjacency is built without
-    ever materialising an [Edge_set]; the set view is created lazily on
-    the first call to {!edges}. *)
+(** [of_sorted_keys] over the table's sorted keys (the static builders
+    and the random tree accumulate into one). *)
 
 val empty : n:int -> t
 (** The empty graph [(V, ∅)] — the paper's [G_0]. *)
@@ -30,9 +38,14 @@ val n : t -> int
 
 val edges : t -> Edge_set.t
 (** The edge set view.  Materialised lazily (and memoised) when the
-    graph was built through {!of_table}; O(1) otherwise. *)
+    graph was not built by {!make}; O(1) otherwise. *)
 
 val edge_count : t -> int
+
+val keys : t -> int array
+(** The packed edge keys in increasing order — the input of merge walks
+    that build the next round's graph with {!of_sorted_keys}.  The
+    array is owned by the graph: callers must not mutate it. *)
 
 val mem_edge : t -> Node_id.t -> Node_id.t -> bool
 (** Binary search over the packed edge keys: O(log m), allocation

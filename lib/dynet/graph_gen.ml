@@ -1,9 +1,11 @@
 open Ops
 
-(* All builders accumulate into an int-keyed Edge_table and construct
-   the snapshot through Graph.of_table: O(1) amortised inserts and no
-   balanced-tree churn.  RNG draw sequences are identical to the
-   Edge_set-based versions, so fixed-seed runs reproduce bit-for-bit. *)
+(* Every builder hands Graph ascending packed keys.  The static
+   builders and the random trees append to an Edge_table, which sorts
+   only when the appends arrived out of order; random_connected merges
+   its tree into the already-ascending Bernoulli keys directly.  RNG
+   draw sequences are identical to the Edge_set-based versions, so
+   fixed-seed runs reproduce bit-for-bit. *)
 
 let table ~n ?size_hint () = Edge_table.create ~n ?size_hint ()
 
@@ -118,17 +120,40 @@ let random_tree rng ~n =
     Graph.of_table t
   end
 
+(* The Bernoulli loop visits pairs in ascending key order, so its keys
+   need no sort; the sorted tree keys are merged in afterwards, dropping
+   a tree edge the loop drew too.  The buffer starts at the expected
+   edge count plus slack and doubles if a round overshoots it. *)
 let random_connected rng ~n ~p =
   if n <= 1 then Graph.empty ~n
   else begin
-    let t = table ~n ~size_hint:(2 * n) () in
-    add_random_tree t rng ~n;
+    let tree =
+      let t = table ~n ~size_hint:n () in
+      add_random_tree t rng ~n;
+      Edge_table.sorted_keys t
+    in
+    let expected =
+      (if p > 0. then Float.min p 1. else 0.) *. float_of_int (n * (n - 1) / 2)
+    in
+    let drawn =
+      ref (Array.make (n + int_of_float (expected +. (4. *. sqrt expected))) 0)
+    in
+    let len = ref 0 in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        if Rng.bernoulli rng p then Edge_table.add_pair t i j
+        if Rng.bernoulli rng p then begin
+          if !len = Array.length !drawn then begin
+            let bigger = Array.make (2 * !len) 0 in
+            Array.blit !drawn 0 bigger 0 !len;
+            drawn := bigger
+          end;
+          !drawn.(!len) <- (i * n) + j;
+          incr len
+        end
       done
     done;
-    Graph.of_table t
+    Graph.of_sorted_keys ~n
+      (Edge_table.merge_keys tree (Array.length tree) !drawn !len)
   end
 
 let random_regularish rng ~n ~d =

@@ -1,16 +1,18 @@
 open Ops
 
-(* Active edges live in a hash table keyed by the packed edge key
-   (u*n + v, as in Edge_table), mapped to the round their current run
-   started.  When a step changes nothing — the common case in the
-   paper's 3-edge-stable environments, where most proposals repeat the
-   previous round — the previously built graph is returned as-is, so
-   its adjacency arrays (and lazily built edge set) are reused instead
-   of being rebuilt O(m) every round. *)
+(* The active edges are the keys of the last returned graph; [born]
+   runs parallel to them, holding the round each edge's current run
+   started.  A step is a merge walk over those keys and the proposal's
+   (both ascending), so the next graph comes straight out as sorted
+   keys.  When a step changes nothing — the common case in the paper's
+   3-edge-stable environments, where most proposals repeat the
+   previous round — a first walk finds that without allocating, and
+   the previously built graph is returned as-is, so its adjacency
+   arrays (and lazily built edge set) are reused. *)
 type t = {
   sigma : int;
   n : int;
-  born : (int, int) Hashtbl.t;
+  mutable born : int array;
   mutable round : int;
   mutable last : Graph.t;
 }
@@ -18,47 +20,53 @@ type t = {
 let create ~sigma ~n =
   if sigma < 1 then invalid_arg "Stability.create: sigma must be >= 1";
   if n < 0 then invalid_arg "Stability.create: negative n";
-  { sigma; n; born = Hashtbl.create 64; round = 0; last = Graph.empty ~n }
+  { sigma; n; born = [||]; round = 0; last = Graph.empty ~n }
 
 let sigma t = t.sigma
+
+(* Merge the active keys with the proposal's keys [q], calling [keep]
+   on every edge of the next graph with the round its run started, and
+   tell whether the edge set changed.  An active edge that is no longer
+   proposed is dropped once its run is at least sigma rounds old. *)
+let walk t q keep =
+  let a = Graph.keys t.last in
+  let la = Array.length a and lq = Array.length q in
+  let i = ref 0 and j = ref 0 and changed = ref false in
+  while !i < la || !j < lq do
+    if !j >= lq || (!i < la && a.(!i) < q.(!j)) then begin
+      if t.round - t.born.(!i) < t.sigma then keep a.(!i) t.born.(!i)
+      else changed := true;
+      incr i
+    end
+    else if !i >= la || q.(!j) < a.(!i) then begin
+      keep q.(!j) t.round;
+      changed := true;
+      incr j
+    end
+    else begin
+      keep a.(!i) t.born.(!i);
+      incr i;
+      incr j
+    end
+  done;
+  !changed
 
 let step t proposal =
   if Graph.n proposal <> t.n then
     invalid_arg "Stability.step: node count mismatch";
   t.round <- t.round + 1;
-  let changed = ref false in
-  (* Drop an active edge once it is no longer proposed and its run is
-     at least sigma rounds old; a still-proposed edge keeps the round
-     its run started. *)
-  let removals = ref [] in
-  Hashtbl.iter
-    (fun key born ->
-      if
-        (not (Graph.mem_edge proposal (key / t.n) (key mod t.n)))
-        && t.round - born >= t.sigma
-      then removals := key :: !removals)
-    t.born;
-  List.iter
-    (fun key ->
-      Hashtbl.remove t.born key;
-      changed := true)
-    !removals;
-  Graph.iter_pairs
-    (fun u v ->
-      let key = (u * t.n) + v in
-      if not (Hashtbl.mem t.born key) then begin
-        Hashtbl.replace t.born key t.round;
-        changed := true
-      end)
-    proposal;
-  if !changed then begin
-    let table =
-      Edge_table.create ~n:t.n ~size_hint:(max 64 (Hashtbl.length t.born)) ()
-    in
-    Hashtbl.iter
-      (fun key _ -> Edge_table.add_pair table (key / t.n) (key mod t.n))
-      t.born;
-    t.last <- Graph.of_table table
+  let q = Graph.keys proposal in
+  if walk t q (fun _ _ -> ()) then begin
+    let cap = Graph.edge_count t.last + Array.length q in
+    let keys = Array.make cap 0 and born = Array.make cap 0 in
+    let m = ref 0 in
+    ignore
+      (walk t q (fun key b ->
+           keys.(!m) <- key;
+           born.(!m) <- b;
+           incr m));
+    t.last <- Graph.of_sorted_keys ~n:t.n (Array.sub keys 0 !m);
+    t.born <- Array.sub born 0 !m
   end;
   t.last
 

@@ -6,17 +6,16 @@ let schedule ?(past_end = Hold) (trace : Trace_io.t) =
   let r_max = Trace_io.rounds trace in
   if r_max = 0 then invalid_arg "Replay.schedule: trace has zero rounds";
   let n = trace.Trace_io.header.Trace_io.n in
-  (* The schedule's Markov rule reconstructs round r from round r - 1's
-     graph and delta r; the base cycle is kept so Loop can wrap without
-     replaying (Schedule memoizes every produced graph anyway). *)
+  (* The schedule's Markov rule builds round r from round r - 1's graph
+     and delta r: a merge walk over the previous graph's sorted keys
+     (Trace_io.next_graph, the step validation replays too), so no
+     round materialises an edge set.  An empty delta hands back the
+     previous graph itself.  The base cycle is kept so Loop can wrap
+     without replaying (Schedule memoizes every produced graph
+     anyway). *)
   let cycle = Array.make r_max None in
   let build r prev =
-    let edges =
-      Trace_io.apply_delta ~n ~round:r
-        (Dynet.Graph.edges prev)
-        trace.Trace_io.deltas.(r - 1)
-    in
-    let g = Dynet.Graph.make ~n edges in
+    let g = Trace_io.next_graph ~round:r prev trace.Trace_io.deltas.(r - 1) in
     cycle.(r - 1) <- Some g;
     g
   in

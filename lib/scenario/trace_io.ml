@@ -17,22 +17,32 @@ let rounds t = Array.length t.deltas
 let make ?seed ?(provenance = "unknown") ~n deltas =
   { header = { version; n; seed; provenance }; deltas = Array.of_list deltas }
 
-(* Canonical delta between consecutive round graphs: Edge_set diffs,
-   rendered as sorted (u, v) pairs (Edge.compare order). *)
-let pairs set =
-  List.map
-    (fun e ->
-      let u, v = Dynet.Edge.endpoints e in
-      (u, v))
-    (Dynet.Edge_set.to_list set)
-
+(* Canonical delta between consecutive round graphs: a merge walk over
+   their sorted keys, from the top down so both pair lists come out
+   ascending (Edge.compare order) without a reversal. *)
 let delta_of_graphs ~round ~prev ~cur =
-  let ep = Dynet.Graph.edges prev and ec = Dynet.Graph.edges cur in
-  {
-    round;
-    add = pairs (Dynet.Edge_set.diff ec ep);
-    del = pairs (Dynet.Edge_set.diff ep ec);
-  }
+  let n = Dynet.Graph.n cur in
+  if Dynet.Graph.n prev <> n then
+    invalid_arg "Trace_io.delta_of_graphs: node counts differ";
+  let a = Dynet.Graph.keys prev and b = Dynet.Graph.keys cur in
+  let pair key = (key / n, key mod n) in
+  let add = ref [] and del = ref [] in
+  let i = ref (Array.length a - 1) and j = ref (Array.length b - 1) in
+  while !i >= 0 || !j >= 0 do
+    if !j < 0 || (!i >= 0 && a.(!i) > b.(!j)) then begin
+      del := pair a.(!i) :: !del;
+      decr i
+    end
+    else if !i < 0 || b.(!j) > a.(!i) then begin
+      add := pair b.(!j) :: !add;
+      decr j
+    end
+    else begin
+      decr i;
+      decr j
+    end
+  done;
+  { round; add = !add; del = !del }
 
 let of_graphs ?seed ?(provenance = "unknown") ~n graphs =
   let prev = ref (Dynet.Graph.empty ~n) in
@@ -215,45 +225,95 @@ let save path t =
 
 (* {2 Replay / validation} *)
 
-let apply_delta ~n ~round edges d =
-  let check (u, v) =
-    if u < 0 || v < 0 || u >= n || v >= n then
-      invalid_arg
-        (Printf.sprintf "trace round %d: endpoint out of range in (%d, %d)"
-           round u v);
-    if u = v then
-      invalid_arg (Printf.sprintf "trace round %d: self-loop on %d" round u)
-  in
-  let edges =
-    List.fold_left
-      (fun acc (u, v) ->
-        check (u, v);
-        if Dynet.Edge_set.mem_pair u v acc then
-          invalid_arg
-            (Printf.sprintf "trace round %d: adding present edge (%d, %d)"
-               round u v);
-        Dynet.Edge_set.add_pair u v acc)
-      edges d.add
-  in
-  List.fold_left
-    (fun acc (u, v) ->
-      check (u, v);
-      if not (Dynet.Edge_set.mem_pair u v acc) then
-        invalid_arg
-          (Printf.sprintf "trace round %d: deleting absent edge (%d, %d)"
-             round u v);
-      Dynet.Edge_set.remove (Dynet.Edge.make u v) acc)
-    edges d.del
+let check_pair ~n ~round (u, v) =
+  if u < 0 || v < 0 || u >= n || v >= n then
+    invalid_arg
+      (Printf.sprintf "trace round %d: endpoint out of range in (%d, %d)"
+         round u v);
+  if u = v then
+    invalid_arg (Printf.sprintf "trace round %d: self-loop on %d" round u)
+
+(* Index of [key] in the ascending array [keys], or -1. *)
+let find keys key =
+  let lo = ref 0 and hi = ref (Array.length keys) in
+  while !hi - !lo > 0 do
+    let mid = (!lo + !hi) / 2 in
+    if keys.(mid) < key then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length keys && keys.(!lo) = key then !lo else -1
+
+(* The packed keys of [pairs] as a strictly ascending array, checked in
+   list order exactly as applying the pairs one at a time would check
+   them: the first pair that is out of range, a self-loop, repeats an
+   earlier pair's edge, or fails [ok] raises ([error] for the last
+   two).  The pairs of a validated trace are already ascending, so the
+   Edge_table does not sort them. *)
+let checked_keys ~n ~round ~ok ~error pairs =
+  let table = Dynet.Edge_table.create ~n ~size_hint:(List.length pairs) () in
+  List.iter
+    (fun (u, v) ->
+      if u >= 0 && v >= 0 && u < n && v < n && u <> v then
+        Dynet.Edge_table.add_pair table u v)
+    pairs;
+  let keys = Dynet.Edge_table.sorted_keys table in
+  let seen = Array.make (Array.length keys) false in
+  List.iter
+    (fun (u, v) ->
+      check_pair ~n ~round (u, v);
+      let slot = find keys (Dynet.Edge_table.key ~n u v) in
+      if seen.(slot) || not (ok keys.(slot)) then error (u, v);
+      seen.(slot) <- true)
+    pairs;
+  keys
+
+let next_graph ~round prev d =
+  match (d.add, d.del) with
+  | [], [] -> prev
+  | _ ->
+      let n = Dynet.Graph.n prev and pk = Dynet.Graph.keys prev in
+      let adds =
+        checked_keys ~n ~round d.add
+          ~ok:(fun k -> find pk k < 0)
+          ~error:(fun (u, v) ->
+            invalid_arg
+              (Printf.sprintf "trace round %d: adding present edge (%d, %d)"
+                 round u v))
+      in
+      let dels =
+        checked_keys ~n ~round d.del
+          ~ok:(fun k -> find pk k >= 0 || find adds k >= 0)
+          ~error:(fun (u, v) ->
+            invalid_arg
+              (Printf.sprintf "trace round %d: deleting absent edge (%d, %d)"
+                 round u v))
+      in
+      (* The dels all lie in the union of the previous keys and the
+         (disjoint) adds. *)
+      let union =
+        Dynet.Edge_table.merge_keys pk (Array.length pk) adds
+          (Array.length adds)
+      in
+      let out = Array.make (Array.length union - Array.length dels) 0 in
+      let next_del = ref 0 and m = ref 0 in
+      Array.iter
+        (fun key ->
+          if !next_del < Array.length dels && dels.(!next_del) = key then
+            incr next_del
+          else begin
+            out.(!m) <- key;
+            incr m
+          end)
+        union;
+      Dynet.Graph.of_sorted_keys ~n out
 
 let fold_graphs t ~init ~f =
-  let n = t.header.n in
-  let edges = ref Dynet.Edge_set.empty in
+  let g = ref (Dynet.Graph.empty ~n:t.header.n) in
   let acc = ref init in
   Array.iteri
     (fun i d ->
       let round = i + 1 in
-      edges := apply_delta ~n ~round !edges d;
-      acc := f !acc ~round (Dynet.Graph.make ~n !edges))
+      g := next_graph ~round !g d;
+      acc := f !acc ~round !g)
     t.deltas;
   !acc
 

@@ -69,7 +69,9 @@ val make : ?seed:int -> ?provenance:string -> n:int -> delta list -> t
 val delta_of_graphs :
   round:int -> prev:Dynet.Graph.t -> cur:Dynet.Graph.t -> delta
 (** The canonical (sorted, [u < v]) edge delta between two consecutive
-    round graphs — what {!Record} accumulates incrementally. *)
+    round graphs — what {!Record} accumulates incrementally.  One merge
+    walk over the graphs' sorted keys.
+    @raise Invalid_argument if the node counts differ. *)
 
 val of_graphs : ?seed:int -> ?provenance:string -> n:int ->
   Dynet.Graph.t list -> t
@@ -78,12 +80,17 @@ val of_graphs : ?seed:int -> ?provenance:string -> n:int ->
     (round 1 against the empty graph).
     @raise Invalid_argument if a graph's node count is not [n]. *)
 
-val apply_delta :
-  n:int -> round:int -> Dynet.Edge_set.t -> delta -> Dynet.Edge_set.t
-(** One replay step: the edge set after applying a round's delta.
+val next_graph : round:int -> Dynet.Graph.t -> delta -> Dynet.Graph.t
+(** One replay step: the graph after applying round [round]'s delta to
+    the previous round's graph — a merge walk over its sorted keys into
+    {!Dynet.Graph.of_sorted_keys}.  An empty delta returns the previous
+    graph itself.  The pairs are checked in list order (adds, then
+    dels), as applying them one at a time would, so an unvalidated
+    delta with unsorted or repeated pairs gives the same graph or the
+    same error.
     @raise Invalid_argument on an inconsistent delta (endpoint out of
     range, self-loop, adding a present edge, deleting an absent one) —
-    the error names the round. *)
+    the error names the round and the offending pair. *)
 
 val fold_graphs :
   t -> init:'a -> f:('a -> round:int -> Dynet.Graph.t -> 'a) -> 'a

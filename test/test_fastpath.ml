@@ -136,7 +136,13 @@ let prop_of_table_matches_make =
           Edge_set.empty pairs
       in
       let g' = Graph.make ~n eset in
-      Graph.same_edges g g'
+      let table = Edge_table.create ~n ~size_hint:1 () in
+      List.iter
+        (fun (u, v) -> if u <> v then Edge_table.add_pair table u v)
+        pairs;
+      Edge_table.cardinal table = Edge_set.cardinal eset
+      && Graph.same_edges g g'
+      && Graph.keys g = Graph.keys g'
       && Edge_set.equal (Graph.edges g) (Graph.edges g')
       && List.for_all
            (fun v -> Graph.neighbors g v = Graph.neighbors g' v)
@@ -174,13 +180,99 @@ let test_edge_table_basics () =
   Edge_table.add_pair t 1 4 (* canonical dup *);
   Edge_table.add_pair t 0 5;
   check Alcotest.int "cardinal dedups" 2 (Edge_table.cardinal t);
-  check Alcotest.bool "mem either direction" true (Edge_table.mem_pair t 1 4);
   check (Alcotest.array Alcotest.int) "sorted keys in Edge.compare order"
     [| Edge_table.key ~n:6 0 5; Edge_table.key ~n:6 1 4 |]
     (Edge_table.sorted_keys t);
+  (* appends after a sort: a non-adjacent duplicate and a smaller key *)
+  Edge_table.add_pair t 5 0;
+  Edge_table.add_pair t 2 3;
+  Edge_table.add_pair t 0 1;
+  check (Alcotest.array Alcotest.int) "re-sorted and deduplicated"
+    [| 1; 5; 10; 15 |] (Edge_table.sorted_keys t);
+  let ascending = Edge_table.create ~n:4 ~size_hint:1 () in
+  List.iter (fun (u, v) -> Edge_table.add_pair ascending u v)
+    [ (0, 1); (0, 1); (0, 3); (1, 2); (2, 3) ];
+  check (Alcotest.array Alcotest.int) "in-order appends, grown buffer"
+    [| 1; 3; 6; 11 |] (Edge_table.sorted_keys ascending);
   Alcotest.check_raises "self-loop rejected"
     (Invalid_argument "Edge_table.key: self-loop") (fun () ->
       ignore (Edge_table.key ~n:6 3 3))
+
+let test_of_sorted_keys_validates () =
+  let g = Graph.of_sorted_keys ~n:4 [| 1; 6; 11 |] in
+  check (Alcotest.array Alcotest.int) "path 0-1-2-3, middle row" [| 0; 2 |]
+    (Graph.neighbors g 1);
+  List.iter
+    (fun (name, keys) ->
+      Alcotest.check_raises name
+        (Invalid_argument
+           "Graph.of_sorted_keys: keys must be strictly ascending canonical \
+            packed edges")
+        (fun () -> ignore (Graph.of_sorted_keys ~n:4 keys)))
+    [
+      ("descending", [| 6; 1 |]);
+      ("duplicate", [| 1; 1 |]);
+      ("self-loop", [| 5 |]);
+      ("non-canonical (u > v)", [| 4 |]);
+      ("past the last row", [| 16 |]);
+      ("negative", [| -1 |]);
+    ];
+  Alcotest.check_raises "no key fits n = 0"
+    (Invalid_argument
+       "Graph.of_sorted_keys: keys must be strictly ascending canonical \
+        packed edges")
+    (fun () -> ignore (Graph.of_sorted_keys ~n:0 [| 0 |]))
+
+(* {2 random_connected vs a hashed reference builder} *)
+
+(* Reference builder: tree and Bernoulli edges into a Hashtbl of packed
+   keys, sorted at the end.  The merge builder must make the same draws
+   and the same graph. *)
+let oracle_random_connected rng ~n ~p =
+  if n <= 1 then [||]
+  else begin
+    let tbl = Hashtbl.create (2 * n) in
+    let add u v = Hashtbl.replace tbl (Edge_table.key ~n u v) () in
+    let order = Rng.permutation rng n in
+    for i = 1 to n - 1 do
+      let attach_to = order.(Rng.int rng i) in
+      add order.(i) attach_to
+    done;
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        if Rng.bernoulli rng p then add i j
+      done
+    done;
+    let keys = Array.of_seq (Hashtbl.to_seq_keys tbl) in
+    Array.sort compare keys;
+    keys
+  end
+
+let oracle_adjacency ~n keys =
+  let rows = Array.make n [] in
+  Array.iter
+    (fun key ->
+      let u = key / n and v = key mod n in
+      rows.(u) <- v :: rows.(u);
+      rows.(v) <- u :: rows.(v))
+    keys;
+  Array.map (fun row -> Array.of_list (List.sort compare row)) rows
+
+let prop_random_connected_matches_oracle =
+  QCheck.Test.make ~name:"graph_gen: random_connected ≡ hashed oracle"
+    ~count:300
+    QCheck.(
+      triple (int_bound 100)
+        (oneof [ oneofl [ 0.; 0.01; 0.25; 1. ]; float_bound_inclusive 1. ])
+        int)
+    (fun (n, p, seed) ->
+      let rng = Rng.make ~seed and oracle_rng = Rng.make ~seed in
+      let g = Graph_gen.random_connected rng ~n ~p in
+      let keys = oracle_random_connected oracle_rng ~n ~p in
+      Graph.keys g = keys
+      && Array.init n (Graph.neighbors g) = oracle_adjacency ~n keys
+      (* same number of draws: the streams stay in step *)
+      && Rng.int rng 1_000_000 = Rng.int oracle_rng 1_000_000)
 
 (* {2 Stability: physical reuse of unchanged rounds} *)
 
@@ -287,6 +379,9 @@ let suite =
     qcheck prop_of_table_matches_make;
     qcheck prop_delta_counts_match_set_diff;
     qcheck prop_incident_edges_match_filter;
+    qcheck prop_random_connected_matches_oracle;
+    Alcotest.test_case "graph: of_sorted_keys validates its keys" `Quick
+      test_of_sorted_keys_validates;
     Alcotest.test_case "edge_table: dedup, order, validation" `Quick
       test_edge_table_basics;
     Alcotest.test_case "stability: unchanged rounds reuse the graph" `Quick

@@ -96,24 +96,31 @@ let test_validate_catches_semantic_breaks () =
     | Ok t -> t
     | Error e -> Alcotest.failf "parse failed: %s" e
   in
-  let invalid s =
+  let invalid expected s =
     match Scenario.Trace_io.validate (parse s) with
     | Ok _ -> Alcotest.failf "validate accepted: %s" s
-    | Error _ -> ()
+    | Error e -> check Alcotest.string "validate error" expected e
+  in
+  let not_canonical =
+    "round 1: add pairs must be canonical (u < v), strictly sorted, \
+     duplicate-free"
   in
   (* add of an already-present edge *)
-  invalid
+  invalid "trace round 2: adding present edge (0, 1)"
     (header ^ "\n" ^ {|{"round":1,"add":[[0,1],[1,2],[2,3]],"del":[]}|}
      ^ "\n" ^ {|{"round":2,"add":[[0,1]],"del":[]}|});
   (* del of an absent edge *)
-  invalid
+  invalid "trace round 1: deleting absent edge (0, 3)"
     (header ^ "\n" ^ {|{"round":1,"add":[[0,1],[1,2],[2,3]],"del":[[0,3]]}|});
   (* endpoint out of range *)
-  invalid (header ^ "\n" ^ {|{"round":1,"add":[[0,9]],"del":[]}|});
-  (* self-loop *)
-  invalid (header ^ "\n" ^ {|{"round":1,"add":[[2,2]],"del":[]}|});
+  invalid "trace round 1: endpoint out of range in (0, 9)"
+    (header ^ "\n" ^ {|{"round":1,"add":[[0,9]],"del":[]}|});
+  (* self-loop: caught by the canonical-form check before replay *)
+  invalid not_canonical
+    (header ^ "\n" ^ {|{"round":1,"add":[[2,2]],"del":[]}|});
   (* non-canonical pair order *)
-  invalid (header ^ "\n" ^ {|{"round":1,"add":[[1,0]],"del":[]}|});
+  invalid not_canonical
+    (header ^ "\n" ^ {|{"round":1,"add":[[1,0]],"del":[]}|});
   (* a good trace validates, with the right stats *)
   let good =
     parse
@@ -157,6 +164,45 @@ let test_replay_past_end () =
     (Dynet.Graph.same_edges
        (Adversary.Schedule.get fail 5)
        (Adversary.Schedule.get hold 5))
+
+(* Replay does not require a validated trace: out-of-order and
+   non-canonical pairs apply as if one at a time, and the first
+   inconsistent pair (in list order, adds before dels) names itself. *)
+let test_replay_unvalidated_deltas () =
+  let base =
+    [
+      { Scenario.Trace_io.round = 1;
+        add = [ (3, 4); (1, 0); (2, 1); (0, 4) ]; del = [] };
+      { round = 2; add = [ (2, 3); (1, 3) ]; del = [ (4, 0); (2, 1) ] };
+    ]
+  in
+  let replay extra =
+    Scenario.Replay.schedule (Scenario.Trace_io.make ~n:5 (base @ extra))
+  in
+  let pairs g =
+    let acc = ref [] in
+    Dynet.Graph.iter_pairs (fun u v -> acc := (u, v) :: !acc) g;
+    List.rev !acc
+  in
+  let edges = Alcotest.(list (pair int int)) in
+  let ok = replay [] in
+  check edges "unsorted round 1" [ (0, 1); (0, 4); (1, 2); (3, 4) ]
+    (pairs (Adversary.Schedule.get ok 1));
+  check edges "unsorted round 2" [ (0, 1); (1, 3); (2, 3); (3, 4) ]
+    (pairs (Adversary.Schedule.get ok 2));
+  let fails name msg extra =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Adversary.Schedule.get (replay extra) 3))
+  in
+  fails "duplicated add" "trace round 3: adding present edge (2, 0)"
+    [ { round = 3; add = [ (0, 2); (4, 1); (2, 0) ]; del = [] } ];
+  fails "present-edge add" "trace round 3: adding present edge (4, 3)"
+    [ { round = 3; add = [ (0, 2); (4, 3) ]; del = [ (9, 9) ] } ];
+  fails "absent-edge delete" "trace round 3: deleting absent edge (2, 4)"
+    [ { round = 3; add = [ (4, 2) ]; del = [ (4, 2); (0, 1); (2, 4) ] } ];
+  fails "out-of-range add before a later present add"
+    "trace round 3: endpoint out of range in (7, 1)"
+    [ { round = 3; add = [ (0, 2); (7, 1); (3, 4) ]; del = [] } ]
 
 (* {2 The engine recorder hook} *)
 
@@ -387,6 +433,43 @@ let test_vendored_trace_matches_fresh_import () =
     (read_file "../examples/traces/office.trace.jsonl")
     (Scenario.Trace_io.to_string trace)
 
+(* Re-recording a shipped spec reproduces its vendored trace byte for
+   byte.  fresh_n16 pins Graph_gen.random_connected; its sigma = 2 is
+   not applied, because builtin_schedule never stabilizes the
+   fresh-random family.  markov_n16 (sigma = 2) pins Stability. *)
+let test_vendored_traces_match_fresh_record () =
+  List.iter
+    (fun (spec_file, trace_file) ->
+      let spec =
+        match Scenario.Spec.load ("../examples/traces/" ^ spec_file) with
+        | Ok s -> s
+        | Error errs ->
+            Alcotest.failf "%s invalid: %s" spec_file
+              (String.concat "; " errs)
+      in
+      let schedule =
+        Scenario.Runner.builtin_schedule ~env:spec.Scenario.Spec.env
+          ~sigma:spec.Scenario.Spec.sigma
+          ~n:(Option.get spec.Scenario.Spec.n)
+          ~seed:spec.Scenario.Spec.seed
+        |> Option.get
+      in
+      let trace =
+        Scenario.Record.of_schedule ~seed:spec.Scenario.Spec.seed
+          ~provenance:
+            ("oblivious:" ^ Scenario.Spec.env_family spec.Scenario.Spec.env)
+          ~rounds:(Option.get spec.Scenario.Spec.max_rounds)
+          schedule
+      in
+      check Alcotest.string
+        (trace_file ^ " is exactly a fresh recording")
+        (read_file ("../examples/traces/" ^ trace_file))
+        (Scenario.Trace_io.to_string trace))
+    [
+      ("fresh_n16.scenario.json", "fresh_n16.trace.jsonl");
+      ("markov_n16.scenario.json", "markov_n16.trace.jsonl");
+    ]
+
 let test_vendored_specs_validate () =
   List.iter
     (fun path ->
@@ -398,6 +481,8 @@ let test_vendored_specs_validate () =
       "../examples/p2p_churn.scenario.json";
       "../examples/traces/rotator.scenario.json";
       "../examples/traces/office.scenario.json";
+      "../examples/traces/fresh_n16.scenario.json";
+      "../examples/traces/markov_n16.scenario.json";
     ]
 
 (* {2 Spec validation} *)
@@ -493,6 +578,8 @@ let suite =
       test_codec_errors;
     Alcotest.test_case "codec: validate catches semantic breaks" `Quick
       test_validate_catches_semantic_breaks;
+    Alcotest.test_case "replay: unvalidated deltas, errors in order" `Quick
+      test_replay_unvalidated_deltas;
     Alcotest.test_case "replay: Hold/Loop/Fail tails" `Quick
       test_replay_past_end;
     Alcotest.test_case "engine hook records the realized schedule" `Quick
@@ -515,6 +602,8 @@ let suite =
       test_embedded_csv_matches_vendored_file;
     Alcotest.test_case "vendored: trace file = fresh import" `Quick
       test_vendored_trace_matches_fresh_import;
+    Alcotest.test_case "vendored: recorded traces = fresh record" `Quick
+      test_vendored_traces_match_fresh_record;
     Alcotest.test_case "vendored: shipped specs validate" `Quick
       test_vendored_specs_validate;
     Alcotest.test_case "spec: accumulates every error" `Quick
