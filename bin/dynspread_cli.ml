@@ -101,12 +101,12 @@ let engine_arg =
     value & opt engine_conv Eng_fastpath
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Execution engine: $(b,fastpath) (the default optimized \
-           sequential engine), $(b,reference) (the pseudocode engine), \
-           or $(b,soa) (the mega-scale struct-of-arrays engine: Bigarray \
+          "Execution engine: $(b,soa) (the production engine: Bigarray \
            word planes, CSR adjacency, and intra-run Domain sharding — \
-           see $(b,--shards)). Run reports are bit-identical across \
-           engines; only wall-clock changes.")
+           see $(b,--shards)), $(b,fastpath) (the default: a name for \
+           $(b,soa) at one shard), or $(b,reference) (the pseudocode \
+           engine). Run reports are bit-identical across engines; only \
+           wall-clock changes.")
 
 let shards_arg =
   Arg.(
@@ -219,10 +219,10 @@ let fault_plan ~loss ~dup ~crash ~restart ~max_delay ~fault_seed ~seed =
     ~seed:(Option.value fault_seed ~default:seed)
     ()
 
-(* [None] means "the default fastpath engine" — callers use it to tell
-   an explicit engine request apart from the default, since a few run
-   shapes (reliable wrapper, oblivious-rw, lower-bound) are not
-   engine-parametric. *)
+(* [None] means "the default engine" (soa at one shard, also named
+   fastpath) — callers use it to tell an explicit engine request apart
+   from the default, since a few run shapes (reliable wrapper,
+   oblivious-rw, lower-bound) are not engine-parametric. *)
 let resolve_engine ~engine ~shards =
   if shards < 1 then bad_flag "--shards %d must be >= 1" shards;
   (match engine with
@@ -381,9 +381,12 @@ let env_arg =
 
 let sigma_arg =
   Arg.(
-    value & opt int 3
+    value & opt (some int) None
     & info [ "sigma" ] ~docv:"SIGMA"
-        ~doc:"Edge-stability enforced on oblivious environments (>= 1).")
+        ~doc:
+          "Edge-stability enforced on the generated oblivious environments \
+           (>= 1; default 3). $(b,fresh-random) draws every round afresh, \
+           so it takes no $(b,--sigma) above 1.")
 
 (* The CLI's committed envs as scenario envs, with the CLI's family
    constants; [Scenario.Runner.builtin_schedule] builds their schedules. *)
@@ -395,6 +398,22 @@ let spec_env = function
       Some (Scenario.Spec.Edge_markovian { p_up = None; p_down = 0.3 })
   | Env_fresh -> Some (Scenario.Spec.Fresh_random { p = 0.25 })
   | Env_cutter | Env_lb -> None
+
+(* The --sigma a committed env runs with: the flag's value if the
+   family takes it (a value it refuses is exit 2, by the spec's own
+   rule), else the default 3 where it applies and 1 elsewhere. *)
+let resolve_sigma env sigma =
+  match (sigma, spec_env env) with
+  | Some sigma, Some env ->
+      Option.iter
+        (bad_flag "--sigma %d: %s" sigma)
+        (Scenario.Spec.sigma_error env ~sigma);
+      sigma
+  | Some sigma, None -> sigma
+  | None, Some env when Option.is_none (Scenario.Spec.sigma_error env ~sigma:3)
+    ->
+      3
+  | None, _ -> 1
 
 let timeline_arg =
   Arg.(
@@ -485,6 +504,7 @@ let run_cmd =
       fault_seed reliable timeline trace profile json check engine shards =
     Check.set_enabled check;
     let eng_opt = resolve_engine ~engine ~shards in
+    let sigma = resolve_sigma env sigma in
     let faults =
       fault_plan ~loss ~dup ~crash ~restart ~max_delay ~fault_seed ~seed
     in
@@ -532,7 +552,7 @@ let run_cmd =
         `Error
           (false,
            "--engine selects the engine-parametric protocols' engine; the \
-            --reliable wrapper runs on the fastpath engine only")
+            --reliable wrapper runs on the default engine only")
     | Rw, _ when Option.is_some eng_opt ->
         `Error
           (false, "oblivious-rw is not engine-parametric; drop --engine")
@@ -777,6 +797,7 @@ let sweep_cmd =
       & info [ "k-factor" ] ~docv:"F" ~doc:"Tokens per size: k = F * n.")
   in
   let run protocol env sizes k_factor sigma seed csv trace json =
+    let sigma = resolve_sigma env sigma in
     with_trace trace @@ fun obs ->
     let rows = ref [] in
     let reports = ref [] in
@@ -1208,8 +1229,8 @@ let fuzz_cmd =
   let doc =
     "Differential fuzzing: run randomly generated scenario cases through a \
      pair of engines (by default a generated per-case pairing: the \
-     pseudocode reference engine or the sharded SoA engine against the \
-     optimized fastpath engine) and require byte-identical run reports and \
+     pseudocode reference engine against the SoA engine at 1, 2 or 4 \
+     shards) and require byte-identical run reports and \
      realized schedules. Each divergence is shrunk to a minimal case and \
      saved to the corpus directory as a replayable trace + scenario spec \
      pair. Exit 0 when all cases agree, 1 on any mismatch, 2 on bad flags."
@@ -1241,17 +1262,17 @@ let fuzz_cmd =
       & opt
           (enum
              [
-               ("generated", `Generated); ("reference", `Reference);
-               ("soa", `Soa 1); ("soa-2", `Soa 2); ("soa-4", `Soa 4);
+               ("generated", `Generated); ("soa", `Soa 1);
+               ("reference", `Soa 1); ("soa-2", `Soa 2); ("soa-4", `Soa 4);
              ])
           `Generated
       & info [ "engines" ] ~docv:"PAIRING"
           ~doc:
             "Engine pairing: $(b,generated) (default) draws a per-case \
-             pairing — reference or SoA at shard counts 1/2/4, each \
-             against the fastpath engine; $(b,reference), $(b,soa), \
-             $(b,soa-2) or $(b,soa-4) pin that engine against the \
-             fastpath engine on every case.")
+             pairing — reference against SoA at shard counts 1/2/4; \
+             $(b,soa), $(b,soa-2) or $(b,soa-4) pin that SoA engine \
+             against reference on every case; $(b,reference) is an alias \
+             of $(b,soa).")
   in
   let run runs seed corpus jobs shrink_budget json profile check engines =
     Check.set_enabled check;
@@ -1262,15 +1283,14 @@ let fuzz_cmd =
       bad_flag "--shrink-budget %d must be >= 1" shrink_budget;
     if jobs < 1 then bad_flag "--jobs %d must be >= 1" jobs;
     let metrics = Obs.Metrics.create () in
-    let engine_a =
+    let engine_b =
       match engines with
       | `Generated -> None
-      | `Reference -> Some Engine.Reference.engine
       | `Soa shards -> Some (Engine.Soa.engine ~shards ())
     in
     with_profile profile @@ fun prof ->
     let outcome =
-      Fuzz.Campaign.run ?engine_a ~jobs ~metrics ~prof ~shrink_budget ~runs
+      Fuzz.Campaign.run ?engine_b ~jobs ~metrics ~prof ~shrink_budget ~runs
         ~seed ()
     in
     let saved = Fuzz.Campaign.save_corpus ~dir:corpus outcome in

@@ -1361,10 +1361,10 @@ let mega ?(ns = [ 1_000; 10_000 ]) ?(k = 32) ?(shards = 4) ?metrics ~seed ()
         in
         let base, base_s = run (Engine.Soa.engine ()) in
         let sharded, sharded_s = run (Engine.Soa.engine ~shards ()) in
-        let fast, _ = run Engine.Default.engine in
+        let oracle, _ = run Engine.Reference.engine in
         let identical =
           String.equal (report base) (report sharded)
-          && String.equal (report base) (report fast)
+          && String.equal (report base) (report oracle)
         in
         if not base.Engine.Run_result.completed then all_completed := false;
         if not identical then all_identical := false;
@@ -1397,7 +1397,7 @@ let mega ?(ns = [ 1_000; 10_000 ]) ?(k = 32) ?(shards = 4) ?metrics ~seed ()
       [
         Printf.sprintf
           "shape check (%s): every run completes and the soa, soa-%d and \
-           fastpath engines produce byte-identical run reports"
+           reference engines produce byte-identical run reports"
           (pass_fail (!all_completed && !all_identical))
           shards;
         "amortized/token stays O(n) under phased flooding (its nk message \

@@ -132,10 +132,10 @@ val mega :
     struct-of-arrays engine ({!Engine.Soa}) at n up to 10^5, on a
     sparse regular-ish schedule re-drawn every 16 rounds.  Each row
     runs the same committed environment on [soa], [soa-<shards>] and
-    the fastpath engine and requires byte-identical run reports — the
-    determinism contract at scale — alongside amortized messages per
-    token and wall-clock per round.  Defaults keep CI fast; the 10^5
-    invocation is in EXPERIMENTS.md. *)
+    the {!Engine.Reference} oracle and requires byte-identical run
+    reports — the determinism contract at scale — alongside amortized
+    messages per token and wall-clock per round.  Defaults keep CI
+    fast; the 10^5 invocation is in EXPERIMENTS.md. *)
 
 val all :
   ?jobs:int -> ?metrics:Obs.Metrics.t -> ?prof:Obs.Span.t -> seed:int ->

@@ -66,8 +66,8 @@
 
     {!start} … {!finish} is the round-boundary policy of the three
     production loops, written once: {!Runner_broadcast}, the unicast
-    loop {!Runner_unicast.run_sharded} (which {!Default} runs over one
-    span and {!Soa} over its shards), and {!Soa}'s plane kernel.  {!Reference} deliberately
+    loop {!Runner_unicast.run_sharded} (which {!Soa} runs over its
+    shards), and {!Soa}'s plane kernel.  {!Reference} deliberately
     keeps its own copy: it is the differential fuzzer's oracle, and a
     control bug shared with it would be invisible. *)
 

@@ -1,9 +1,8 @@
 (** The common [ENGINE] seam.
 
-    All three simulation engines — the fast-path {!Default}, the
-    struct-of-arrays {!Soa}, and the pseudocode-faithful {!Reference}
-    — implement the same pair of [run] signatures, packaged as a
-    first-class {!module-type-ENGINE} value.  Anything that executes a
+    Both simulation engines — the production {!Soa} and the
+    pseudocode-faithful {!Reference} — implement the same pair of [run]
+    signatures, packaged as a first-class {!module-type-ENGINE} value.  Anything that executes a
     protocol against an adversary can be parameterized over the engine
     (see [Gossip.Runners]' [?engine], the [lib/fuzz] differential
     harness, and the serve daemon's workers).
@@ -59,8 +58,8 @@ end
 
 module type ENGINE = sig
   val name : string
-  (** Stable identifier for reports and diagnostics (["fastpath"],
-      ["soa"], ["soa-N"], ["reference"]). *)
+  (** Stable identifier for reports and diagnostics (["soa"],
+      ["soa-N"], ["reference"]). *)
 
   module Broadcast : BROADCAST
   module Unicast : UNICAST

@@ -1,5 +1,3 @@
-open Dynet.Ops
-
 (* Optional struct-of-arrays capability (see the mli for the laws a
    provider must satisfy): a protocol whose per-node state is exactly
    "a bitset of known tokens" under a phased single-token broadcast
@@ -41,32 +39,17 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
     ~max_rounds ~stop () =
   let n = Array.length states in
   let ledger = Ledger.create () in
-  let { Ctx.obs; faults; _ } = ctx in
+  let obs = ctx.Ctx.obs in
   (* Hoisted so the default Null sink costs one boolean test per
      emission site and never allocates an event. *)
   let tracing = not (Obs.Sink.is_null obs) in
-  (* Hoisted fault-layer activity test: with [Faults.Plan.none] the
-     round loop below is the pre-fault-layer code path. *)
-  let frun = Faults.Plan.start faults ~n in
-  let faulty = Faults.Plan.active frun in
-  let fcounts = Faults.Plan.counts frun in
-  (* Invariant layer, hoisted like [tracing]/[faulty].  A local
-     broadcast is charged once in the ledger but delivered per edge, so
-     [c_sent] counts broadcasts while the conservation counters track
-     per-edge message copies (see Runner_unicast for the scheme). *)
-  let checking = Check.enabled () in
-  let c_sent = ref 0 and c_created = ref 0 and c_consumed = ref 0 in
-  let c_dropped = ref 0 and c_inflight = ref 0 in
-  let initial = if faulty then Array.copy states else [||] in
-  (* Delayed per-edge deliveries: due round -> (dst, src, msg). *)
-  let delayed : (int, (Dynet.Node_id.t * Dynet.Node_id.t * m) list ref)
-      Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let emit_fault ~round ~kind ~node ?dst ?cls () =
-    if tracing then
-      Obs.Sink.emit obs (Obs.Trace.Fault { round; kind; node; dst; cls })
-  in
+  (* The fault and invariant layers, hoisted the same way: with
+     [Faults.Plan.none] and --check off the round loop below touches
+     neither.  A local broadcast is charged once in the ledger but
+     delivered per edge, so the sent count is broadcasts while the
+     copy counters track per-edge deliveries. *)
+  let dl = Delivery.start ctx ~classify:P.classify states in
+  let faulty = Delivery.faulty dl and checking = Delivery.checking dl in
   let sum_progress () =
     Array.fold_left (fun acc st -> acc + P.progress st) 0 states
   in
@@ -78,26 +61,13 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
   in
   while Ctx.next run do
     let r = Ctx.round run in
-    if faulty then begin
-      Ctx.phase run "faults";
-      Faults.Plan.begin_round frun ~round:r
-        ~on_crash:(fun v -> emit_fault ~round:r ~kind:"crash" ~node:v ())
-        ~on_restart:(fun v ->
-          states.(v) <- initial.(v);
-          emit_fault ~round:r ~kind:"restart" ~node:v ());
-      if Faults.Plan.doomed frun then
-        Ctx.abort run "all nodes crashed with no possible restart"
-    end;
+    Delivery.begin_round dl run;
     if not (Ctx.aborted run) then begin
       Ctx.phase run "intent";
-      let intents =
-        Array.map
-          (fun _ -> (None : m option))
-          states
-      in
+      let intents : m option array = Array.make n None in
       for v = 0 to n - 1 do
         (* A crashed node broadcasts nothing this round. *)
-        if (not faulty) || Faults.Plan.alive frun v then begin
+        if Delivery.alive dl v then begin
           let st, m = P.intent states.(v) ~round:r in
           states.(v) <- st;
           intents.(v) <- m
@@ -117,7 +87,7 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
               let cls = P.classify m in
               Ledger.record ledger cls 1;
               Ledger.record_sender ledger v 1;
-              if checking then incr c_sent;
+              if checking then Delivery.sent dl 1;
               if tracing then
                 Obs.Sink.emit obs
                   (Obs.Trace.Send
@@ -142,107 +112,40 @@ let run (type s m) (module P : PROTOCOL with type state = s and type msg = m)
                 match intents.(u) with
                 | None -> ()
                 | Some m ->
-                    if checking then incr c_created;
+                    if checking then Delivery.created dl 1;
                     acc := (u, m) :: !acc
               done;
               !acc)
         else begin
-          (* A local broadcast is charged once but delivered per edge;
-             the per-edge deliveries fail (or duplicate, or lag)
-             independently. *)
+          (* The per-edge deliveries fail (or duplicate, or lag)
+             independently, drawn per receiver, then per ascending
+             neighbor. *)
           let inboxes = Array.make n [] in
           for v = 0 to n - 1 do
             Array.iter
               (fun u ->
                 match intents.(u) with
                 | None -> ()
-                | Some m -> (
-                    let cls_name = Msg_class.to_string (P.classify m) in
-                    match Faults.Plan.deliveries frun with
-                    | None ->
-                        if checking then begin
-                          incr c_created;
-                          incr c_dropped
-                        end;
-                        emit_fault ~round:r ~kind:"drop" ~node:u ~dst:v
-                          ~cls:cls_name ()
-                    | Some delays ->
-                        if checking then
-                          c_created := !c_created + List.length delays;
-                        if List.length delays > 1 then
-                          emit_fault ~round:r ~kind:"dup" ~node:u ~dst:v
-                            ~cls:cls_name ();
-                        List.iter
-                          (fun d ->
-                            if d = 0 then inboxes.(v) <- (u, m) :: inboxes.(v)
-                            else begin
-                              if checking then incr c_inflight;
-                              emit_fault ~round:r ~kind:"delay" ~node:u ~dst:v
-                                ~cls:cls_name ();
-                              let due = r + d in
-                              let cell =
-                                match Hashtbl.find_opt delayed due with
-                                | Some cell -> cell
-                                | None ->
-                                    let cell = ref [] in
-                                    Hashtbl.add delayed due cell;
-                                    cell
-                              in
-                              cell := (v, u, m) :: !cell
-                            end)
-                          delays))
+                | Some m -> Delivery.deliver dl ~inboxes ~round:r ~src:u ~dst:v m)
               (Dynet.Graph.neighbors g v)
           done;
-          (match Hashtbl.find_opt delayed r with
-          | None -> ()
-          | Some cell ->
-              if checking then
-                c_inflight := !c_inflight - List.length !cell;
-              List.iter
-                (fun (dst, src, m) ->
-                  inboxes.(dst) <- (src, m) :: inboxes.(dst))
-                (List.rev !cell);
-              Hashtbl.remove delayed r);
+          Delivery.settle dl ~inboxes ~round:r;
           for v = 0 to n - 1 do
-            if not (Faults.Plan.alive frun v) then begin
-              if checking then
-                c_dropped := !c_dropped + List.length inboxes.(v);
-              List.iter
-                (fun (src, m) ->
-                  fcounts.Faults.Counts.drops <-
-                    fcounts.Faults.Counts.drops + 1;
-                  emit_fault ~round:r ~kind:"drop" ~node:src ~dst:v
-                    ~cls:(Msg_class.to_string (P.classify m)) ())
-                (List.rev inboxes.(v));
-              inboxes.(v) <- []
-            end
-            else inboxes.(v) <- List.rev inboxes.(v)
+            inboxes.(v) <- List.rev inboxes.(v)
           done;
           inboxes
         end
       in
       Ctx.phase run "receive";
       for v = 0 to n - 1 do
-        if (not faulty) || Faults.Plan.alive frun v then begin
-          if checking then
-            c_consumed := !c_consumed + List.length inboxes.(v);
+        if Delivery.alive dl v then begin
+          if checking then Delivery.consumed dl (List.length inboxes.(v));
           states.(v) <- P.receive states.(v) ~round:r ~inbox:inboxes.(v)
         end
       done;
-      if checking then begin
-        Ctx.phase run "check";
-        Check.connected
-          ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
-          g;
-        Check.require ~what:"ledger total equals broadcasts performed"
-          (fun () -> Ledger.total ledger = !c_sent);
-        Check.require ~what:"message-copy conservation" (fun () ->
-            Check.conserved ~created:!c_created ~consumed:!c_consumed
-              ~dropped:!c_dropped ~in_flight:!c_inflight)
-      end;
+      Delivery.check_round dl run ~ledger g;
       prev := g;
       Ctx.round_done run
     end
   done;
-  ( Ctx.finish run ~fault_counts:(if faulty then Some fcounts else None),
-    states )
+  (Ctx.finish run ~fault_counts:(Delivery.fault_counts dl), states)

@@ -43,7 +43,7 @@ type ('s, 'm) plane_spec = {
     and reproduce runs bit-identically without materialising intents,
     inboxes, or per-round state records ({!Soa} does).  The laws are
     differentially enforced: the fuzz harness runs the SoA kernel
-    against this generic runner on the same cases. *)
+    against {!Reference}'s generic broadcast loop on the same cases. *)
 
 module type PROTOCOL = sig
   type state

@@ -65,39 +65,15 @@ let run_sharded (type s m)
   let n = Array.length states in
   let shards = Array.length spans in
   let ledger = Ledger.create () in
-  let { Ctx.obs; faults; _ } = ctx in
+  let obs = ctx.Ctx.obs in
   (* Hoisted so the default Null sink costs one boolean test per
      emission site and never allocates an event. *)
   let tracing = not (Obs.Sink.is_null obs) in
-  (* Same null-object pattern for the fault layer: with
-     [Faults.Plan.none] every fault hook below is behind one hoisted
-     boolean. *)
-  let frun = Faults.Plan.start faults ~n in
-  let faulty = Faults.Plan.active frun in
-  let fcounts = Faults.Plan.counts frun in
-  (* Invariant layer, hoisted like [tracing]/[faulty]: with --check off
-     the counters below are never touched and no predicate runs.  The
-     counters track message *copies* through the delivery layer —
-     created at send (duplication creates extras, a send-time drop
-     destroys the copy), consumed at receive, destroyed with a dead
-     node's inbox, or delayed in flight — so the round-end conservation
-     check catches any accounting drift between the ledger and the
-     physical delivery path. *)
-  let checking = Check.enabled () in
-  let c_sent = ref 0 and c_created = ref 0 and c_consumed = ref 0 in
-  let c_dropped = ref 0 and c_inflight = ref 0 in
-  (* Initial states, snapshotted for crash-restart state loss. *)
-  let initial = if faulty then Array.copy states else [||] in
-  (* Delayed deliveries: due round -> (dst, src, msg) in send order. *)
-  let delayed : (int, (Dynet.Node_id.t * Dynet.Node_id.t * m) list ref)
-      Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let emit_fault ~round ~kind ~node ?dst ?cls () =
-    if tracing then
-      Obs.Sink.emit obs (Obs.Trace.Fault { round; kind; node; dst; cls })
-  in
-  let live v = (not faulty) || Faults.Plan.alive frun v in
+  (* The fault and invariant layers, hoisted the same way: with
+     [Faults.Plan.none] every fault step below is behind one boolean,
+     and with --check off the copy counters are never fed. *)
+  let dl = Delivery.start ctx ~classify:P.classify states in
+  let faulty = Delivery.faulty dl and checking = Delivery.checking dl in
   let sum_progress () =
     Array.fold_left (fun acc st -> acc + P.progress st) 0 states
   in
@@ -126,7 +102,7 @@ let run_sharded (type s m)
   let send_job ~shard:_ ~lo ~hi =
     let g = !cur_graph and r = !cur_round in
     for v = lo to hi - 1 do
-      if live v then begin
+      if Delivery.alive dl v then begin
         let st, out =
           P.send states.(v) ~round:r ~neighbors:(Dynet.Graph.neighbors g v)
         in
@@ -138,7 +114,7 @@ let run_sharded (type s m)
   let receive_job ~shard ~lo ~hi =
     let g = !cur_graph and r = !cur_round in
     for v = lo to hi - 1 do
-      if live v then begin
+      if Delivery.alive dl v then begin
         let inbox =
           List.stable_sort
             (fun (a, _) (b, _) -> Dynet.Node_id.compare a b)
@@ -156,16 +132,7 @@ let run_sharded (type s m)
   Shard_pool.with_pool ~spans @@ fun pool ->
   while Ctx.next run do
     let r = Ctx.round run in
-    if faulty then begin
-      Ctx.phase run "faults";
-      Faults.Plan.begin_round frun ~round:r
-        ~on_crash:(fun v -> emit_fault ~round:r ~kind:"crash" ~node:v ())
-        ~on_restart:(fun v ->
-          states.(v) <- initial.(v);
-          emit_fault ~round:r ~kind:"restart" ~node:v ());
-      if Faults.Plan.doomed frun then
-        Ctx.abort run "all nodes crashed with no possible restart"
-    end;
+    Delivery.begin_round dl run;
     if not (Ctx.aborted run) then begin
       Ctx.phase run "adversary";
       let g = adversary ~round:r ~prev:!prev ~states ~traffic:!traffic in
@@ -181,7 +148,7 @@ let run_sharded (type s m)
          this round has already sent from its initial one. *)
       let round_traffic = ref [] in
       for v = 0 to n - 1 do
-        if live v then begin
+        if Delivery.alive dl v then begin
           states.(v) <- new_states.(v);
           incr sender_mark;
           let neighbors = Dynet.Graph.neighbors g v in
@@ -207,7 +174,7 @@ let run_sharded (type s m)
                   ());
               Ledger.record ledger cls 1;
               Ledger.record_sender ledger v 1;
-              if checking then incr c_sent;
+              if checking then Delivery.sent dl 1;
               if tracing then
                 Obs.Sink.emit obs
                   (Obs.Trace.Send
@@ -220,102 +187,36 @@ let run_sharded (type s m)
               round_traffic := (v, dst, cls) :: !round_traffic;
               (* Collect in reverse, fix sender order at receive. *)
               if not faulty then begin
-                if checking then incr c_created;
+                if checking then Delivery.created dl 1;
                 inboxes.(dst) <- (v, m) :: inboxes.(dst)
               end
-              else
-                let cls_name = Msg_class.to_string cls in
-                match Faults.Plan.deliveries frun with
-                | None ->
-                    if checking then begin
-                      incr c_created;
-                      incr c_dropped
-                    end;
-                    emit_fault ~round:r ~kind:"drop" ~node:v ~dst
-                      ~cls:cls_name ()
-                | Some delays ->
-                    if checking then
-                      c_created := !c_created + List.length delays;
-                    if List.length delays > 1 then
-                      emit_fault ~round:r ~kind:"dup" ~node:v ~dst
-                        ~cls:cls_name ();
-                    List.iter
-                      (fun d ->
-                        if d = 0 then inboxes.(dst) <- (v, m) :: inboxes.(dst)
-                        else begin
-                          if checking then incr c_inflight;
-                          emit_fault ~round:r ~kind:"delay" ~node:v ~dst
-                            ~cls:cls_name ();
-                          let due = r + d in
-                          let cell =
-                            match Hashtbl.find_opt delayed due with
-                            | Some cell -> cell
-                            | None ->
-                                let cell = ref [] in
-                                Hashtbl.add delayed due cell;
-                                cell
-                          in
-                          cell := (dst, v, m) :: !cell
-                        end)
-                      delays)
+              else Delivery.deliver dl ~inboxes ~round:r ~src:v ~dst m)
             outs.(v);
           outs.(v) <- []
         end
       done;
       if faulty then begin
         Ctx.phase run "deliver";
-        (* Messages whose bounded delay expires this round arrive now,
-           after the on-time traffic (the receive sort interleaves
-           them into sender order). *)
-        (match Hashtbl.find_opt delayed r with
-        | None -> ()
-        | Some cell ->
-            if checking then
-              c_inflight := !c_inflight - List.length !cell;
-            List.iter
-              (fun (dst, src, m) -> inboxes.(dst) <- (src, m) :: inboxes.(dst))
-              (List.rev !cell);
-            Hashtbl.remove delayed r);
-        (* A node crashed at delivery time loses its whole inbox. *)
-        for v = 0 to n - 1 do
-          if not (Faults.Plan.alive frun v) then begin
-            if checking then
-              c_dropped := !c_dropped + List.length inboxes.(v);
-            List.iter
-              (fun (src, m) ->
-                fcounts.Faults.Counts.drops <-
-                  fcounts.Faults.Counts.drops + 1;
-                emit_fault ~round:r ~kind:"drop" ~node:src ~dst:v
-                  ~cls:(Msg_class.to_string (P.classify m)) ())
-              (List.rev inboxes.(v));
-            inboxes.(v) <- []
-          end
-        done
+        (* Copies whose bounded delay expires this round arrive after
+           the on-time traffic (the receive sort interleaves them into
+           sender order); a node crashed at delivery time loses its
+           whole inbox. *)
+        Delivery.settle dl ~inboxes ~round:r
       end;
       Ctx.phase run "receive";
       Shard_pool.run pool receive_job;
-      if checking then begin
+      if checking then
         for s = 0 to shards - 1 do
-          c_consumed := !c_consumed + shard_consumed.(s);
+          Delivery.consumed dl shard_consumed.(s);
           shard_consumed.(s) <- 0
         done;
-        Ctx.phase run "check";
-        Check.connected
-          ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
-          g;
-        Check.require ~what:"ledger total equals physical sends" (fun () ->
-            Ledger.total ledger = !c_sent);
-        Check.require ~what:"message-copy conservation" (fun () ->
-            Check.conserved ~created:!c_created ~consumed:!c_consumed
-              ~dropped:!c_dropped ~in_flight:!c_inflight)
-      end;
+      Delivery.check_round dl run ~ledger g;
       prev := g;
       traffic := List.rev !round_traffic;
       Ctx.round_done run
     end
   done;
-  ( Ctx.finish run ~fault_counts:(if faulty then Some fcounts else None),
-    states )
+  (Ctx.finish run ~fault_counts:(Delivery.fault_counts dl), states)
 
 let run p ?ctx ?init_prev ?target_progress ~states ~adversary ~max_rounds ~stop
     () =

@@ -14,9 +14,8 @@
     constant number of tokens plus O(log n) bits per message.
 
     This module's round loop is the only production unicast loop:
-    {!Default} runs it over one span and {!Soa} over its shard spans
-    ({!run_sharded}); only {!Reference} keeps its own, as the
-    differential oracle. *)
+    {!Soa} runs it over its shard spans ({!run_sharded}); only
+    {!Reference} keeps its own, as the differential oracle. *)
 
 module type PROTOCOL = sig
   type state

@@ -1,6 +1,7 @@
 open Dynet.Ops
 
-(* The mega-scale struct-of-arrays engine.
+(* The production engine: struct-of-arrays at mega scale, sharded over
+   a domain pool.
 
    Three execution strategies behind the one ENGINE seam, chosen per
    run:
@@ -19,9 +20,9 @@ open Dynet.Ops
      Domain pool, and all accounting (checks, ledger, trace, traffic,
      fault draws, inbox assembly) replays sequentially in node order
      between the barriers.
-   - {b delegation}: fault-injected broadcast runs, and broadcast
-     protocols without the plane capability, run on the sequential
-     fast path ([Runner_broadcast]) unchanged.
+   - {b generic broadcast}: fault-injected broadcast runs, and
+     broadcast protocols without the plane capability, run the
+     sequential [Runner_broadcast.run].
 
    Determinism: each worker owns a contiguous node range and writes
    only its own plane rows and array slots; every cross-shard
@@ -45,8 +46,10 @@ let run_plane (type s m)
   let ledger = Ledger.create () in
   let obs = ctx.Ctx.obs in
   let tracing = not (Obs.Sink.is_null obs) in
-  let checking = Check.enabled () in
-  let c_sent = ref 0 and c_created = ref 0 and c_consumed = ref 0 in
+  (* The kernel runs fault-free only, so of the delivery layer it uses
+     the copy counters and their round-end checks. *)
+  let dl = Delivery.start ctx ~classify:P.classify states in
+  let checking = Delivery.checking dl in
   (* One contiguous plane per run: row v is node v's known-token mask. *)
   let plane = Dynet.Plane.create ~rows:n ~width:k in
   for v = 0 to n - 1 do
@@ -256,7 +259,7 @@ let run_plane (type s m)
     Ctx.commit_graph run ~prev:!prev g;
     Ctx.phase run "send";
     if !b > 0 then Ledger.record ledger phase_cls.(p) !b;
-    if checking then c_sent := !c_sent + !b;
+    if checking then Delivery.sent dl !b;
     if tracing then begin
       let cls_name = Msg_class.to_string phase_cls.(p) in
       for v = 0 to n - 1 do
@@ -287,29 +290,19 @@ let run_plane (type s m)
       total_known := !total_known + shard_learned.(s);
       shard_learned.(s) <- 0;
       if checking then begin
-        c_created := !c_created + shard_copies.(s);
-        c_consumed := !c_consumed + shard_copies.(s);
+        Delivery.created dl shard_copies.(s);
+        Delivery.consumed dl shard_copies.(s);
         shard_copies.(s) <- 0
       end
     done;
-    if checking then begin
-      Ctx.phase run "check";
-      Check.connected
-        ~what:(Printf.sprintf "round %d: adversary graph connectivity" r)
-        g;
-      Check.require ~what:"ledger total equals broadcasts performed" (fun () ->
-          Ledger.total ledger = !c_sent);
-      Check.require ~what:"message-copy conservation" (fun () ->
-          Check.conserved ~created:!c_created ~consumed:!c_consumed ~dropped:0
-            ~in_flight:0)
-    end;
+    Delivery.check_round dl run ~ledger g;
     prev := g;
     Ctx.round_done run
   done;
   for v = 0 to n - 1 do
     if loads.(v) > 0 then Ledger.record_sender ledger v loads.(v)
   done;
-  (Ctx.finish run ~fault_counts:None, states)
+  (Ctx.finish run ~fault_counts:(Delivery.fault_counts dl), states)
 
 (* {2 Engine packaging} *)
 

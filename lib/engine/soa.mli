@@ -1,10 +1,10 @@
-(** The mega-scale struct-of-arrays engine.
+(** The production engine: struct-of-arrays at mega scale.
 
-    A third {!Engine_sig.ENGINE} implementation built for [n = 10^5]:
-    token masks live in one contiguous {!Dynet.Plane} (node-major
-    Bigarray word plane), adjacency in a delta-gated {!Dynet.Csr}, and
-    the round loop shards node space across a {!Shard_pool} of
-    long-lived domains with a barrier per phase.
+    Built for [n = 10^5]: token masks live in one contiguous
+    {!Dynet.Plane} (node-major Bigarray word plane), adjacency in a
+    delta-gated {!Dynet.Csr}, and the round loop shards node space
+    across a {!Shard_pool} of long-lived domains with a barrier per
+    phase.
 
     Strategy per run:
 
@@ -17,13 +17,13 @@
       accounting and fault delivery replayed sequentially in node
       order between the barriers;
     - fault-injected broadcast runs and plane-less broadcast protocols
-      delegate to the sequential {!Runner_broadcast} unchanged.
+      run the sequential {!Runner_broadcast.run}.
 
     Determinism: workers own contiguous node ranges and write only
-    their own plane rows / array slots; cross-shard
-    merges happen in ascending shard order.  Reports are bit-identical
-    to {!Default} at any shard count — the property the differential
-    fuzz harness ({!Fuzz.Diff}) enforces. *)
+    their own plane rows / array slots; cross-shard merges happen in
+    ascending shard order.  Reports are bit-identical to {!Reference}
+    at any shard count — the property the differential fuzz harness
+    ({!Fuzz.Diff}) enforces. *)
 
 val name : string
 (** ["soa"]. *)
@@ -43,4 +43,5 @@ val engine : ?shards:int -> unit -> (module Engine_sig.ENGINE)
 (** {!make} without the test-only knob. *)
 
 val default_engine : (module Engine_sig.ENGINE)
-(** [make ()] — single-shard SoA. *)
+(** [make ()] — single-shard SoA, the default engine of every front
+    door (the CLI's and rpc's ["fastpath"] name it). *)

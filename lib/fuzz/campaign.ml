@@ -9,21 +9,18 @@ type mismatch = {
 
 type outcome = { runs : int; mismatches : mismatch list }
 
-let run ?engine_a ?engine_b ?flooding_b ?jobs ?metrics ?prof ?shrink_budget
+let run ?engine_b ?flooding_b ?jobs ?metrics ?prof ?shrink_budget
     ~runs ~seed () =
   let results =
     Analysis.Sweep.map_span ?jobs ?prof ~name:"fuzz"
       (fun ~prof id ->
         let case = Gen.case ~seed ~id in
-        (* Pairing per case unless pinned: an explicit engine fixes its
-           side and the other defaults to the engine it is checked
-           against in the generated pairs. *)
+        (* Pairing per case unless the b side is pinned; the a side is
+           always the Reference oracle. *)
         let engine_a, engine_b =
-          match (engine_a, engine_b) with
-          | Some a, Some b -> (a, b)
-          | Some a, None -> (a, Engine.Default.engine)
-          | None, Some b -> (Engine.Reference.engine, b)
-          | None, None -> Gen.engine_pair ~seed ~id
+          match engine_b with
+          | None -> Gen.engine_pair ~seed ~id
+          | Some b -> (Engine.Reference.engine, b)
         in
         match Diff.check ?flooding_b ~prof ~engine_a ~engine_b case with
         | None -> None

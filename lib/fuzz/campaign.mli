@@ -3,11 +3,10 @@
     [run ~runs ~seed ()] feeds cases [0 .. runs-1] of campaign [seed]
     (see {!Gen}) through two engines and collects every divergence,
     each minimized by {!Shrink} against the predicate "the engines
-    still diverge".  When neither engine is pinned the pairing is a
-    generated per-case dimension ({!Gen.engine_pair}): pseudocode
-    {!Engine.Reference} against the optimized {!Engine.Default} on a
-    quarter of cases, the struct-of-arrays {!Engine.Soa} at shard
-    counts 1/2/4 against {!Engine.Default} on the rest.
+    still diverge".  The [a] side is always the pseudocode
+    {!Engine.Reference}; unless [?engine_b] pins the [b] side, it is a
+    generated per-case dimension ({!Gen.engine_pair}): the production
+    {!Engine.Soa} at shard counts 1/2/4.
 
     Cases run through {!Analysis.Sweep.map_span} ([?jobs]), one case
     per point: each case (and its shrink, which happens inside the
@@ -34,7 +33,6 @@ type mismatch = {
 type outcome = { runs : int; mismatches : mismatch list }
 
 val run :
-  ?engine_a:(module Engine.Engine_sig.ENGINE) ->
   ?engine_b:(module Engine.Engine_sig.ENGINE) ->
   ?flooding_b:(module Diff.FLOODING) ->
   ?jobs:int ->
@@ -47,10 +45,7 @@ val run :
   outcome
 (** [?flooding_b] substitutes the flooding implementation on the [b]
     side (the mutation smoke test); [?shrink_budget] caps predicate
-    evaluations per mismatch (default: {!Shrink.minimize}'s).
-    Pinning exactly one engine pins the pairing: the other side
-    defaults to {!Engine.Default} (for [?engine_a]) or
-    {!Engine.Reference} (for [?engine_b]). *)
+    evaluations per mismatch (default: {!Shrink.minimize}'s). *)
 
 val save_corpus : dir:string -> outcome -> string list
 (** Write every mismatch's shrunk pair under [dir] (created if

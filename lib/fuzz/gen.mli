@@ -32,7 +32,6 @@ val engine_pair :
   (module Engine.Engine_sig.ENGINE) * (module Engine.Engine_sig.ENGINE)
 (** The differential pairing for the [id]-th case, drawn from a salted
     stream of the same per-case seed (so the pairing dimension never
-    shifts case inputs): [Reference]-vs-[Default] on a quarter of
-    draws, [Soa]-vs-[Default] at shard counts 1, 2 and 4 on the rest.
-    Campaigns that pass no explicit engines use this, making every
-    fuzz run a three-engine differential. *)
+    shifts case inputs): the [Reference] oracle against [Soa] at a
+    shard count of 1, 2 or 4, each a third of draws.  Campaigns that
+    pass no explicit engines use this. *)

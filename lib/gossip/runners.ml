@@ -10,7 +10,7 @@ let unicast_adversary ~n = function
   | Request_cutting { seed; cut_prob } ->
       Adversary.Request_cutter.adversary ~seed ~n ~cut_prob
 
-let single_source ~instance ~env ?(engine = Engine.Default.engine)
+let single_source ~instance ~env ?(engine = Engine.Soa.default_engine)
     ?max_rounds ?stall_after ?cancel ?config ?faults ?obs ?prof ?on_graph () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
@@ -26,7 +26,7 @@ let single_source ~instance ~env ?(engine = Engine.Default.engine)
     ~stop:(Single_source.all_complete ~k)
     ()
 
-let multi_source ~instance ~env ?(engine = Engine.Default.engine) ?max_rounds
+let multi_source ~instance ~env ?(engine = Engine.Soa.default_engine) ?max_rounds
     ?stall_after ?cancel ?source_order ?seed ?faults ?obs ?prof ?on_graph () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
@@ -126,7 +126,7 @@ let reliable_multi_source ~instance ~env ?max_rounds ?source_order ?seed ?rto
     Array.map Reliable_multi.inner states,
     retransmits )
 
-let flooding ~instance ~schedule ?(engine = Engine.Default.engine) ?phase_len
+let flooding ~instance ~schedule ?(engine = Engine.Soa.default_engine) ?phase_len
     ?max_rounds ?stall_after ?cancel ?faults ?obs ?prof ?on_graph () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in

@@ -25,8 +25,9 @@
     arms on looped-trace environments), [?cancel] (the serve
     scheduler's round-boundary cancellation), and are
     {e engine-parametric}: the optional [?engine] (default
-    {!Engine.Default.engine}) selects the {!Engine.Engine_sig.ENGINE}
-    implementation that executes the run — pass
+    {!Engine.Soa.default_engine}, the production engine at one shard)
+    selects the {!Engine.Engine_sig.ENGINE} implementation that
+    executes the run — pass
     {!Engine.Reference.engine} for the pseudocode-faithful baseline the
     differential fuzzer checks against. *)
 

@@ -110,10 +110,11 @@ val run :
   (Obs.Report.t array, string) result
 (** [prepare] then [run_prepared]: execute every repeat and return the
     run reports in repeat order.
-    [?engine] (default {!Engine.Default.engine}) selects the execution
-    engine for the engine-parametric algorithms (flooding,
+    [?engine] (default {!Engine.Soa.default_engine}) selects the
+    execution engine for the engine-parametric algorithms (flooding,
     single-source, multi-source); reports are engine-independent, so
-    passing {!Engine.Soa.engine} changes only the wall-clock.
+    passing a sharded {!Engine.Soa.engine} or {!Engine.Reference.engine}
+    changes only the wall-clock.
     [?prof] (default {!Obs.Span.null}) profiles the whole run as one
     {!Analysis.Sweep.map_span} sweep named [scenario/<name>]: each
     repeat is a [point] span, and the engine round/phase spans of the

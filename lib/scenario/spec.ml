@@ -63,6 +63,17 @@ let env_families =
   [ "trace"; "static"; "tree-rotator"; "rewiring"; "edge-markovian";
     "fresh-random"; "request-cutter" ]
 
+let sigma_error env ~sigma =
+  let refuse why =
+    if sigma <= 1 then None
+    else Some ("sigma only applies to the generated oblivious families; " ^ why)
+  in
+  match env with
+  | Request_cutter _ -> refuse "the request-cutter is adaptive"
+  | Fresh_random _ -> refuse "fresh-random draws every round afresh"
+  | Trace _ -> refuse "a trace replays its recorded rounds as they are"
+  | Static _ | Tree_rotator | Rewiring _ | Edge_markovian _ -> None
+
 (* {2 Error-accumulating field readers}
 
    Each reader appends to a shared error list; validation reports every
@@ -287,12 +298,7 @@ let of_json j =
          adversary): use single-source or multi-source"
         (algorithm_name algorithm)
   | _, _ -> ());
-  (match env with
-  | Request_cutter _ when sigma > 1 ->
-      err ctx
-        "sigma only applies to committed schedules; the request-cutter is \
-         adaptive"
-  | _ -> ());
+  Option.iter (err ctx "%s") (sigma_error env ~sigma);
   if
     (match algorithm with Oblivious_rw -> true | _ -> false)
     && faults_active faults

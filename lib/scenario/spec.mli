@@ -77,6 +77,13 @@ val schema_name : string
 val algorithm_name : algorithm -> string
 val env_family : env -> string
 
+val sigma_error : env -> sigma:int -> string option
+(** Why [sigma] cannot apply to [env], if it cannot: stability above 1
+    is enforced on the generated oblivious families only, so it is
+    refused for the request-cutter (adaptive), fresh-random (every
+    round a fresh draw) and traces (replayed as recorded).  A static
+    graph is stable for any [sigma]. *)
+
 val of_json : Obs.Json.t -> (t, string list) result
 (** Validate one parsed document; [Error] carries {e every} problem
     found, each message naming its field. *)

@@ -17,7 +17,7 @@ type submit = {
   tag : string option;  (* client-chosen correlation label *)
   spec : Obs.Json.t;  (* dynspread-scenario/v1 object, unparsed *)
   base_dir : string option;  (* trace paths resolve against this *)
-  engine : string option;  (* "fastpath" | "reference" | "soa" *)
+  engine : string option;  (* "soa" | "fastpath" (= soa-1) | "reference" *)
   shards : int option;  (* soa shard count *)
   events : bool;  (* stream dynspread-trace/v1 events *)
 }

@@ -23,7 +23,9 @@ type submit = {
   base_dir : string option;
       (** Directory the spec's relative trace paths resolve against
           (the daemon's working directory when omitted). *)
-  engine : string option;  (** ["fastpath"] | ["reference"] | ["soa"]. *)
+  engine : string option;
+      (** ["soa"] (the default when omitted), ["fastpath"] (a name for
+          ["soa"] at one shard) or ["reference"]. *)
   shards : int option;  (** SoA shard count (engine ["soa"] only). *)
   events : bool;
       (** Stream the run's dynspread-trace/v1 events as [Event]

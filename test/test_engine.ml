@@ -425,7 +425,7 @@ let test_unicast_rejects_double_token_on_edge () =
                ~stop:(fun _ -> false)
                ())))
     [
-      Engine.Default.engine;
+      Engine.Soa.engine ();
       Engine.Soa.engine ~shards:2 ();
       Engine.Reference.engine;
     ]

@@ -1,6 +1,6 @@
 (* Tests for the differential fuzzer: generator determinism and
    validity, spec/trace round-trips of generated cases, clean
-   differential batches (reference vs fastpath), the mutation smoke
+   differential batches (reference vs soa), the mutation smoke
    test (a seeded off-by-one must be found and shrunk small), the
    engines' stall detector agreeing bit-for-bit, and the committed
    regression corpus under test/corpus/. *)
@@ -71,7 +71,7 @@ let test_spec_roundtrip () =
         | Error e -> Alcotest.failf "case %d: of_spec failed: %s" id e
         | Ok c' ->
             let report case =
-              (Fuzz.Diff.execute ~engine:Engine.Default.engine case)
+              (Fuzz.Diff.execute ~engine:Engine.Soa.default_engine case)
                 .Fuzz.Diff.report
             in
             check Alcotest.string
@@ -81,8 +81,8 @@ let test_spec_roundtrip () =
 
 let test_engine_pair () =
   (* The pairing dimension is part of the case stream: deterministic
-     per (seed, id), b-side always the fastpath engine, and all four
-     a-sides drawn within a small window. *)
+     per (seed, id), a-side always the Reference oracle, and all three
+     b-sides drawn within a small window. *)
   let name_of (module E : Engine.Engine_sig.ENGINE) = E.name in
   let seen = Hashtbl.create 8 in
   for id = 0 to 99 do
@@ -93,22 +93,22 @@ let test_engine_pair () =
       (name_of a, name_of b)
       (name_of a', name_of b');
     check Alcotest.string
-      (Printf.sprintf "case %d: checked against the fastpath engine" id)
-      Engine.Default.name (name_of b);
-    Hashtbl.replace seen (name_of a) ()
+      (Printf.sprintf "case %d: checked against the reference engine" id)
+      Engine.Reference.name (name_of a);
+    Hashtbl.replace seen (name_of b) ()
   done;
   List.iter
-    (fun a ->
-      check Alcotest.bool (a ^ " drawn within 100 cases") true
-        (Hashtbl.mem seen a))
-    [ Engine.Reference.name; "soa"; "soa-2"; "soa-4" ]
+    (fun b ->
+      check Alcotest.bool (b ^ " drawn within 100 cases") true
+        (Hashtbl.mem seen b))
+    [ "soa"; "soa-2"; "soa-4" ]
 
 (* {2 The differential property} *)
 
 let test_differential_batch () =
   let metrics = Obs.Metrics.create () in
   let outcome = Fuzz.Campaign.run ~jobs:2 ~metrics ~runs:60 ~seed:1 () in
-  check Alcotest.int "no mismatches between reference and fastpath" 0
+  check Alcotest.int "no mismatches between reference and soa" 0
     (List.length outcome.Fuzz.Campaign.mismatches);
   check Alcotest.int "metrics: cases" 60
     (Obs.Metrics.counter metrics "fuzz/cases");
@@ -156,24 +156,24 @@ let test_mutation_smoke () =
         (Option.is_some
            (Fuzz.Diff.check ~flooding_b:mutant
               ~engine_a:Engine.Reference.engine
-              ~engine_b:Engine.Default.engine sh));
+              ~engine_b:Engine.Soa.default_engine sh));
       check Alcotest.bool
         (Printf.sprintf "case %d: shrunk case agrees without the mutant" id)
         true
         (Option.is_none
            (Fuzz.Diff.check ~engine_a:Engine.Reference.engine
-              ~engine_b:Engine.Default.engine sh)))
+              ~engine_b:Engine.Soa.default_engine sh)))
     outcome.Fuzz.Campaign.mismatches
 
 let test_soa_boundary_mutant () =
   (* The sharded engine's seeded mutant: shard 1's span starts one
      node late, silently dropping one node on the 0/1 boundary.  The
-     campaign (Default pinned on the a-side against the buggy soa-2)
+     campaign (the buggy soa-2 pinned against the Reference default)
      must find it and shrink the counterexamples small. *)
   let metrics = Obs.Metrics.create () in
   let buggy = Engine.Soa.make ~shards:2 ~boundary_bug:true () in
   let outcome =
-    Fuzz.Campaign.run ~engine_a:Engine.Default.engine ~engine_b:buggy ~jobs:2
+    Fuzz.Campaign.run ~engine_b:buggy ~jobs:2
       ~metrics ~shrink_budget:200 ~runs:40 ~seed:6 ()
   in
   check Alcotest.bool
@@ -194,14 +194,14 @@ let test_soa_boundary_mutant () =
            "case %d: shrunk case still diverges under the boundary bug" id)
         true
         (Option.is_some
-           (Fuzz.Diff.check ~engine_a:Engine.Default.engine ~engine_b:buggy
+           (Fuzz.Diff.check ~engine_a:Engine.Reference.engine ~engine_b:buggy
               sh));
       check Alcotest.bool
         (Printf.sprintf "case %d: shrunk case agrees with the clean soa-2"
            id)
         true
         (Option.is_none
-           (Fuzz.Diff.check ~engine_a:Engine.Default.engine
+           (Fuzz.Diff.check ~engine_a:Engine.Reference.engine
               ~engine_b:(Engine.Soa.engine ~shards:2 ())
               sh)))
     outcome.Fuzz.Campaign.mismatches
@@ -244,7 +244,7 @@ let test_corpus_saving () =
                     Alcotest.(option string)
                     (spec_name ^ ": replays clean through both engines") None
                     (Fuzz.Diff.check ~engine_a:Engine.Reference.engine
-                       ~engine_b:Engine.Default.engine c))))
+                       ~engine_b:Engine.Soa.default_engine c))))
     saved
 
 (* {2 Stall detection} *)
@@ -337,11 +337,7 @@ let test_stalled_engines_agree () =
             (Printf.sprintf "%s: %s reports the stall like the reference" shape
                E.name)
             (report ra) (report (run engine)))
-        [
-          Engine.Default.engine;
-          Engine.Soa.engine ();
-          Engine.Soa.engine ~shards:2 ();
-        ])
+        [ Engine.Soa.engine (); Engine.Soa.engine ~shards:2 () ])
     [
       ("idle broadcast", idle_broadcast);
       ("long-phase flooding", long_phase_flooding);
@@ -386,7 +382,7 @@ let test_corpus_regression () =
         | Error e -> Alcotest.failf "%s: %s" spec_name e
       in
       let a = Fuzz.Diff.execute ~engine:Engine.Reference.engine c in
-      let b = Fuzz.Diff.execute ~engine:Engine.Default.engine c in
+      let b = Fuzz.Diff.execute ~engine:Engine.Soa.default_engine c in
       check
         Alcotest.(option string)
         (spec_name ^ ": both engines agree") None (Fuzz.Diff.divergence a b);

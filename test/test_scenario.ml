@@ -434,9 +434,9 @@ let test_vendored_trace_matches_fresh_import () =
     (Scenario.Trace_io.to_string trace)
 
 (* Re-recording a shipped spec reproduces its vendored trace byte for
-   byte.  fresh_n16 pins Graph_gen.random_connected; its sigma = 2 is
-   not applied, because builtin_schedule never stabilizes the
-   fresh-random family.  markov_n16 (sigma = 2) pins Stability. *)
+   byte.  fresh_n16 (sigma = 1: fresh-random takes no stability) pins
+   Graph_gen.random_connected.  markov_n16 (sigma = 2) pins
+   Stability. *)
 let test_vendored_traces_match_fresh_record () =
   List.iter
     (fun (spec_file, trace_file) ->
@@ -536,6 +536,16 @@ let test_spec_combo_rules () =
     {|{ "schema": "dynspread-scenario/v1", "name": "x",
         "algorithm": "single-source", "sigma": 3,
         "env": { "family": "request-cutter" }, "n": 8, "k": 4 }|}
+    "sigma";
+  rejected
+    {|{ "schema": "dynspread-scenario/v1", "name": "x",
+        "algorithm": "flooding", "sigma": 2,
+        "env": { "family": "fresh-random", "p": 0.25 }, "n": 8, "k": 4 }|}
+    "sigma";
+  rejected
+    {|{ "schema": "dynspread-scenario/v1", "name": "x",
+        "algorithm": "flooding", "sigma": 2,
+        "env": { "family": "trace", "path": "t.trace.jsonl" }, "k": 4 }|}
     "sigma"
 
 let test_spec_to_json_roundtrip () =

@@ -1,6 +1,6 @@
 (* Tests for the mega-scale SoA engine stack: shard-range geometry
    and the Shard_pool barrier protocol, the delta-gated CSR adjacency,
-   byte-identical reports against the fastpath engine across
+   byte-identical reports against the Reference oracle across
    topologies / algorithms / shard counts, the seeded shard-boundary
    mutant being observable, and the allocation-free steady state of
    the plane round loop. *)
@@ -226,7 +226,7 @@ let test_plane_pool_siblings_isolated () =
       (Dynet.Plane.row_popcount c r)
   done
 
-(* {2 Byte-identical reports against the fastpath engine} *)
+(* {2 Byte-identical reports against the Reference oracle} *)
 
 let test_flooding_identical () =
   let n = 33 in
@@ -235,17 +235,59 @@ let test_flooding_identical () =
     (fun (sname, schedule) ->
       let baseline, _ =
         Gossip.Runners.flooding ~instance ~schedule
-          ~engine:Engine.Default.engine ()
+          ~engine:Engine.Reference.engine ()
       in
       List.iter
         (fun (ename, engine) ->
           let r, _ = Gossip.Runners.flooding ~instance ~schedule ~engine () in
           check Alcotest.string
-            (Printf.sprintf "%s on %s matches the fastpath report" ename
+            (Printf.sprintf "%s on %s matches the reference report" ename
                sname)
             (report baseline) (report r))
         soa_engines)
     (Adversary.Oblivious.all_named ~n ~seed:3)
+
+(* Flooding without the SoA capability: SoA falls back to the generic
+   broadcast loop, whose fault-free path is otherwise reached in
+   production only by the hard-wired runners. *)
+module Planeless_flooding = struct
+  include (val Gossip.Flooding.protocol : Engine.Runner_broadcast.PROTOCOL
+             with type state = Gossip.Flooding.state
+              and type msg = Gossip.Payload.t)
+
+  let plane = None
+end
+
+let test_planeless_flooding_identical () =
+  let n = 17 and k = 4 in
+  let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
+  let flood engine protocol schedule =
+    let module E = (val engine : Engine.Engine_sig.ENGINE) in
+    let r, _ =
+      E.Broadcast.run protocol ~target_progress:(n * k)
+        ~states:(Gossip.Flooding.init ~instance ())
+        ~adversary:(Adversary.Schedule.broadcast schedule)
+        ~max_rounds:(n * k)
+        ~stop:(Gossip.Flooding.all_complete ~k)
+        ()
+    in
+    r
+  in
+  List.iter
+    (fun (sname, schedule) ->
+      let baseline =
+        flood Engine.Reference.engine Gossip.Flooding.protocol schedule
+      in
+      List.iter
+        (fun (ename, engine) ->
+          check Alcotest.string
+            (Printf.sprintf
+               "plane-less flooding on %s under %s matches reference" sname
+               ename)
+            (report baseline)
+            (report (flood engine (module Planeless_flooding) schedule)))
+        (List.filteri (fun i _ -> i < 2) soa_engines))
+    (Adversary.Oblivious.all_named ~n ~seed:6)
 
 let test_unicast_identical () =
   let n = 21 in
@@ -262,9 +304,6 @@ let test_unicast_identical () =
     (fun (envname, env) ->
       let single = Gossip.Instance.single_source ~n ~k:4 ~source:0 in
       let multi = Gossip.Instance.one_per_node ~n in
-      (* The baseline is the Reference oracle: Default and SoA share
-         one unicast loop, so comparing them with each other would
-         only test shard-count independence. *)
       let base_s, _ =
         Gossip.Runners.single_source ~instance:single ~env
           ~engine:Engine.Reference.engine ()
@@ -293,27 +332,51 @@ let test_unicast_identical () =
     envs
 
 let test_faulty_runs_identical () =
-  (* Faulty broadcast runs delegate to the sequential fastpath kernel;
-     faulty unicast runs go through the shared sharded loop, whose
-     fault delivery draws replay in global send order — so both stay
-     identical to their oracle at every shard count. *)
+  (* Faulty broadcast runs take the generic broadcast loop; faulty
+     unicast runs go through the shared sharded loop, whose fault
+     delivery draws replay in global send order — so both stay
+     identical to the oracle at every shard count.  The second
+     broadcast plan drives every fault path of the delivery layer:
+     drops, duplicates, delays and crash/restart. *)
   let n = 12 in
   let instance = Gossip.Instance.single_source ~n ~k:3 ~source:0 in
   let schedule = Adversary.Oblivious.fresh_random ~seed:4 ~n ~p:0.4 in
-  let faults = Faults.Plan.make ~seed:7 ~loss:0.1 () in
-  let base, _ =
-    Gossip.Runners.flooding ~instance ~schedule ~faults
-      ~engine:Engine.Default.engine ()
-  in
   List.iter
-    (fun (ename, engine) ->
-      let r, _ =
-        Gossip.Runners.flooding ~instance ~schedule ~faults ~engine ()
+    (fun (pname, faults, kinds, engines) ->
+      let base, _ =
+        Gossip.Runners.flooding ~instance ~schedule ~faults
+          ~engine:Engine.Reference.engine ()
       in
-      check Alcotest.string
-        (Printf.sprintf "faulty flooding under %s matches fastpath" ename)
-        (report base) (report r))
-    soa_engines;
+      let counts =
+        match base.Engine.Run_result.fault_counts with
+        | Some c -> Faults.Counts.to_fields c
+        | None -> []
+      in
+      List.iter
+        (fun kind ->
+          check Alcotest.bool
+            (Printf.sprintf "plan %s injects %s" pname kind)
+            true
+            (List.assoc_opt kind counts |> Option.value ~default:0 > 0))
+        kinds;
+      List.iter
+        (fun (ename, engine) ->
+          let r, _ =
+            Gossip.Runners.flooding ~instance ~schedule ~faults ~engine ()
+          in
+          check Alcotest.string
+            (Printf.sprintf "faulty flooding (%s) under %s matches reference"
+               pname ename)
+            (report base) (report r))
+        engines)
+    [
+      ("loss", Faults.Plan.make ~seed:7 ~loss:0.1 (), [ "drops" ], soa_engines);
+      ( "loss, dup, delay, crash",
+        Faults.Plan.make ~seed:7 ~loss:0.1 ~dup:0.1 ~max_delay:2 ~crash:0.05
+          ~restart:0.5 (),
+        [ "drops"; "dups"; "delays"; "crashes"; "restarts" ],
+        List.filteri (fun i _ -> i < 2) soa_engines );
+    ];
   let n = 16 in
   let instance = Gossip.Instance.one_per_node ~n in
   let env =
@@ -488,6 +551,8 @@ let suite =
       test_plane_pool_siblings_isolated;
     Alcotest.test_case "soa: flooding byte-identical at shards 1/2/4" `Quick
       test_flooding_identical;
+    Alcotest.test_case "soa: plane-less flooding byte-identical at shards 1/2"
+      `Quick test_planeless_flooding_identical;
     Alcotest.test_case "soa: unicast byte-identical at shards 1/2/4" `Quick
       test_unicast_identical;
     Alcotest.test_case "soa: faulty runs identical" `Quick
