@@ -181,38 +181,44 @@ let reliable_arg =
           "Wrap the unicast protocol in the ack/retransmit reliability \
            wrapper (single-source and multi-source only).")
 
-(* Numeric-flag validation, bench/main.exe style: error line, usage,
-   exit 2 — cmdliner's own failures keep their usual exit code, this
-   path is for values that parse but make no sense. *)
-let flags_usage () =
-  Obs.Console.lines
-    [
-      "usage: --loss/--dup-rate/--crash-rate/--restart-rate take a \
-       probability in [0, 1];";
-      "       --max-delay takes a round count >= 0; --seed/--fault-seed \
-       take a seed >= 0";
-    ]
-
-let bad_flag fmt =
+(* Numeric-flag validation, bench/main.exe style: error line, exit 2 —
+   cmdliner's own failures keep their usual exit code, this path is
+   for values that parse but make no sense.  The fault flags' usage
+   lines follow only errors in those flags. *)
+let bad_flag_with ~usage fmt =
   Printf.ksprintf
     (fun msg ->
       Obs.Console.error ("error: " ^ msg);
-      flags_usage ();
+      Obs.Console.lines usage;
       exit 2)
+    fmt
+
+let bad_flag fmt = bad_flag_with ~usage:[] fmt
+
+let bad_fault_flag fmt =
+  bad_flag_with
+    ~usage:
+      [
+        "usage: --loss/--dup-rate/--crash-rate/--restart-rate take a \
+         probability in [0, 1];";
+        "       --max-delay takes a round count >= 0; --seed/--fault-seed \
+         take a seed >= 0";
+      ]
     fmt
 
 let validate_prob ~flag p =
   if not (Float.is_finite p && p >= 0. && p <= 1.) then
-    bad_flag "--%s %g is not a probability in [0, 1]" flag p
+    bad_fault_flag "--%s %g is not a probability in [0, 1]" flag p
 
-let validate_seed ~flag s = if s < 0 then bad_flag "--%s %d is negative" flag s
+let validate_seed ~flag s =
+  if s < 0 then bad_fault_flag "--%s %d is negative" flag s
 
 let fault_plan ~loss ~dup ~crash ~restart ~max_delay ~fault_seed ~seed =
   validate_prob ~flag:"loss" loss;
   validate_prob ~flag:"dup-rate" dup;
   validate_prob ~flag:"crash-rate" crash;
   validate_prob ~flag:"restart-rate" restart;
-  if max_delay < 0 then bad_flag "--max-delay %d is negative" max_delay;
+  if max_delay < 0 then bad_fault_flag "--max-delay %d is negative" max_delay;
   validate_seed ~flag:"seed" seed;
   Option.iter (validate_seed ~flag:"fault-seed") fault_seed;
   Faults.Plan.make ~loss ~dup ~crash ~restart ~max_delay
@@ -714,7 +720,7 @@ let experiments_cmd =
           | `E15 -> Analysis.Experiments.robustness_loss ?metrics ~seed ()
           | `E16 -> Analysis.Experiments.robustness_crash ?metrics ~seed ()
           | `E17 -> Scenario.Experiment.real_trace ~jobs ?metrics ~seed ()
-          | `E18 -> Analysis.Experiments.mega ?metrics ~seed ()
+          | `E18 -> Analysis.Experiments.mega ?metrics ~prof ~seed ()
         in
         print_table ~csv table)
       selected;

@@ -127,15 +127,18 @@ val robustness_crash :
 
 val mega :
   ?ns:int list -> ?k:int -> ?shards:int -> ?metrics:Obs.Metrics.t ->
-  seed:int -> unit -> Table.t
+  ?prof:Obs.Span.t -> seed:int -> unit -> Table.t
 (** E18 — beyond the paper (scale): phased flooding on the
     struct-of-arrays engine ({!Engine.Soa}) at n up to 10^5, on a
     sparse regular-ish schedule re-drawn every 16 rounds.  Each row
     runs the same committed environment on [soa], [soa-<shards>] and
     the {!Engine.Reference} oracle and requires byte-identical run
     reports — the determinism contract at scale — alongside amortized
-    messages per token and wall-clock per round.  Defaults keep CI
-    fast; the 10^5 invocation is in EXPERIMENTS.md. *)
+    messages per token and wall-clock per round.  The untimed oracle
+    runs first and fills the lazily drawn schedule, so both timed
+    columns replay the same warm schedule.  [?prof] receives every
+    run's round/phase spans.  Defaults keep CI fast; the 10^5
+    invocation is in EXPERIMENTS.md. *)
 
 val all :
   ?jobs:int -> ?metrics:Obs.Metrics.t -> ?prof:Obs.Span.t -> seed:int ->

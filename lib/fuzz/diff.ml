@@ -27,6 +27,43 @@ end
 
 let real_flooding = (module Real_flooding : FLOODING)
 
+(* The unicast counterpart, for the protocol differential: production
+   and {!Oracle}'s frozen copies run on the same engine through one
+   direct engine call, so a divergence can only come from the
+   protocol modules. *)
+module type UNICAST = sig
+  type state
+
+  val protocol :
+    (module Engine.Runner_unicast.PROTOCOL
+       with type state = state
+        and type msg = Gossip.Payload.t)
+
+  val init : instance:Gossip.Instance.t -> state array
+  val all_complete : k:int -> state array -> bool
+end
+
+let real_single_source config : (module UNICAST) =
+  (module struct
+    type state = Gossip.Single_source.state
+
+    let protocol = Gossip.Single_source.protocol
+    let init ~instance = Gossip.Single_source.init ~config ~instance ()
+    let all_complete = Gossip.Single_source.all_complete
+  end : UNICAST)
+
+let real_multi_source source_order : (module UNICAST) =
+  (module struct
+    type state = Gossip.Multi_source.state
+
+    let protocol = Gossip.Multi_source.protocol
+
+    let init ~instance =
+      Gossip.Multi_source.init ~source_order ~instance ()
+
+    let all_complete = Gossip.Multi_source.all_complete
+  end : UNICAST)
+
 type exec = {
   engine : string;
   report : string;
@@ -68,7 +105,7 @@ let run_caught ~engine_name ~name ~realized f =
         error = Some ("check-failed: " ^ m);
       }
 
-let execute ~engine ?(flooding = real_flooding) ?prof (case : Case.t) =
+let execute_gen ~engine ~flooding ~unicast ?prof (case : Case.t) =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = case.Case.n and k = case.Case.k in
   let instance = Case.instance case in
@@ -85,9 +122,9 @@ let execute ~engine ?(flooding = real_flooding) ?prof (case : Case.t) =
   run_caught ~engine_name:E.name ~name:(Case.label case) ~realized (fun () ->
       match case.Case.algo with
       | Case.Flooding ->
-          (* Direct engine call rather than [Runners.flooding], so the
-             real protocol and a mutant share every line of wiring —
-             a mutant-only divergence can only come from the protocol
+          (* Direct engine calls rather than [Runners], so the real
+             protocol and a mutant or oracle copy share every line of
+             wiring — a divergence can only come from the protocol
              copy itself. *)
           let (module F : FLOODING) = flooding in
           let max_rounds =
@@ -105,22 +142,38 @@ let execute ~engine ?(flooding = real_flooding) ?prof (case : Case.t) =
               ()
           in
           result
-      | Case.Single_source ->
-          let result, _ =
-            Gossip.Runners.single_source ~instance
-              ~env:(Gossip.Runners.Oblivious schedule) ~engine
-              ?max_rounds:case.Case.max_rounds ~stall_after ~faults ?prof
-              ~on_graph ()
+      | Case.Single_source | Case.Multi_source ->
+          let (module U : UNICAST) = unicast in
+          let max_rounds =
+            Option.value case.Case.max_rounds
+              ~default:(Gossip.Runners.default_unicast_cap ~n ~k)
           in
-          result
-      | Case.Multi_source ->
           let result, _ =
-            Gossip.Runners.multi_source ~instance
-              ~env:(Gossip.Runners.Oblivious schedule) ~engine
-              ?max_rounds:case.Case.max_rounds ~stall_after ~faults ?prof
-              ~on_graph ()
+            E.Unicast.run U.protocol
+              ~ctx:(Engine.Ctx.make ~faults ?prof ~on_graph ~stall_after ())
+              ~target_progress:(n * k)
+              ~states:(U.init ~instance)
+              ~adversary:(Adversary.Schedule.unicast schedule)
+              ~max_rounds
+              ~stop:(U.all_complete ~k)
+              ()
           in
           result)
+
+let execute ~engine ?(flooding = real_flooding) ?prof (case : Case.t) =
+  let unicast =
+    match case.Case.algo with
+    | Case.Multi_source -> real_multi_source Gossip.Multi_source.Min_source
+    | Case.Single_source | Case.Flooding ->
+        real_single_source Gossip.Single_source.default_config
+  in
+  execute_gen ~engine ~flooding ~unicast ?prof case
+
+let execute_protocol ~engine ~protocol (case : Case.t) =
+  match case.Case.algo with
+  | Case.Flooding -> invalid_arg "Diff.execute_protocol: flooding case"
+  | Case.Single_source | Case.Multi_source ->
+      execute_gen ~engine ~flooding:real_flooding ~unicast:protocol case
 
 let divergence a b =
   match (a.error, b.error) with

@@ -12,9 +12,7 @@
     Any other exception propagates — it is a harness bug, not a
     divergence. *)
 
-(** What the harness needs from a flooding implementation.  The
-    unicast protocols run through the engine-parametric
-    {!Gossip.Runners}; flooding is abstracted one step further so
+(** What the harness needs from a flooding implementation, so
     {!Mutant}'s deliberately broken copies can stand in for the real
     protocol on one side of the comparison. *)
 module type FLOODING = sig
@@ -31,6 +29,25 @@ end
 
 val real_flooding : (module FLOODING)
 (** {!Gossip.Flooding} behind the seam (default [phase_len]). *)
+
+(** What the protocol differential needs from a unicast protocol: the
+    production {!Gossip.Single_source} / {!Gossip.Multi_source} and
+    {!Oracle}'s frozen copies of them both fit, so the two can run on
+    one engine through the same wiring. *)
+module type UNICAST = sig
+  type state
+
+  val protocol :
+    (module Engine.Runner_unicast.PROTOCOL
+       with type state = state
+        and type msg = Gossip.Payload.t)
+
+  val init : instance:Gossip.Instance.t -> state array
+  val all_complete : k:int -> state array -> bool
+end
+
+val real_single_source : Gossip.Single_source.config -> (module UNICAST)
+val real_multi_source : Gossip.Multi_source.source_order -> (module UNICAST)
 
 type exec = {
   engine : string;  (** The engine's [name]. *)
@@ -50,9 +67,22 @@ val execute :
   exec
 (** One run.  Wiring mirrors {!Scenario.Runner} (instance, fault plan,
     {!Scenario.Replay.Loop} schedule, stall window, [n*k] progress
-    target); flooding cases call the engine directly through
-    [?flooding] (default {!real_flooding}) so a mutant shares every
-    line of wiring with the real protocol. *)
+    target, {!Gossip.Runners}' round caps).  Every case calls the
+    engine directly: flooding through [?flooding] (default
+    {!real_flooding}), unicast cases through {!real_single_source}
+    with the default config or {!real_multi_source} [Min_source], so
+    a mutant or an {!Oracle} copy shares every line of wiring with
+    the real protocol. *)
+
+val execute_protocol :
+  engine:(module Engine.Engine_sig.ENGINE) ->
+  protocol:(module UNICAST) ->
+  Case.t ->
+  exec
+(** {!execute} of a unicast case with the given protocol
+    implementation.  The case's [algo] only picks the instance shape;
+    the protocol must suit it.
+    @raise Invalid_argument on a flooding case. *)
 
 val divergence : exec -> exec -> string option
 (** [None] iff the two executions agree bit-for-bit: same

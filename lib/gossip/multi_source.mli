@@ -25,7 +25,15 @@
     This protocol is also phase 2 of Algorithm 2, with the centers
     acting as sources of the tokens they collected (see
     {!Oblivious_rw}); that is why {!init} accepts any instance rather
-    than insisting the catalog sources equal the token origins. *)
+    than insisting the catalog sources equal the token origins.
+
+    A node-round costs O(deg) and O(log s) for the min-source choice.
+    A round that announces adds O(s) for copying the [R_v] array,
+    O(n/62) per source it tells anyone about and O(|I_v|) per
+    announcement; neighbours already told every complete source are
+    skipped with one bit test.  [R_v] and
+    [I_v] are indexed by the sources' ranks in id order.  States are
+    persistent — see {!Edge_history} for why. *)
 
 type state
 

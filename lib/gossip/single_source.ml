@@ -33,98 +33,154 @@ let all_complete ~k states =
 
 let requests_sent st = st.requests_sent
 
+(* An unchanged row copies no record: most node-rounds of a stable
+   graph stop here. *)
 let refresh_edges st ~round ~neighbors =
-  { st with edges = Edge_history.refresh st.edges ~round ~neighbors }
+  if Edge_history.same_row st.edges neighbors then st
+  else { st with edges = Edge_history.refresh st.edges ~round ~neighbors }
 
+let rec drop_below i = function
+  | a :: rest when a < i -> drop_below i rest
+  | l -> l
+
+(* Least idx [>= i] below [k], not in [have] and not in [arriving]
+   (ascending), or [-1]. *)
+let rec next_missing ~have ~k arriving i =
+  let i = Bitset.next_clear have i in
+  if i >= k then -1
+  else
+    match drop_below i arriving with
+    | a :: rest when a = i -> next_missing ~have ~k rest (i + 1)
+    | _ -> i
+
+(* Loops over locals rather than local closures: this runs every
+   node-round of an incomplete node, usually to assign nothing, and a
+   closure over the loop state would be allocated each time. *)
+let request_plan ~priority ~edges ~round ~neighbors ~eligible ~have ~k
+    ~arriving =
+  let categories =
+    ref
+      (match priority with
+      | Paper_priority -> Edge_history.[ Some New; Some Idle; Some Contributive ]
+      | Reversed_priority ->
+          Edge_history.[ Some Contributive; Some Idle; Some New ]
+      | No_priority -> [ None ])
+  in
+  let plan = ref [] and next = ref 0 and arriving = ref arriving in
+  let d = Array.length neighbors in
+  while not (List.is_empty !categories) do
+    let only = List.hd !categories in
+    categories := List.tl !categories;
+    let i = ref 0 in
+    while !i < d do
+      let w = neighbors.(!i) in
+      if
+        Bitset.mem eligible w
+        &&
+        match only with
+        | None -> true
+        | Some c ->
+            Edge_history.category_equal
+              (Edge_history.categorize_at edges ~round !i)
+              c
+      then begin
+        let idx = next_missing ~have ~k !arriving !next in
+        if idx < 0 then begin
+          (* Indices run out for every later edge too. *)
+          categories := [];
+          i := d
+        end
+        else begin
+          plan := (w, idx) :: !plan;
+          next := idx + 1;
+          arriving := drop_below !next !arriving
+        end
+      end;
+      incr i
+    done
+  done;
+  List.rev !plan
+
+(* [to_serve] is answered in neighbour order, first request per asker:
+   a stable sort by asker lines it up with the ascending row for one
+   merge walk. *)
 let complete_send st ~neighbors =
-  let msgs = ref [] in
-  let informed = Bitset.copy st.informed in
   let k = Option.get st.k in
-  Array.iter
-    (fun w ->
-      if not (Bitset.mem informed w) then begin
-        Bitset.set informed w;
-        msgs := (w, Payload.Completeness { source = st.source; count = k }) :: !msgs
-      end
-      else
-        match List.assoc_opt w st.to_serve with
-        | Some idx ->
-            let tok = IMap.find idx st.known in
-            msgs := (w, Payload.Token_msg tok) :: !msgs
-        | None -> ())
-    neighbors;
-  ({ st with informed; to_serve = []; pending = [] }, List.rev !msgs)
+  let informed = ref st.informed and copied = ref false in
+  let serve =
+    ref
+      (List.stable_sort
+         (fun (a, _) (b, _) -> Dynet.Node_id.compare a b)
+         st.to_serve)
+  in
+  let msgs = ref [] in
+  for i = 0 to Array.length neighbors - 1 do
+    let w = neighbors.(i) in
+    if not (Bitset.mem !informed w) then begin
+      if not !copied then begin
+        informed := Bitset.copy st.informed;
+        copied := true
+      end;
+      Bitset.set !informed w;
+      msgs := (w, Payload.Completeness { source = st.source; count = k }) :: !msgs
+    end
+    else begin
+      while match !serve with (u, _) :: _ -> u < w | [] -> false do
+        serve := List.tl !serve
+      done;
+      match !serve with
+      | (u, idx) :: _ when u = w ->
+          msgs := (w, Payload.Token_msg (IMap.find idx st.known)) :: !msgs
+      | _ -> ()
+    end
+  done;
+  let st =
+    if !copied || not (List.is_empty st.to_serve && List.is_empty st.pending)
+    then
+      { st with informed = !informed; to_serve = []; pending = [] }
+    else st
+  in
+  (st, List.rev !msgs)
 
 let incomplete_send st ~round ~neighbors =
   match st.k with
-  | None -> ({ st with pending = []; to_serve = [] }, [])
+  | None ->
+      if List.is_empty st.pending && List.is_empty st.to_serve then (st, [])
+      else ({ st with pending = []; to_serve = [] }, [])
   | Some k ->
-      let neighbor_set = Bitset.of_array (Bitset.capacity st.informed) neighbors in
       (* Tokens requested last round whose edge survived will arrive at
          the end of this round; do not re-request them (Algorithm 1's
          redundancy avoidance — ablatable). *)
       let arriving =
-        if not st.config.dedup_pending then []
+        if (not st.config.dedup_pending) || List.is_empty st.pending then []
         else
           List.filter_map
             (fun (w, idx) ->
-              if Bitset.mem neighbor_set w then Some idx else None)
+              if Edge_history.mem st.edges w then Some idx else None)
             st.pending
       in
-      (* Eligible edges lead to known-complete neighbors; the paper's
-         priority order is new > idle > contributive. *)
-      let eligible =
-        Array.to_list neighbors
-        |> List.filter (fun w -> Bitset.mem st.known_complete w)
-        |> List.map (fun w -> (w, Edge_history.categorize st.edges ~round w))
+      (* Eligible edges lead to known-complete neighbours. *)
+      let requests =
+        request_plan ~priority:st.config.priority ~edges:st.edges ~round
+          ~neighbors ~eligible:st.known_complete ~have:st.kmask ~k ~arriving
       in
-      let in_category c =
-        List.filter_map
-          (fun (w, cat) -> if Edge_history.category_equal cat c then Some w else None)
-          eligible
-      in
-      let ordered =
-        match st.config.priority with
-        | Paper_priority ->
-            in_category Edge_history.New
-            @ in_category Edge_history.Idle
-            @ in_category Edge_history.Contributive
-        | Reversed_priority ->
-            in_category Edge_history.Contributive
-            @ in_category Edge_history.Idle
-            @ in_category Edge_history.New
-        | No_priority -> List.map fst eligible
-      in
-      (* Walk the missing idxs lazily off the knowledge bitset instead
-         of materialising [List.init k |> filter]: the scan advances
-         monotonically, so pairing with the ordered edges reproduces
-         the eager zip exactly. *)
-      let rec next_missing idx =
-        let idx = Bitset.next_clear st.kmask idx in
-        if idx >= k then None
-        else if List.mem idx arriving then next_missing (idx + 1)
-        else Some idx
-      in
-      let rec assign acc idx = function
-        | [] -> List.rev acc
-        | w :: ws -> (
-            match next_missing idx with
-            | None -> List.rev acc
-            | Some idx -> assign ((w, idx) :: acc) (idx + 1) ws)
-      in
-      let requests = assign [] 0 ordered in
-      let msgs =
-        List.map
-          (fun (w, idx) -> (w, Payload.Request { source = st.source; idx }))
-          requests
-      in
-      ( {
-          st with
-          pending = requests;
-          to_serve = [];
-          requests_sent = st.requests_sent + List.length requests;
-        },
-        msgs )
+      if
+        List.is_empty requests && List.is_empty st.pending
+        && List.is_empty st.to_serve
+      then (st, [])
+      else
+        let msgs =
+          List.map
+            (fun (w, idx) -> (w, Payload.Request { source = st.source; idx }))
+            requests
+        in
+        ( {
+            st with
+            pending = requests;
+            to_serve = [];
+            requests_sent = st.requests_sent + List.length requests;
+          },
+          msgs )
 
 let learn st (tok : Token.t) ~from ~k_hint =
   if Bitset.mem st.kmask tok.idx then st
@@ -199,7 +255,7 @@ let init ?(config = default_config) ~instance () =
           complete = false;
           informed = Bitset.create n;
           known_complete = Bitset.create n;
-          edges = Edge_history.create ~n;
+          edges = Edge_history.empty;
           pending = [];
           to_serve = [];
           requests_sent = 0;

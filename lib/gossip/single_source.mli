@@ -53,6 +53,24 @@ type config = {
 val default_config : config
 (** The paper's algorithm: [Paper_priority], dedup on. *)
 
+val request_plan :
+  priority:priority ->
+  edges:Edge_history.t ->
+  round:int ->
+  neighbors:Dynet.Node_id.t array ->
+  eligible:Dynet.Bitset.t ->
+  have:Dynet.Bitset.t ->
+  k:int ->
+  arriving:int list ->
+  (Dynet.Node_id.t * int) list
+(** Algorithm 1's request assignment, shared with {!Multi_source}:
+    the edges to [eligible] neighbours, taken category by category in
+    [priority] order (row order within a category), each paired with
+    the next token index below [k] that is neither in [have] nor in
+    [arriving], until the indices run out.  [edges] must be refreshed
+    with [neighbors] this round; [arriving] must ascend.  One O(d) pass
+    per category, plus the index scan. *)
+
 val protocol :
   (module Engine.Runner_unicast.PROTOCOL
      with type state = state

@@ -165,6 +165,84 @@ let test_mutation_smoke () =
               ~engine_b:Engine.Soa.default_engine sh)))
     outcome.Fuzz.Campaign.mismatches
 
+(* {2 The protocol differential}
+
+   Production Single_source / Multi_source against Oracle's frozen
+   copies, on the same engine and wiring: the engine differential
+   cannot see a protocol rewrite, because Reference runs the same
+   protocol module.  Every configuration the protocols take is a
+   pair: the three request priorities, de-dup off, and both source
+   orders. *)
+
+let single_source_configs =
+  let open Gossip.Single_source in
+  [
+    default_config;
+    { priority = Reversed_priority; dedup_pending = true };
+    { priority = No_priority; dedup_pending = true };
+    { priority = Paper_priority; dedup_pending = false };
+  ]
+
+let protocol_pairs (c : Fuzz.Case.t) =
+  match c.Fuzz.Case.algo with
+  | Fuzz.Case.Flooding -> []
+  | Fuzz.Case.Single_source ->
+      List.map
+        (fun config ->
+          (Fuzz.Diff.real_single_source config, Fuzz.Oracle.single_source config))
+        single_source_configs
+  | Fuzz.Case.Multi_source ->
+      List.map
+        (fun order ->
+          ( Fuzz.Diff.real_multi_source order,
+            Fuzz.Oracle.multi_source ~bug:false order ))
+        Gossip.Multi_source.[ Min_source; Random_source ]
+
+let protocol_diff ~engine ~production ~oracle c =
+  Fuzz.Diff.divergence
+    (Fuzz.Diff.execute_protocol ~engine ~protocol:production c)
+    (Fuzz.Diff.execute_protocol ~engine ~protocol:oracle c)
+
+let test_protocol_oracle () =
+  let pairs = ref 0 and crashed = ref 0 in
+  for id = 0 to 239 do
+    let c = Fuzz.Gen.case ~seed:3 ~id in
+    let _, engine = Fuzz.Gen.engine_pair ~seed:3 ~id in
+    let pairs_c = protocol_pairs c in
+    (match c.Fuzz.Case.faults with
+    | Some f when f.Scenario.Spec.crash > 0. && not (List.is_empty pairs_c) ->
+        incr crashed
+    | Some _ | None -> ());
+    List.iter
+      (fun (production, oracle) ->
+        incr pairs;
+        match protocol_diff ~engine ~production ~oracle c with
+        | None -> ()
+        | Some d ->
+            Alcotest.failf "case %d (%s): production vs oracle: %s" id
+              (Fuzz.Case.label c) d)
+      pairs_c
+  done;
+  check Alcotest.bool "at least 300 protocol pairs diffed" true (!pairs >= 300);
+  check Alcotest.bool "crash/restart plans covered" true (!crashed >= 5)
+
+let test_protocol_mutant () =
+  let mutant = Fuzz.Oracle.multi_source ~bug:true Gossip.Multi_source.Min_source in
+  let production = Fuzz.Diff.real_multi_source Gossip.Multi_source.Min_source in
+  let fired = ref 0 in
+  for id = 0 to 119 do
+    let c = Fuzz.Gen.case ~seed:3 ~id in
+    match c.Fuzz.Case.algo with
+    | Fuzz.Case.Multi_source ->
+        if
+          Option.is_some
+            (protocol_diff ~engine:Engine.Soa.default_engine ~production
+               ~oracle:mutant c)
+        then incr fired
+    | Fuzz.Case.Flooding | Fuzz.Case.Single_source -> ()
+  done;
+  check Alcotest.bool "the request de-dup mutant diverges" true (!fired > 0)
+
 let test_soa_boundary_mutant () =
   (* The sharded engine's seeded mutant: shard 1's span starts one
      node late, silently dropping one node on the 0/1 boundary.  The
@@ -408,6 +486,10 @@ let suite =
       test_mutation_smoke;
     Alcotest.test_case "mutant: shard boundary found and shrunk" `Quick
       test_soa_boundary_mutant;
+    Alcotest.test_case "protocols: production matches the oracle" `Quick
+      test_protocol_oracle;
+    Alcotest.test_case "protocols: request de-dup mutant found" `Quick
+      test_protocol_mutant;
     Alcotest.test_case "corpus: save and reload" `Quick test_corpus_saving;
     Alcotest.test_case "engines: stall detector agrees" `Quick
       test_stalled_engines_agree;

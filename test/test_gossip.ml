@@ -278,6 +278,96 @@ let test_static_baseline_validation () =
         (Gossip.Spanning_tree_static.run ~graph:(Dynet.Graph.empty ~n:4)
            ~instance ~root:0))
 
+(* {2 Edge history}
+
+   Against the obvious model: per-neighbour arrays over all n nodes
+   ([born] = -1 when absent), updated in place.  Each step is one
+   round's row — unchanged, empty, full or a random subset — then a
+   few [mark_contributed] calls on present and absent neighbours.
+   Every value handed out must read the same after later calls: the
+   engines' crash-restart snapshots are shallow copies. *)
+
+let edge_n = 10
+
+let edge_steps =
+  QCheck.(
+    list_of_size
+      Gen.(3 -- 9)
+      (triple (int_bound 3)
+         (list_of_size (Gen.return edge_n) bool)
+         (small_list (int_bound (edge_n - 1)))))
+
+let prop_edge_history_model =
+  QCheck.Test.make ~name:"edge history: matches the n-array model"
+    ~count:500 edge_steps (fun steps ->
+      let module E = Gossip.Edge_history in
+      let born = Array.make edge_n (-1) and contrib = Array.make edge_n false in
+      let model_cat ~round w =
+        if born.(w) >= round - 1 then E.New
+        else if contrib.(w) then E.Contributive
+        else E.Idle
+      in
+      (* Everything a history shows: membership of every node, and the
+         category of every edge of the row it was refreshed with. *)
+      let reads t ~round ~row =
+        ( List.init edge_n (E.mem t),
+          List.init (Array.length row) (E.categorize_at t ~round) )
+      in
+      let same_reads (m, c) (m', c') =
+        List.equal Bool.equal m m' && List.equal E.category_equal c c'
+      in
+      let ok = ref true in
+      let require b = if not b then ok := false in
+      let eh = ref E.empty and prev = ref [||] in
+      List.iteri
+        (fun i (kind, bits, marks) ->
+          let round = i + 1 in
+          let row =
+            match kind with
+            | 0 -> !prev
+            | 1 -> [||]
+            | 2 -> Array.init edge_n Fun.id
+            | _ ->
+                Array.of_list
+                  (List.filter_map Fun.id
+                     (List.mapi (fun w b -> if b then Some w else None) bits))
+          in
+          let before = !eh and before_row = !prev in
+          let seen = reads before ~round ~row:before_row in
+          require (Bool.equal (E.same_row before row) (kind = 0 || row = !prev));
+          let after = E.refresh before ~round ~neighbors:row in
+          require (same_reads (reads before ~round ~row:before_row) seen);
+          for w = 0 to edge_n - 1 do
+            if Array.mem w row then begin
+              if born.(w) < 0 then born.(w) <- round
+            end
+            else begin
+              born.(w) <- -1;
+              contrib.(w) <- false
+            end
+          done;
+          eh := after;
+          prev := row;
+          List.iter
+            (fun w ->
+              let seen = reads !eh ~round ~row in
+              let next = E.mark_contributed !eh w in
+              require (same_reads (reads !eh ~round ~row) seen);
+              if born.(w) >= 0 then contrib.(w) <- true;
+              eh := next)
+            marks;
+          for w = 0 to edge_n - 1 do
+            require (Bool.equal (E.mem !eh w) (born.(w) >= 0))
+          done;
+          Array.iteri
+            (fun j w ->
+              require
+                (E.category_equal (E.categorize_at !eh ~round j)
+                   (model_cat ~round w)))
+            row)
+        steps;
+      !ok)
+
 let suite =
   [
     ("token make/relabel", `Quick, test_token_make_and_relabel);
@@ -288,6 +378,7 @@ let suite =
     ("instance multi source", `Quick, test_instance_multi_source_shape);
     ("instance validation", `Quick, test_instance_validation);
     qcheck prop_multi_source_uids_partition;
+    qcheck prop_edge_history_model;
     ("payload classification", `Quick, test_payload_classify);
     ("payload bit sizes", `Quick, test_payload_bits);
     ("payload equality and printing", `Quick, test_payload_equal_and_pp);
