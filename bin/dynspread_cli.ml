@@ -225,21 +225,20 @@ let fault_plan ~loss ~dup ~crash ~restart ~max_delay ~fault_seed ~seed =
     ~seed:(Option.value fault_seed ~default:seed)
     ()
 
-(* [None] means "the default engine" (soa at one shard, also named
-   fastpath) — callers use it to tell an explicit engine request apart
-   from the default, since a few run shapes (reliable wrapper,
-   oblivious-rw, lower-bound) are not engine-parametric. *)
-let resolve_engine ~engine ~shards =
+let check_shards ~engine ~shards =
   if shards < 1 then bad_flag "--shards %d must be >= 1" shards;
-  (match engine with
-  | Eng_soa -> ()
-  | _ ->
-      if shards > 1 then
-        bad_flag "--shards %d applies to --engine soa only" shards);
   match engine with
-  | Eng_fastpath -> None
-  | Eng_reference -> Some Engine.Reference.engine
-  | Eng_soa -> Some (Engine.Soa.engine ~shards ())
+  | Eng_soa -> ()
+  | Eng_fastpath | Eng_reference ->
+      if shards > 1 then
+        bad_flag "--shards %d applies to --engine soa only" shards
+
+let resolve_engine ~engine ~shards =
+  check_shards ~engine ~shards;
+  match engine with
+  | Eng_fastpath -> Engine.Soa.default_engine
+  | Eng_reference -> Engine.Reference.engine
+  | Eng_soa -> Engine.Soa.engine ~shards ()
 
 (* Run [f] with a JSONL sink on --trace FILE, the null sink otherwise.
    [Obs.Sink.close] drains the sink's line buffer before the channel
@@ -479,37 +478,12 @@ let report_run ?(timeline = false) ?(json = false) ?retransmits ~name ~n ~k
     end
   end
 
-(* Algorithm 2 returns its own result record, not a Run_result; wrap
-   its merged ledger so the JSON report path is uniform. *)
-let rw_report ~name ~k (r : Gossip.Oblivious_rw.result) =
-  let as_run_result =
-    Engine.Run_result.make
-      ~rounds:(r.Gossip.Oblivious_rw.phase1_rounds + r.Gossip.Oblivious_rw.phase2_rounds)
-      ~completed:r.Gossip.Oblivious_rw.completed
-      ~ledger:r.Gossip.Oblivious_rw.ledger ~timeline:[] ()
-  in
-  Engine.Run_result.to_report ~name
-    ~extra:
-      [
-        ("centers", Obs.Json.Int r.Gossip.Oblivious_rw.centers);
-        ("skipped_phase1", Obs.Json.Bool r.Gossip.Oblivious_rw.skipped_phase1);
-        ("phase1_rounds", Obs.Json.Int r.Gossip.Oblivious_rw.phase1_rounds);
-        ("phase1_settled", Obs.Json.Bool r.Gossip.Oblivious_rw.phase1_settled);
-        ("phase2_rounds", Obs.Json.Int r.Gossip.Oblivious_rw.phase2_rounds);
-        ("paper_messages", Obs.Json.Int r.Gossip.Oblivious_rw.paper_messages);
-        ( "amortized_per_token",
-          Obs.Json.Float
-            (float_of_int r.Gossip.Oblivious_rw.paper_messages
-            /. float_of_int k) );
-      ]
-    as_run_result
-
 let run_cmd =
   let doc = "Run one protocol in one environment and print the cost ledger." in
   let run protocol env n k s sigma seed loss dup crash restart max_delay
       fault_seed reliable timeline trace profile json check engine shards =
     Check.set_enabled check;
-    let eng_opt = resolve_engine ~engine ~shards in
+    let engine = resolve_engine ~engine ~shards in
     let sigma = resolve_sigma env sigma in
     let faults =
       fault_plan ~loss ~dup ~crash ~restart ~max_delay ~fault_seed ~seed
@@ -532,41 +506,28 @@ let run_cmd =
       match (protocol, reliable) with
       | Single, true ->
           let result, _, rt =
-            Gossip.Runners.reliable_single_source ~instance ~env:envv ~faults
-              ~obs ~prof ()
+            Gossip.Runners.reliable_single_source ~instance ~env:envv ~engine
+              ~faults ~obs ~prof ()
           in
           (result, Some rt)
       | Single, false ->
           ( fst
               (Gossip.Runners.single_source ~instance ~env:envv
-                 ?engine:eng_opt ~faults ~obs ~prof ()),
+                 ~engine ~faults ~obs ~prof ()),
             None )
       | (Multi | Flooding | Rw), true ->
           let result, _, rt =
-            Gossip.Runners.reliable_multi_source ~instance ~env:envv ~faults
-              ~obs ~prof ()
+            Gossip.Runners.reliable_multi_source ~instance ~env:envv ~engine
+              ~faults ~obs ~prof ()
           in
           (result, Some rt)
       | (Multi | Flooding | Rw), false ->
           ( fst
               (Gossip.Runners.multi_source ~instance ~env:envv
-                 ?engine:eng_opt ~faults ~obs ~prof ()),
+                 ~engine ~faults ~obs ~prof ()),
             None )
     in
     match (protocol, env) with
-    | _, _ when reliable && Option.is_some eng_opt ->
-        `Error
-          (false,
-           "--engine selects the engine-parametric protocols' engine; the \
-            --reliable wrapper runs on the default engine only")
-    | Rw, _ when Option.is_some eng_opt ->
-        `Error
-          (false, "oblivious-rw is not engine-parametric; drop --engine")
-    | Flooding, Env_lb when Option.is_some eng_opt ->
-        `Error
-          (false,
-           "the lower-bound adversary run is not engine-parametric; drop \
-            --engine")
     | (Flooding | Rw), _ when reliable ->
         `Error
           (false,
@@ -590,7 +551,8 @@ let run_cmd =
         `Ok ()
     | Flooding, Env_lb ->
         let result, _, lb =
-          Gossip.Runners.flooding_vs_lower_bound ~instance ~seed ~obs ~prof ()
+          Gossip.Runners.flooding_vs_lower_bound ~instance ~seed ~engine ~obs
+            ~prof ()
         in
         report_run ~timeline ~json ~name ~n ~k result;
         if not json then begin
@@ -617,7 +579,7 @@ let run_cmd =
             match protocol with
             | Flooding ->
                 let result, _ =
-                  Gossip.Runners.flooding ~instance ~schedule ?engine:eng_opt
+                  Gossip.Runners.flooding ~instance ~schedule ~engine
                     ~faults ~obs ~prof ()
                 in
                 report_run ~timeline ~json ~name ~n ~k result;
@@ -631,9 +593,10 @@ let run_cmd =
             | Rw ->
                 let r =
                   Gossip.Runners.oblivious_rw ~instance ~schedule ~seed
-                    ~const_f:0.05 ~force_rw:true ~obs ~prof ()
+                    ~engine ~const_f:0.05 ~force_rw:true ~obs ~prof ()
                 in
-                if json then print_json_report (rw_report ~name ~k r)
+                if json then
+                  print_json_report (Gossip.Oblivious_rw.to_report ~name ~k r)
                 else begin
                   Obs.Console.out
                     (Format.asprintf
@@ -686,7 +649,9 @@ let experiments_cmd =
   let which =
     Arg.(
       value
-      & pos_all (Arg.enum experiment_names) []
+      & pos_all
+          (Arg.enum (List.map (fun (id, e) -> (id, (id, e))) experiment_names))
+          []
       & info [] ~docv:"ID"
           ~doc:
             "Experiment ids (e0 e1 ... e18); default: all.")
@@ -695,14 +660,13 @@ let experiments_cmd =
     Check.set_enabled check;
     exit_on_signals ();
     let metrics = if timings then Some (Obs.Metrics.create ()) else None in
-    let selected =
-      match ids with [] -> List.map snd experiment_names | _ :: _ -> ids
-    in
+    let selected = match ids with [] -> experiment_names | _ :: _ -> ids in
     with_profile profile @@ fun prof ->
     List.iter
-      (fun id ->
+      (fun (id, e) ->
         let table =
-          match id with
+          Obs.Span.with_span prof ~cat:"experiment" id @@ fun () ->
+          match e with
           | `E0 -> Analysis.Experiments.environments ?metrics ~seed ()
           | `E1 -> Analysis.Experiments.table1 ~jobs ?metrics ~prof ~seed ()
           | `E2 -> Analysis.Experiments.lower_bound ?metrics ~seed ()
@@ -962,7 +926,7 @@ let scenario_run_cmd =
     with_profile profile @@ fun prof ->
     match
       Scenario.Runner.run ~jobs ~base_dir:(Filename.dirname path) ~prof
-        ?engine spec
+        ~engine spec
     with
     | Error e ->
         Obs.Console.error ("error: " ^ e);
@@ -1551,12 +1515,7 @@ let submit_cmd =
       shutdown_flag tag =
     install_signal Sys.sigpipe Sys.Signal_ignore;
     exit_on_signals ();
-    if shards < 1 then bad_flag "--shards %d must be >= 1" shards;
-    (match engine with
-    | Eng_soa -> ()
-    | Eng_fastpath | Eng_reference ->
-        if shards > 1 then
-          bad_flag "--shards %d applies to --engine soa only" shards);
+    check_shards ~engine ~shards;
     let engine_name =
       match engine with
       | Eng_fastpath -> None

@@ -108,8 +108,6 @@ val run_sharded :
     loop over the single span [[0, n)].  {!Soa}'s unicast side calls
     it with its shard spans.
 
-    All of a round's [P.send] calls precede its replay, so an effect a
-    protocol performs inside [P.send] (the reliable wrapper's
-    retransmit hook) lands before the round's [Send] events.  With
-    more than one span, [P.send] and [P.receive] run concurrently on
-    different nodes and must touch only the node's own state. *)
+    With more than one span, [P.send] and [P.receive] run
+    concurrently on different nodes and must touch only the node's
+    own state. *)

@@ -7,13 +7,37 @@ type result = {
   phase1_settled : bool;
   phase2_rounds : int;
   completed : bool;
+  cancelled : bool;
   ledger : Engine.Ledger.t;
   paper_messages : int;
 }
 
-let run ~instance ~schedule ~seed ?(const_f = 1.0) ?(const_gamma = 1.0)
-    ?(force_rw = false) ?phase1_cap ?phase2_cap ?(obs = Obs.Sink.null)
-    ?(prof = Obs.Span.null) () =
+(* The record of a run whose last engine run was [last] (phase 2, or
+   phase 1 when a cancel ended the run there). *)
+let summary ~centers ~skipped_phase1 ~phase1_rounds ~phase1_settled
+    ~phase2_rounds ~(last : Engine.Run_result.t) ledger =
+  {
+    centers;
+    skipped_phase1;
+    phase1_rounds;
+    phase1_settled;
+    phase2_rounds;
+    completed = last.Engine.Run_result.completed;
+    cancelled =
+      (match last.Engine.Run_result.outcome with
+      | Engine.Run_result.Cancelled _ -> true
+      | Engine.Run_result.Completed | Engine.Run_result.Partial _
+      | Engine.Run_result.Stalled _ | Engine.Run_result.Aborted _ ->
+          false);
+    ledger;
+    paper_messages =
+      Engine.Ledger.total_excluding ledger [ Engine.Msg_class.Center ];
+  }
+
+let run ~instance ~schedule ~seed ?(engine = Engine.Soa.default_engine)
+    ?(const_f = 1.0) ?(const_gamma = 1.0) ?(force_rw = false) ?phase1_cap
+    ?phase2_cap ?(obs = Obs.Sink.null) ?(prof = Obs.Span.null) ?cancel () =
+  let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance in
   let k = Instance.k instance in
   let s = Instance.source_count instance in
@@ -21,7 +45,7 @@ let run ~instance ~schedule ~seed ?(const_f = 1.0) ?(const_gamma = 1.0)
   let phase2_cap =
     Option.value phase2_cap ~default:((4 * n * k) + (4 * n * n))
   in
-  let ctx = Engine.Ctx.make ~obs ~prof () in
+  let ctx = Engine.Ctx.make ~obs ~prof ?cancel () in
   let emit_phase name round =
     if not (Obs.Sink.is_null obs) then
       Obs.Sink.emit obs (Obs.Trace.Phase { name; round })
@@ -31,7 +55,7 @@ let run ~instance ~schedule ~seed ?(const_f = 1.0) ?(const_gamma = 1.0)
     let adversary ~round ~prev:_ ~states:_ ~traffic:_ =
       Adversary.Schedule.get schedule (round + offset)
     in
-    Engine.Runner_unicast.run Multi_source.protocol ~ctx ?init_prev ~states
+    E.Unicast.run Multi_source.protocol ~ctx ?init_prev ~states
       ~adversary ~max_rounds:cap
       ~stop:(Multi_source.all_complete ~k)
       ()
@@ -46,18 +70,9 @@ let run ~instance ~schedule ~seed ?(const_f = 1.0) ?(const_gamma = 1.0)
           run_multi_source ~inst:instance ~offset:0 ~init_prev:None
             ~cap:phase2_cap)
     in
-    {
-      centers = s;
-      skipped_phase1 = true;
-      phase1_rounds = 0;
-      phase1_settled = true;
-      phase2_rounds = res.Engine.Run_result.rounds;
-      completed = res.Engine.Run_result.completed;
-      ledger = res.Engine.Run_result.ledger;
-      paper_messages =
-        Engine.Ledger.total_excluding res.Engine.Run_result.ledger
-          [ Engine.Msg_class.Center ];
-    }
+    summary ~centers:s ~skipped_phase1:true ~phase1_rounds:0
+      ~phase1_settled:true ~phase2_rounds:res.Engine.Run_result.rounds
+      ~last:res res.Engine.Run_result.ledger
   end
   else begin
     let rng = Dynet.Rng.make ~seed in
@@ -76,48 +91,77 @@ let run ~instance ~schedule ~seed ?(const_f = 1.0) ?(const_gamma = 1.0)
     emit_phase "random-walk" 0;
     let res1, states =
       Obs.Span.with_span prof ~cat:"algo-phase" "random-walk" (fun () ->
-          Engine.Runner_unicast.run Rw_phase.protocol ~ctx ~states
+          E.Unicast.run Rw_phase.protocol ~ctx ~states
             ~adversary ~max_rounds:phase1_cap ~stop:Rw_phase.settled ())
     in
-    let settled = res1.Engine.Run_result.completed in
-    (* Hand off: every remaining holder (centers, plus stragglers if the
-       cap was hit) becomes a phase-2 source for the tokens it holds. *)
-    let assignment = Array.make n [] in
-    Array.iteri
-      (fun v st ->
-        match Rw_phase.holding st with
-        | [] -> ()
-        | tokens ->
-            let tokens =
-              List.sort (fun (a : Token.t) b -> Int.compare a.uid b.uid) tokens
-            in
-            assignment.(v) <-
-              List.mapi (fun i tok -> Token.relabel tok ~src:v ~idx:i) tokens)
-      states;
-    let inst2 = Instance.make ~n ~assignment in
-    let last_graph =
-      if res1.Engine.Run_result.rounds = 0 then None
-      else Some (Adversary.Schedule.get schedule res1.Engine.Run_result.rounds)
+    let summary =
+      summary ~centers:center_count ~skipped_phase1:false
+        ~phase1_rounds:res1.Engine.Run_result.rounds
+        ~phase1_settled:res1.Engine.Run_result.completed
     in
-    emit_phase "multi-source" res1.Engine.Run_result.rounds;
-    let res2, _ =
-      Obs.Span.with_span prof ~cat:"algo-phase" "multi-source" (fun () ->
-          run_multi_source ~inst:inst2 ~offset:res1.Engine.Run_result.rounds
-            ~init_prev:last_graph ~cap:phase2_cap)
+    let cut =
+      summary ~phase2_rounds:0 ~last:res1 res1.Engine.Run_result.ledger
     in
-    let ledger =
-      Engine.Ledger.merge res1.Engine.Run_result.ledger
-        res2.Engine.Run_result.ledger
-    in
-    {
-      centers = center_count;
-      skipped_phase1 = false;
-      phase1_rounds = res1.Engine.Run_result.rounds;
-      phase1_settled = settled;
-      phase2_rounds = res2.Engine.Run_result.rounds;
-      completed = res2.Engine.Run_result.completed;
-      ledger;
-      paper_messages =
-        Engine.Ledger.total_excluding ledger [ Engine.Msg_class.Center ];
-    }
+    if cut.cancelled then cut
+    else begin
+      (* Hand off: every remaining holder (centers, plus stragglers if
+         the cap was hit) becomes a phase-2 source for the tokens it
+         holds. *)
+      let assignment = Array.make n [] in
+      Array.iteri
+        (fun v st ->
+          match Rw_phase.holding st with
+          | [] -> ()
+          | tokens ->
+              let tokens =
+                List.sort
+                  (fun (a : Token.t) b -> Int.compare a.uid b.uid)
+                  tokens
+              in
+              assignment.(v) <-
+                List.mapi (fun i tok -> Token.relabel tok ~src:v ~idx:i)
+                  tokens)
+        states;
+      let inst2 = Instance.make ~n ~assignment in
+      let last_graph =
+        if res1.Engine.Run_result.rounds = 0 then None
+        else
+          Some (Adversary.Schedule.get schedule res1.Engine.Run_result.rounds)
+      in
+      emit_phase "multi-source" res1.Engine.Run_result.rounds;
+      let res2, _ =
+        Obs.Span.with_span prof ~cat:"algo-phase" "multi-source" (fun () ->
+            run_multi_source ~inst:inst2
+              ~offset:res1.Engine.Run_result.rounds ~init_prev:last_graph
+              ~cap:phase2_cap)
+      in
+      summary ~phase2_rounds:res2.Engine.Run_result.rounds ~last:res2
+        (Engine.Ledger.merge res1.Engine.Run_result.ledger
+           res2.Engine.Run_result.ledger)
+    end
   end
+
+let to_report ~name ?(extra = []) ~k r =
+  let outcome =
+    if r.cancelled then
+      Some
+        (Engine.Run_result.Cancelled
+           { achieved = Engine.Ledger.learnings r.ledger; target = None })
+    else None
+  in
+  Engine.Run_result.to_report ~name
+    ~extra:
+      (extra
+      @ [
+          ("centers", Obs.Json.Int r.centers);
+          ("skipped_phase1", Obs.Json.Bool r.skipped_phase1);
+          ("phase1_rounds", Obs.Json.Int r.phase1_rounds);
+          ("phase1_settled", Obs.Json.Bool r.phase1_settled);
+          ("phase2_rounds", Obs.Json.Int r.phase2_rounds);
+          ("paper_messages", Obs.Json.Int r.paper_messages);
+          ( "amortized_per_token",
+            Obs.Json.Float (float_of_int r.paper_messages /. float_of_int k) );
+        ])
+    (Engine.Run_result.make ?outcome
+       ~rounds:(r.phase1_rounds + r.phase2_rounds)
+       ~completed:r.completed ~ledger:r.ledger ~timeline:[] ())

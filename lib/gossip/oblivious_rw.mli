@@ -36,6 +36,9 @@ type result = {
   phase1_settled : bool;  (** All tokens reached centers before the cap. *)
   phase2_rounds : int;
   completed : bool;  (** Every node got every token. *)
+  cancelled : bool;
+      (** The [cancel] poll fired: the phase it fired in ended the
+          run, so a phase-1 cancel leaves [phase2_rounds = 0]. *)
   ledger : Engine.Ledger.t;  (** Merged over both phases. *)
   paper_messages : int;
       (** Total excluding [Center]-class announcements — the quantity
@@ -46,6 +49,7 @@ val run :
   instance:Instance.t ->
   schedule:Adversary.Schedule.t ->
   seed:int ->
+  ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?const_f:float ->
   ?const_gamma:float ->
   ?force_rw:bool ->
@@ -53,12 +57,17 @@ val run :
   ?phase2_cap:int ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
+  ?cancel:(unit -> bool) ->
   unit ->
   result
 (** [const_f] and [const_gamma] (default 1.0) scale [f] and [γ];
     [force_rw] (default false) runs both phases even under the source
     threshold; caps default to [50·n + 1000] (phase 1) and
     [4·n·k + 4·n²] (phase 2).
+
+    Both phases run on [engine] (default {!Engine.Soa.default_engine})
+    and poll [cancel] (default: off) at their round boundaries; a
+    cancelled phase ends the run.
 
     [obs] (default {!Obs.Sink.null}) is forwarded to both engine runs
     and additionally receives an [Obs.Trace.Phase] marker before each
@@ -71,3 +80,14 @@ val run :
     engine runs; each phase's rounds additionally nest under an
     [algo-phase]-category span named [random-walk] or
     [multi-source]. *)
+
+val to_report :
+  name:string ->
+  ?extra:(string * Obs.Json.t) list ->
+  k:int ->
+  result ->
+  Obs.Report.t
+(** The run report: the merged ledger over both phases' rounds (no
+    timeline; a cancelled run's outcome carries the ledger's
+    learnings), then [extra] (default none), then every field of the
+    result and [amortized_per_token] ([paper_messages / k]). *)

@@ -20,16 +20,9 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
     attempts : int;
   }
 
-  type config = {
-    rto0 : int;
-    backoff : float;
-    max_rto : int;
-    on_retransmit :
-      (round:int -> src:Dynet.Node_id.t -> dst:Dynet.Node_id.t -> unit) option;
-  }
+  type config = { rto0 : int; backoff : float; max_rto : int }
 
   type state = {
-    me : Dynet.Node_id.t;
     cfg : config;
     inner : P.state;
     next_seq : int;
@@ -37,11 +30,14 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
     acks : (Dynet.Node_id.t * int) list;  (* queued, oldest first *)
     seen : ISet.t NMap.t;  (* delivered (sender, seq) pairs *)
     retransmits : int;
+    resent_round : int;  (* the round [resent] was sent in *)
+    resent : Dynet.Node_id.t list;  (* that round's retransmissions, in order *)
     acks_sent : int;
   }
 
   let inner st = st.inner
   let retransmits st = st.retransmits
+  let resent st = (st.resent_round, st.resent)
   let acks_sent st = st.acks_sent
 
   module Protocol = struct
@@ -89,7 +85,7 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
       (* Data: every due entry whose destination is adjacent, oldest
          first, at most one token-class per destination per round. *)
       let token_used = ref NSet.empty in
-      let retransmitted = ref 0 in
+      let resent = ref [] in
       let data_msgs = ref [] in
       let outstanding =
         List.map
@@ -100,12 +96,7 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
               && not (e.is_token && NSet.mem e.dst !token_used)
             then begin
               if e.is_token then token_used := NSet.add e.dst !token_used;
-              if e.attempts > 0 then begin
-                incr retransmitted;
-                match st.cfg.on_retransmit with
-                | Some hook -> hook ~round ~src:st.me ~dst:e.dst
-                | None -> ()
-              end;
+              if e.attempts > 0 then resent := e.dst :: !resent;
               data_msgs := (e.dst, Data { seq; payload = e.payload }) :: !data_msgs;
               ( seq,
                 {
@@ -127,7 +118,9 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
           next_seq;
           outstanding;
           acks = waiting_acks;
-          retransmits = st.retransmits + !retransmitted;
+          retransmits = st.retransmits + List.length !resent;
+          resent_round = round;
+          resent = List.rev !resent;
           acks_sent = st.acks_sent + List.length ack_msgs;
         },
         ack_msgs @ List.rev !data_msgs )
@@ -176,15 +169,14 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
       with type state = state
        and type msg = msg)
 
-  let wrap ?(rto = 2) ?(backoff = 2.) ?(max_rto = 64) ?on_retransmit states =
+  let wrap ?(rto = 2) ?(backoff = 2.) ?(max_rto = 64) states =
     if rto < 1 then invalid_arg "Reliable.wrap: rto < 1";
     if backoff < 1. then invalid_arg "Reliable.wrap: backoff < 1";
     if max_rto < rto then invalid_arg "Reliable.wrap: max_rto < rto";
-    let cfg = { rto0 = rto; backoff; max_rto; on_retransmit } in
-    Array.mapi
-      (fun v inner ->
+    let cfg = { rto0 = rto; backoff; max_rto } in
+    Array.map
+      (fun inner ->
         {
-          me = v;
           cfg;
           inner;
           next_seq = 0;
@@ -192,6 +184,8 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
           acks = [];
           seen = NMap.empty;
           retransmits = 0;
+          resent_round = 0;
+          resent = [];
           acks_sent = 0;
         })
       states

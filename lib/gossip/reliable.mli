@@ -21,6 +21,12 @@
       given destination per round, oldest outstanding first; the rest
       wait a round.
 
+    [send] and [receive] are pure functions of the node's own state:
+    a retransmission is recorded in the sender's state ({!resent}),
+    not reported through a callback, so any engine may run the nodes
+    of a round on any domain.  The runners turn those records into
+    [Obs.Trace.Fault {kind = "retransmit"}] events.
+
     The wrapper masks {e message} faults.  Crash-restart faults reset
     a node to its initial wrapper state (empty outstanding set, fresh
     sequence numbers), so a restarted sender can reuse sequence
@@ -48,15 +54,12 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) : sig
     ?rto:int ->
     ?backoff:float ->
     ?max_rto:int ->
-    ?on_retransmit:(round:int -> src:Dynet.Node_id.t -> dst:Dynet.Node_id.t -> unit) ->
     P.state array ->
     state array
   (** Wrap the inner initial states.  [rto] (default 2 rounds — one
       round for delivery plus one for the ack) is the initial
       retransmit timeout, [backoff] (default 2.) the per-transmission
       multiplier, [max_rto] (default 64) the timeout cap.
-      [on_retransmit] fires once per retransmission (the runners use
-      it to emit [Obs.Trace.Fault {kind = "retransmit"}] events).
       @raise Invalid_argument if [rto < 1], [backoff < 1.], or
       [max_rto < rto]. *)
 
@@ -66,6 +69,11 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) : sig
 
   val retransmits : state -> int
   (** Lifetime retransmissions this node performed. *)
+
+  val resent : state -> int * Dynet.Node_id.t list
+  (** [(round, dsts)]: the destinations of the retransmissions this
+      node made in [round], the last round it sent in, in send order
+      ([(0, [])] before its first send). *)
 
   val acks_sent : state -> int
   (** Lifetime acks this node sent. *)

@@ -47,84 +47,76 @@ let multi_source ~instance ~env ?(engine = Engine.Soa.default_engine) ?max_round
 module Reliable_single = Reliable.Make ((val Single_source.protocol))
 module Reliable_multi = Reliable.Make ((val Multi_source.protocol))
 
-(* Wire the wrapper's retransmit hook into the trace stream and tally
-   wrapper activity into the run's fault counts, so degraded runs
-   report their self-healing work alongside the faults it masked. *)
-let reliable_obs_hook obs =
+(* The wrapper records each node's retransmissions of a round in its
+   own state, so its [send] stays pure.  Every engine evaluates [stop]
+   sequentially, once before round 1 and once after each round's
+   receive, so this wrapper emits each round's records as [retransmit]
+   fault events in node order, the same on every engine. *)
+let tracing_retransmits obs ~resent stop =
   match obs with
-  | None -> None
-  | Some sink when Obs.Sink.is_null sink -> None
-  | Some sink ->
-      Some
-        (fun ~round ~src ~dst ->
-          Obs.Sink.emit sink
-            (Obs.Trace.Fault
-               { round; kind = "retransmit"; node = src; dst = Some dst;
-                 cls = None }))
+  | Some sink when not (Obs.Sink.is_null sink) ->
+      let round = ref 0 in
+      fun states ->
+        Array.iteri
+          (fun v st ->
+            match resent st with
+            | r, dsts when Int.equal r !round ->
+                List.iter
+                  (fun dst ->
+                    Obs.Sink.emit sink
+                      (Obs.Trace.Fault
+                         { round = r; kind = "retransmit"; node = v;
+                           dst = Some dst; cls = None }))
+                  dsts
+            | _ -> ())
+          states;
+        incr round;
+        stop states
+  | Some _ | None -> stop
 
-let note_retransmits (result : Engine.Run_result.t) ~retransmits =
+(* Run a wrapped protocol and tally the wrapper's retransmissions into
+   the run's fault counts, so degraded runs report their self-healing
+   work alongside the faults it masked. *)
+let run_reliable ~engine protocol ~inner ~retransmits ~resent ~complete
+    ~instance ~env ?max_rounds ?faults ?obs ?prof states =
+  let module E = (val engine : Engine.Engine_sig.ENGINE) in
+  let n = Instance.n instance and k = Instance.k instance in
+  let max_rounds =
+    Option.value max_rounds ~default:(2 * default_unicast_cap ~n ~k)
+  in
+  let result, states =
+    E.Unicast.run protocol
+      ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
+      ~target_progress:(n * k) ~states
+      ~adversary:(unicast_adversary ~n env)
+      ~max_rounds
+      ~stop:
+        (tracing_retransmits obs ~resent (fun sts ->
+             complete ~k (Array.map inner sts)))
+      ()
+  in
+  let total = Array.fold_left (fun acc st -> acc + retransmits st) 0 states in
   (match result.Engine.Run_result.fault_counts with
-  | Some c -> c.Faults.Counts.retransmits <- retransmits
+  | Some c -> c.Faults.Counts.retransmits <- total
   | None -> ());
-  result
+  (result, Array.map inner states, total)
 
-let reliable_single_source ~instance ~env ?max_rounds ?config ?rto ?backoff
-    ?faults ?obs ?prof () =
-  let n = Instance.n instance and k = Instance.k instance in
-  let max_rounds =
-    Option.value max_rounds ~default:(2 * default_unicast_cap ~n ~k)
-  in
-  let states =
-    Reliable_single.wrap ?rto ?backoff
-      ?on_retransmit:(reliable_obs_hook obs)
-      (Single_source.init ?config ~instance ())
-  in
-  let result, states =
-    Engine.Runner_unicast.run Reliable_single.protocol
-      ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
-      ~target_progress:(n * k) ~states
-      ~adversary:(unicast_adversary ~n env)
-      ~max_rounds
-      ~stop:(fun sts ->
-        Single_source.all_complete ~k (Array.map Reliable_single.inner sts))
-      ()
-  in
-  let retransmits =
-    Array.fold_left (fun acc st -> acc + Reliable_single.retransmits st) 0
-      states
-  in
-  ( note_retransmits result ~retransmits,
-    Array.map Reliable_single.inner states,
-    retransmits )
+let reliable_single_source ~instance ~env ?(engine = Engine.Soa.default_engine)
+    ?max_rounds ?config ?rto ?backoff ?faults ?obs ?prof () =
+  run_reliable ~engine Reliable_single.protocol ~inner:Reliable_single.inner
+    ~retransmits:Reliable_single.retransmits ~resent:Reliable_single.resent
+    ~complete:Single_source.all_complete ~instance ~env ?max_rounds ?faults
+    ?obs ?prof
+    (Reliable_single.wrap ?rto ?backoff (Single_source.init ?config ~instance ()))
 
-let reliable_multi_source ~instance ~env ?max_rounds ?source_order ?seed ?rto
-    ?backoff ?faults ?obs ?prof () =
-  let n = Instance.n instance and k = Instance.k instance in
-  let max_rounds =
-    Option.value max_rounds ~default:(2 * default_unicast_cap ~n ~k)
-  in
-  let states =
-    Reliable_multi.wrap ?rto ?backoff
-      ?on_retransmit:(reliable_obs_hook obs)
-      (Multi_source.init ?source_order ?seed ~instance ())
-  in
-  let result, states =
-    Engine.Runner_unicast.run Reliable_multi.protocol
-      ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
-      ~target_progress:(n * k) ~states
-      ~adversary:(unicast_adversary ~n env)
-      ~max_rounds
-      ~stop:(fun sts ->
-        Multi_source.all_complete ~k (Array.map Reliable_multi.inner sts))
-      ()
-  in
-  let retransmits =
-    Array.fold_left (fun acc st -> acc + Reliable_multi.retransmits st) 0
-      states
-  in
-  ( note_retransmits result ~retransmits,
-    Array.map Reliable_multi.inner states,
-    retransmits )
+let reliable_multi_source ~instance ~env ?(engine = Engine.Soa.default_engine)
+    ?max_rounds ?source_order ?seed ?rto ?backoff ?faults ?obs ?prof () =
+  run_reliable ~engine Reliable_multi.protocol ~inner:Reliable_multi.inner
+    ~retransmits:Reliable_multi.retransmits ~resent:Reliable_multi.resent
+    ~complete:Multi_source.all_complete ~instance ~env ?max_rounds ?faults
+    ?obs ?prof
+    (Reliable_multi.wrap ?rto ?backoff
+       (Multi_source.init ?source_order ?seed ~instance ()))
 
 let flooding ~instance ~schedule ?(engine = Engine.Soa.default_engine) ?phase_len
     ?max_rounds ?stall_after ?cancel ?faults ?obs ?prof ?on_graph () =
@@ -148,7 +140,9 @@ let token_uid_of_msg = function
   | Payload.Center_announce ->
       None
 
-let flooding_vs_lower_bound ~instance ~seed ?max_rounds ?obs ?prof () =
+let flooding_vs_lower_bound ~instance ~seed ?(engine = Engine.Soa.default_engine)
+    ?max_rounds ?obs ?prof () =
+  let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
   let max_rounds =
     Option.value max_rounds ~default:(default_broadcast_cap ~n ~k)
@@ -162,7 +156,7 @@ let flooding_vs_lower_bound ~instance ~seed ?max_rounds ?obs ?prof () =
   in
   let states = Flooding.init ~instance () in
   let result, states =
-    Engine.Runner_broadcast.run Flooding.protocol
+    E.Broadcast.run Flooding.protocol
       ~ctx:(Engine.Ctx.make ?obs ?prof ()) ~states
       ~adversary
       ~max_rounds
@@ -171,7 +165,9 @@ let flooding_vs_lower_bound ~instance ~seed ?max_rounds ?obs ?prof () =
   in
   (result, states, lb)
 
-let greedy_vs_lower_bound ~instance ~policy ~seed ?max_rounds ?obs ?prof () =
+let greedy_vs_lower_bound ~instance ~policy ~seed
+    ?(engine = Engine.Soa.default_engine) ?max_rounds ?obs ?prof () =
+  let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
   let max_rounds =
     Option.value max_rounds ~default:(default_broadcast_cap ~n ~k)
@@ -185,7 +181,7 @@ let greedy_vs_lower_bound ~instance ~policy ~seed ?max_rounds ?obs ?prof () =
   in
   let states = Greedy_bcast.init ~instance ~policy ~seed () in
   let result, states =
-    Engine.Runner_broadcast.run Greedy_bcast.protocol
+    E.Broadcast.run Greedy_bcast.protocol
       ~ctx:(Engine.Ctx.make ?obs ?prof ()) ~states
       ~adversary
       ~max_rounds
@@ -194,13 +190,15 @@ let greedy_vs_lower_bound ~instance ~policy ~seed ?max_rounds ?obs ?prof () =
   in
   (result, states, lb)
 
-let random_push ~instance ~env ~seed ?max_rounds ?faults ?obs ?prof () =
+let random_push ~instance ~env ~seed ?(engine = Engine.Soa.default_engine)
+    ?max_rounds ?faults ?obs ?prof () =
+  let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
   let max_rounds =
     Option.value max_rounds ~default:(4 * default_unicast_cap ~n ~k)
   in
   let states = Random_push.init ~instance ~seed in
-  Engine.Runner_unicast.run Random_push.protocol
+  E.Unicast.run Random_push.protocol
     ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
     ~target_progress:(n * k) ~states
     ~adversary:(unicast_adversary ~n env)
@@ -208,10 +206,12 @@ let random_push ~instance ~env ~seed ?max_rounds ?faults ?obs ?prof () =
     ~stop:(Random_push.all_complete ~k)
     ()
 
-let leader_election ~n ~env ?max_rounds ?faults ?obs ?prof () =
+let leader_election ~n ~env ?(engine = Engine.Soa.default_engine) ?max_rounds
+    ?faults ?obs ?prof () =
+  let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let max_rounds = Option.value max_rounds ~default:((8 * n * n) + 64) in
   let states = Leader_election.init ~n in
-  Engine.Runner_unicast.run Leader_election.protocol
+  E.Unicast.run Leader_election.protocol
     ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
     ~target_progress:n ~states
     ~adversary:(unicast_adversary ~n env)
@@ -219,14 +219,15 @@ let leader_election ~n ~env ?max_rounds ?faults ?obs ?prof () =
     ~stop:(Leader_election.elected ~n)
     ()
 
-let coded_broadcast ~instance ~schedule ~seed ?max_rounds ?faults ?obs ?prof
-    () =
+let coded_broadcast ~instance ~schedule ~seed
+    ?(engine = Engine.Soa.default_engine) ?max_rounds ?faults ?obs ?prof () =
+  let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
   let max_rounds =
     Option.value max_rounds ~default:(default_broadcast_cap ~n ~k)
   in
   let states = Coded_bcast.init ~instance ~seed in
-  Engine.Runner_broadcast.run Coded_bcast.protocol
+  E.Broadcast.run Coded_bcast.protocol
     ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
     ~target_progress:(n * k) ~states
     ~adversary:(Adversary.Schedule.broadcast schedule)

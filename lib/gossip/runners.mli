@@ -6,6 +6,14 @@
     engine, and returns the {!Engine.Run_result.t} plus the final node
     states for inspection.
 
+    Every runner is {e engine-parametric}: the optional [?engine]
+    (default {!Engine.Soa.default_engine}, the production engine at
+    one shard) selects the {!Engine.Engine_sig.ENGINE} implementation
+    that executes the run — pass a sharded {!Engine.Soa.engine} to
+    split node space over domains, or {!Engine.Reference.engine} for
+    the pseudocode-faithful baseline the differential tests check
+    against.  Reports are identical on every engine.
+
     Each runner takes the run-context settings it supports as
     labelled arguments and builds one {!Engine.Ctx.t} from them;
     {!Engine.Ctx} documents every setting and its zero-cost default.
@@ -22,14 +30,9 @@
     {!flooding}) additionally take [?on_graph] (so {!Scenario.Record}
     can capture the realized round-graph sequence of any run, adaptive
     environments included), [?stall_after] (which {!Scenario.Runner}
-    arms on looped-trace environments), [?cancel] (the serve
-    scheduler's round-boundary cancellation), and are
-    {e engine-parametric}: the optional [?engine] (default
-    {!Engine.Soa.default_engine}, the production engine at one shard)
-    selects the {!Engine.Engine_sig.ENGINE} implementation that
-    executes the run — pass
-    {!Engine.Reference.engine} for the pseudocode-faithful baseline the
-    differential fuzzer checks against. *)
+    arms on looped-trace environments), and [?cancel] (the serve
+    scheduler's round-boundary cancellation), which {!oblivious_rw}
+    takes too. *)
 
 type unicast_env =
   | Oblivious of Adversary.Schedule.t
@@ -83,6 +86,7 @@ val multi_source :
 val reliable_single_source :
   instance:Instance.t ->
   env:unicast_env ->
+  ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?max_rounds:int ->
   ?config:Single_source.config ->
   ?rto:int ->
@@ -97,11 +101,15 @@ val reliable_single_source :
     survive.  Returns the {e inner} protocol states and the total
     retransmission count (also folded into the result's fault counts
     when a plan was active).  The default round cap is doubled — the
-    wrapper trades rounds and messages for delivery guarantees. *)
+    wrapper trades rounds and messages for delivery guarantees.
+    Each retransmission is traced as an [Obs.Trace.Fault
+    {kind = "retransmit"}] event after its round's [Progress] event,
+    in node order, identically on every engine. *)
 
 val reliable_multi_source :
   instance:Instance.t ->
   env:unicast_env ->
+  ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?max_rounds:int ->
   ?source_order:Multi_source.source_order ->
   ?seed:int ->
@@ -134,6 +142,7 @@ val flooding :
 val flooding_vs_lower_bound :
   instance:Instance.t ->
   seed:int ->
+  ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?max_rounds:int ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
@@ -147,6 +156,7 @@ val greedy_vs_lower_bound :
   instance:Instance.t ->
   policy:Greedy_bcast.policy ->
   seed:int ->
+  ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?max_rounds:int ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
@@ -160,6 +170,7 @@ val random_push :
   instance:Instance.t ->
   env:unicast_env ->
   seed:int ->
+  ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?max_rounds:int ->
   ?faults:Faults.Plan.t ->
   ?obs:Obs.Sink.t ->
@@ -172,6 +183,7 @@ val random_push :
 val leader_election :
   n:int ->
   env:unicast_env ->
+  ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?max_rounds:int ->
   ?faults:Faults.Plan.t ->
   ?obs:Obs.Sink.t ->
@@ -186,6 +198,7 @@ val coded_broadcast :
   instance:Instance.t ->
   schedule:Adversary.Schedule.t ->
   seed:int ->
+  ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?max_rounds:int ->
   ?faults:Faults.Plan.t ->
   ?obs:Obs.Sink.t ->
@@ -199,6 +212,7 @@ val oblivious_rw :
   instance:Instance.t ->
   schedule:Adversary.Schedule.t ->
   seed:int ->
+  ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?const_f:float ->
   ?const_gamma:float ->
   ?force_rw:bool ->
@@ -206,6 +220,7 @@ val oblivious_rw :
   ?phase2_cap:int ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
+  ?cancel:(unit -> bool) ->
   unit ->
   Oblivious_rw.result
 (** Algorithm 2 (re-exported from {!Oblivious_rw.run}). *)

@@ -98,38 +98,6 @@ let engine_report (spec : Spec.t) ~name ~n ~seed
         ])
     result
 
-(* Algorithm 2 returns its own result record; wrap its merged ledger so
-   the report path is uniform (same shape as the CLI's rw report). *)
-let rw_report (spec : Spec.t) ~name ~n ~seed (r : Gossip.Oblivious_rw.result)
-    =
-  let as_run_result =
-    Engine.Run_result.make
-      ~rounds:
-        (r.Gossip.Oblivious_rw.phase1_rounds
-        + r.Gossip.Oblivious_rw.phase2_rounds)
-      ~completed:r.Gossip.Oblivious_rw.completed
-      ~ledger:r.Gossip.Oblivious_rw.ledger ~timeline:[] ()
-  in
-  Engine.Run_result.to_report ~name
-    ~extra:
-      (base_extra spec ~n ~seed
-      @ [
-          ("centers", Obs.Json.Int r.Gossip.Oblivious_rw.centers);
-          ( "skipped_phase1",
-            Obs.Json.Bool r.Gossip.Oblivious_rw.skipped_phase1 );
-          ("phase1_rounds", Obs.Json.Int r.Gossip.Oblivious_rw.phase1_rounds);
-          ( "phase1_settled",
-            Obs.Json.Bool r.Gossip.Oblivious_rw.phase1_settled );
-          ("phase2_rounds", Obs.Json.Int r.Gossip.Oblivious_rw.phase2_rounds);
-          ( "paper_messages",
-            Obs.Json.Int r.Gossip.Oblivious_rw.paper_messages );
-          ( "amortized_per_token",
-            Obs.Json.Float
-              (float_of_int r.Gossip.Oblivious_rw.paper_messages
-              /. float_of_int spec.k) );
-        ])
-    as_run_result
-
 let run_point (spec : Spec.t) ?engine ?obs ?cancel ~trace ~n ~prof ~seed () =
   let name =
     spec.name ^ "/" ^ Spec.algorithm_name spec.algorithm ^ "/seed="
@@ -184,27 +152,10 @@ let run_point (spec : Spec.t) ?engine ?obs ?cancel ~trace ~n ~prof ~seed () =
       in
       engine_report spec ~name ~n ~seed result
   | Spec.Oblivious_rw ->
-      (* Algorithm 2 is not engine-parametric, so it has no round-
-         boundary cancel hook: a cancel observed before the repeat
-         starts yields a zero-round [Cancelled] report, one arriving
-         mid-run takes effect at the next repeat boundary. *)
-      let pre_cancelled =
-        match cancel with None -> false | Some c -> c ()
-      in
-      if pre_cancelled then
-        engine_report spec ~name ~n ~seed
-          (Engine.Run_result.make
-             ~outcome:
-               (Engine.Run_result.Cancelled { achieved = 0; target = None })
-             ~rounds:0 ~completed:false
-             ~ledger:(Engine.Ledger.create ())
-             ~timeline:[] ())
-      else
-        let r =
-          Gossip.Runners.oblivious_rw ~instance ~schedule:(schedule ()) ~seed
-            ~const_f:0.05 ~force_rw:true ?obs ~prof ()
-        in
-        rw_report spec ~name ~n ~seed r
+      Gossip.Oblivious_rw.to_report ~name ~extra:(base_extra spec ~n ~seed)
+        ~k:spec.k
+        (Gossip.Runners.oblivious_rw ~instance ~schedule:(schedule ()) ~seed
+           ?engine ~const_f:0.05 ~force_rw:true ?obs ~prof ?cancel ())
 
 (* A spec with its environment materialized: the trace (if any) loaded
    and checked, [n] resolved, the per-repeat seeds laid out.  This is

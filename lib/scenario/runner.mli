@@ -86,8 +86,7 @@ val run_repeat :
     receives the repeat's trace events (the serve daemon's [subscribe]
     stream).  [?cancel] is the engines' round-boundary
     cooperative-cancellation poll: a repeat cancelled before its first
-    round reports [Cancelled] with zero rounds; [oblivious-rw] (not
-    engine-parametric) checks only at repeat entry. *)
+    round reports [Cancelled] with zero rounds. *)
 
 val run_prepared :
   ?jobs:int ->
@@ -111,8 +110,7 @@ val run :
 (** [prepare] then [run_prepared]: execute every repeat and return the
     run reports in repeat order.
     [?engine] (default {!Engine.Soa.default_engine}) selects the
-    execution engine for the engine-parametric algorithms (flooding,
-    single-source, multi-source); reports are engine-independent, so
+    execution engine; reports are engine-independent, so
     passing a sharded {!Engine.Soa.engine} or {!Engine.Reference.engine}
     changes only the wall-clock.
     [?prof] (default {!Obs.Span.null}) profiles the whole run as one

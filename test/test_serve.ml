@@ -250,6 +250,52 @@ let test_cancel_completion_wins () =
   in
   check Alcotest.string "completed" "completed" (report_outcome line)
 
+let test_cancel_oblivious_rw () =
+  (* Algorithm 2 threads the poll into both phases: a cancel in phase 1
+     ends the run there (phase 2 never starts), one in phase 2 stops
+     phase 2 at its next boundary; either way the report keeps the
+     Algorithm-2 fields. *)
+  List.iter
+    (fun (tag, engine) ->
+      let p =
+        prepared_of (spec_string ~algorithm:"oblivious-rw" ~n:24 ~k:8 ())
+      in
+      let full =
+        report_line (Scenario.Runner.run_repeat ?engine p ~seed:p.seeds.(0))
+      in
+      let phase1 = report_int full "phase1_rounds" in
+      check Alcotest.bool (tag ^ ": both phases run") true
+        (phase1 > 2 && report_int full "phase2_rounds" > 2);
+      let pre =
+        report_line
+          (Scenario.Runner.run_repeat ?engine p ~seed:p.seeds.(0)
+             ~cancel:(fun () -> true))
+      in
+      check Alcotest.string (tag ^ ": pre-cancelled") "cancelled"
+        (report_outcome pre);
+      check Alcotest.(list int)
+        (tag ^ ": pre-cancelled runs no round")
+        [ 0; 0; 0 ]
+        (List.map (report_int pre) [ "rounds"; "phase1_rounds"; "phase2_rounds" ]);
+      check Alcotest.bool (tag ^ ": rw fields kept") true
+        (report_int pre "centers" >= 1);
+      let in_phase1 = cancelled_after ?engine p 2 in
+      check Alcotest.string (tag ^ ": phase-1 cut") "cancelled"
+        (report_outcome in_phase1);
+      check Alcotest.(list int)
+        (tag ^ ": phase 2 never starts")
+        [ 2; 0 ]
+        (List.map (report_int in_phase1) [ "phase1_rounds"; "phase2_rounds" ]);
+      (* Phase 1 polls once per round it runs; phase 2 then gets two. *)
+      let in_phase2 = cancelled_after ?engine p (phase1 + 2) in
+      check Alcotest.string (tag ^ ": phase-2 cut") "cancelled"
+        (report_outcome in_phase2);
+      check Alcotest.(list int)
+        (tag ^ ": phase 2 cut after two rounds")
+        [ phase1; 2 ]
+        (List.map (report_int in_phase2) [ "phase1_rounds"; "phase2_rounds" ]))
+    engines
+
 (* {2 Scheduler} *)
 
 let with_sched ?(workers = 2) ?(queue_cap = 128) f =
@@ -748,4 +794,6 @@ let suite =
       test_server_corpus_replay;
     Alcotest.test_case "server: stale socket reclaimed, live refused" `Quick
       test_bind_unix_stale_vs_live;
+    Alcotest.test_case "cancel: oblivious-rw in either phase" `Quick
+      test_cancel_oblivious_rw;
   ]

@@ -1,9 +1,10 @@
 (* Tests for the mega-scale SoA engine stack: shard-range geometry
    and the Shard_pool barrier protocol, the delta-gated CSR adjacency,
    byte-identical reports against the Reference oracle across
-   topologies / algorithms / shard counts, the seeded shard-boundary
-   mutant being observable, and the allocation-free steady state of
-   the plane round loop. *)
+   topologies / algorithms / shard counts and for every runner of
+   Gossip.Runners, the seeded shard-boundary mutant being observable,
+   the reliable runners' retransmit trace, and the allocation-free
+   steady state of the plane round loop. *)
 
 let check = Alcotest.check
 
@@ -421,6 +422,156 @@ let test_boundary_mutant_observable () =
   check Alcotest.bool "the boundary mutant changes the report" false
     (String.equal (report clean) (report buggy))
 
+(* {2 Every runner on every engine}
+
+   Each runner of [Gossip.Runners] runs through the [ENGINE] seam, so
+   Reference, soa-1 and soa-2 must agree on its report — and on what
+   the runner returns beside it: the retransmit count of the reliable
+   runners, the adversary's component history of the lower-bound
+   runners, and Algorithm 2's whole result (every field of
+   [Oblivious_rw.result] is in its report). *)
+
+let runner_cases =
+  let history lb =
+    String.concat ";"
+      (List.map
+         (fun (r, c) -> Printf.sprintf "%d:%d" r c)
+         (Adversary.Broadcast_lb.history lb))
+  in
+  let rewiring n =
+    Gossip.Runners.Oblivious
+      (Adversary.Oblivious.rewiring ~seed:5 ~n ~extra:3 ~rate:0.3)
+  in
+  let faults =
+    Faults.Plan.make ~seed:3 ~loss:0.15 ~dup:0.1 ~max_delay:2 ()
+  in
+  [
+    ( "reliable single-source",
+      fun engine ->
+        let r, _, rt =
+          Gossip.Runners.reliable_single_source
+            ~instance:(Gossip.Instance.single_source ~n:12 ~k:6 ~source:0)
+            ~env:(rewiring 12) ~engine ~faults ()
+        in
+        report r ^ string_of_int rt );
+    ( "reliable multi-source",
+      fun engine ->
+        let r, _, rt =
+          Gossip.Runners.reliable_multi_source
+            ~instance:(Gossip.Instance.one_per_node ~n:12)
+            ~env:(rewiring 12) ~engine ~faults ()
+        in
+        report r ^ string_of_int rt );
+    ( "random push",
+      fun engine ->
+        fst
+          (Gossip.Runners.random_push
+             ~instance:(Gossip.Instance.single_source ~n:14 ~k:4 ~source:0)
+             ~env:(rewiring 14) ~seed:9 ~engine ())
+        |> report );
+    ( "leader election",
+      fun engine ->
+        fst
+          (Gossip.Runners.leader_election ~n:14
+             ~env:(Gossip.Runners.Request_cutting { seed = 4; cut_prob = 0.3 })
+             ~engine ())
+        |> report );
+    ( "coded broadcast",
+      fun engine ->
+        fst
+          (Gossip.Runners.coded_broadcast
+             ~instance:(Gossip.Instance.one_per_node ~n:12)
+             ~schedule:(Adversary.Oblivious.fresh_random ~seed:6 ~n:12 ~p:0.3)
+             ~seed:7 ~engine ())
+        |> report );
+    ( "flooding vs lower bound",
+      fun engine ->
+        let r, _, lb =
+          Gossip.Runners.flooding_vs_lower_bound
+            ~instance:(Gossip.Instance.one_per_node ~n:12)
+            ~seed:8 ~engine ()
+        in
+        report r ^ history lb );
+    ( "greedy vs lower bound",
+      fun engine ->
+        let r, _, lb =
+          Gossip.Runners.greedy_vs_lower_bound
+            ~instance:(Gossip.Instance.one_per_node ~n:12)
+            ~policy:Gossip.Greedy_bcast.Random_token ~seed:8 ~max_rounds:60
+            ~engine ()
+        in
+        report r ^ history lb );
+    ( "oblivious-rw (forced)",
+      fun engine ->
+        let n = 24 in
+        Gossip.Runners.oblivious_rw
+          ~instance:
+            (Gossip.Instance.multi_source ~rng:(Dynet.Rng.make ~seed:2) ~n
+               ~k:24 ~s:24)
+          ~schedule:(Adversary.Oblivious.fresh_random ~seed:3 ~n ~p:0.25)
+          ~seed:4 ~const_f:0.1 ~force_rw:true ~engine ()
+        |> Gossip.Oblivious_rw.to_report ~name:"rw" ~k:24
+        |> Obs.Report.to_json |> Obs.Json.to_string );
+  ]
+
+let test_every_runner_identical () =
+  List.iter
+    (fun (name, run) ->
+      let base = run Engine.Reference.engine in
+      List.iter
+        (fun (ename, engine) ->
+          check Alcotest.string
+            (Printf.sprintf "%s under %s matches reference" name ename)
+            base (run engine))
+        (List.filteri (fun i _ -> i < 2) soa_engines))
+    runner_cases
+
+let test_runner_boundary_mutant_observable () =
+  (* The mutant may also break a runner outright: Algorithm 2's
+     hand-off rejects a phase 1 that lost the skipped node's tokens. *)
+  let buggy = Engine.Soa.make ~shards:2 ~boundary_bug:true () in
+  let diverging =
+    List.filter
+      (fun (_, run) ->
+        match run buggy with
+        | report -> not (String.equal (run Engine.Reference.engine) report)
+        | exception Invalid_argument _ -> true)
+      runner_cases
+  in
+  check Alcotest.bool "the boundary mutant changes some runner's report" true
+    (diverging <> [])
+
+let test_retransmit_trace_deterministic () =
+  (* The wrapper records retransmissions in node state and the runner
+     emits them from its stop predicate, so the trace is the same at
+     any shard count, and it carries exactly the returned count. *)
+  let n = 16 in
+  let traced engine =
+    let sink = Obs.Sink.memory () in
+    let _, _, retransmits =
+      Gossip.Runners.reliable_multi_source
+        ~instance:(Gossip.Instance.one_per_node ~n)
+        ~env:
+          (Gossip.Runners.Oblivious
+             (Adversary.Oblivious.rewiring ~seed:5 ~n ~extra:3 ~rate:0.3))
+        ~faults:(Faults.Plan.make ~seed:2 ~loss:0.2 ())
+        ~engine ~obs:sink ()
+    in
+    ( List.map
+        (fun ev -> Obs.Json.to_string (Obs.Trace.to_json ev))
+        (Obs.Sink.events sink),
+      retransmits )
+  in
+  let events1, retransmits = traced (Engine.Soa.engine ()) in
+  let events4, _ = traced (Engine.Soa.engine ~shards:4 ()) in
+  check Alcotest.(list string) "soa-1 and soa-4 traces" events1 events4;
+  check Alcotest.bool "the plan forces retransmissions" true (retransmits > 0);
+  let is_retransmit line =
+    Astring.String.is_infix ~affix:{|"kind":"retransmit"|} line
+  in
+  check Alcotest.int "one retransmit event per retransmission" retransmits
+    (List.length (List.filter is_retransmit events1))
+
 (* {2 Steady-state allocation}
 
    Differential minor-heap measurement shared by the three allocation
@@ -565,4 +716,10 @@ let suite =
       test_multi_shard_merge_allocation_free;
     Alcotest.test_case "soa: push path allocation bounded" `Quick
       test_push_path_allocation_bounded;
+    Alcotest.test_case "soa: every runner byte-identical to reference" `Quick
+      test_every_runner_identical;
+    Alcotest.test_case "soa: boundary mutant observable on the runners"
+      `Quick test_runner_boundary_mutant_observable;
+    Alcotest.test_case "soa: retransmit trace identical at shards 1/4"
+      `Quick test_retransmit_trace_deterministic;
   ]
