@@ -221,9 +221,9 @@ let fault_plan ~loss ~dup ~crash ~restart ~max_delay ~fault_seed ~seed =
   if max_delay < 0 then bad_fault_flag "--max-delay %d is negative" max_delay;
   validate_seed ~flag:"seed" seed;
   Option.iter (validate_seed ~flag:"fault-seed") fault_seed;
-  Faults.Plan.make ~loss ~dup ~crash ~restart ~max_delay
-    ~seed:(Option.value fault_seed ~default:seed)
-    ()
+  Scenario.Runner.fault_plan
+    (Some { loss; dup; crash; restart; max_delay; fault_seed })
+    ~seed
 
 let check_shards ~engine ~shards =
   if shards < 1 then bad_flag "--shards %d must be >= 1" shards;
@@ -332,11 +332,13 @@ let protocol_conv =
     [ ("flooding", Flooding); ("single-source", Single);
       ("multi-source", Multi); ("oblivious-rw", Rw) ]
 
-let protocol_name = function
-  | Flooding -> "flooding"
-  | Single -> "single-source"
-  | Multi -> "multi-source"
-  | Rw -> "oblivious-rw"
+let spec_algorithm = function
+  | Flooding -> Scenario.Spec.Flooding
+  | Single -> Scenario.Spec.Single_source
+  | Multi -> Scenario.Spec.Multi_source
+  | Rw -> Scenario.Spec.Oblivious_rw
+
+let protocol_name p = Scenario.Spec.algorithm_name (spec_algorithm p)
 
 let protocol_arg =
   Arg.(
@@ -493,14 +495,7 @@ let run_cmd =
     with_trace trace @@ fun obs ->
     with_profile profile @@ fun prof ->
     let instance =
-      match protocol with
-      | Single -> Gossip.Instance.single_source ~n ~k ~source:0
-      | Flooding | Multi | Rw ->
-          if s <= 1 then Gossip.Instance.single_source ~n ~k ~source:0
-          else
-            Gossip.Instance.multi_source
-              ~rng:(Dynet.Rng.make ~seed:(seed + 1))
-              ~n ~k ~s:(min s (min n k))
+      Scenario.Runner.instance_of (spec_algorithm protocol) ~n ~k ~s ~seed
     in
     let run_unicast envv =
       match (protocol, reliable) with

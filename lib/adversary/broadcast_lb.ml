@@ -46,9 +46,9 @@ let next_graph t view =
   if Array.length view.chosen <> t.n then
     invalid_arg "Broadcast_lb.next_graph: view has wrong node count";
   let uf = Union_find.create t.n in
-  let forest = ref Edge_set.empty in
+  let edges = Edge_table.create ~n:t.n ~size_hint:t.n () in
   let connect u v =
-    if Union_find.union uf u v then forest := Edge_set.add_pair u v !forest
+    if Union_find.union uf u v then Edge_table.add_pair edges u v
   in
   (* Silent nodes form a free clique (Lemma 2.2's B̄): a spanning star
      on them suffices. *)
@@ -71,17 +71,17 @@ let next_graph t view =
   let free_components = Union_find.count uf in
   (* Connect the remaining components with the minimum number of
      (non-free) edges: each adds at most 2 token learnings. *)
-  let edges =
-    match Union_find.representatives uf with
-    | [] | [ _ ] -> !forest
-    | first :: rest ->
-        fst
-          (List.fold_left
-             (fun (acc, prev) rep -> (Edge_set.add_pair prev rep acc, rep))
-             (!forest, first) rest)
-  in
+  (match Union_find.representatives uf with
+  | [] | [ _ ] -> ()
+  | first :: rest ->
+      ignore
+        (List.fold_left
+           (fun prev rep ->
+             Edge_table.add_pair edges prev rep;
+             rep)
+           first rest));
   t.history <- (List.length !broadcasters, free_components) :: t.history;
-  Graph.make ~n:t.n edges
+  Graph.of_table edges
 
 let history t = List.rev t.history
 

@@ -18,51 +18,55 @@ let fresh_random ~seed ~n ~p =
 let tree_rotator ~seed ~n =
   Schedule.of_fun ~n (fun r -> Graph_gen.random_tree (round_rng ~seed r) ~n)
 
-let random_non_tree_edge rng ~n tree_edges =
+let random_non_tree_edge rng ~n tree =
   if n < 3 then None
   else begin
     let rec try_draw attempts =
       if attempts = 0 then None
       else
         let u = Rng.int rng n and v = Rng.int rng n in
-        if u = v then try_draw (attempts - 1)
-        else
-          let e = Edge.make u v in
-          if Edge_set.mem e tree_edges then try_draw (attempts - 1) else Some e
+        if u = v || Graph.mem_edge tree u v then try_draw (attempts - 1)
+        else Some (u, v)
     in
     try_draw 32
   end
 
+let merge a b = Edge_table.merge_keys a (Array.length a) b (Array.length b)
+
 let rewiring ~seed ~n ~extra ~rate =
   let base_rng = Rng.make ~seed in
   let tree = Graph_gen.random_tree base_rng ~n in
-  let tree_edges = Graph.edges tree in
+  let tree_keys = Graph.edges tree in
+  (* The ascending keys of [count] fresh non-tree draws, deduped. *)
   let draw_extras rng count =
-    let rec loop acc remaining =
-      if remaining = 0 then acc
-      else
-        match random_non_tree_edge rng ~n tree_edges with
-        | None -> acc
-        | Some e -> loop (Edge_set.add e acc) (remaining - 1)
+    let fresh = Edge_table.create ~n () in
+    let rec loop remaining =
+      if remaining > 0 then
+        match random_non_tree_edge rng ~n tree with
+        | None -> ()
+        | Some (u, v) ->
+            Edge_table.add_pair fresh u v;
+            loop (remaining - 1)
     in
-    loop Edge_set.empty count
+    loop count;
+    Edge_table.sorted_keys fresh
   in
   let initial = draw_extras (Rng.split base_rng) extra in
   Schedule.iterate ~n
-    ~init:(fun () -> Graph.make ~n (Edge_set.union tree_edges initial))
+    ~init:(fun () -> Graph.make ~n (merge tree_keys initial))
     (fun r prev ->
       let rng = round_rng ~seed:(seed lxor 0x5bd1) r in
+      (* One coin per non-tree edge of [prev], in ascending key order. *)
       let kept =
-        Edge_set.filter
+        List.filter
           (fun _ -> not (Rng.bernoulli rng rate))
-          (Edge_set.diff (Graph.edges prev) tree_edges)
+          (Array.to_list (Edge_table.diff_keys (Graph.edges prev) tree_keys))
       in
-      let missing = extra - Edge_set.cardinal kept in
-      let fresh = draw_extras rng (max 0 missing) in
-      Graph.make ~n (Edge_set.union tree_edges (Edge_set.union kept fresh)))
+      let fresh = draw_extras rng (max 0 (extra - List.length kept)) in
+      Graph.make ~n (merge tree_keys (merge (Array.of_list kept) fresh)))
 
 let patch_connected rng ~n edges =
-  let g = Graph.make ~n edges in
+  let g = Graph.of_table edges in
   if Graph.is_connected g then g
   else
     let tree = Graph_gen.random_tree rng ~n in
@@ -73,19 +77,27 @@ let edge_markovian ~seed ~n ~p_up ~p_down =
     ~init:(fun () -> Graph_gen.random_tree (Rng.make ~seed) ~n)
     (fun r prev ->
       let rng = round_rng ~seed:(seed lxor 0x193a) r in
-      let prev_edges = Graph.edges prev in
-      let edges = ref Edge_set.empty in
+      (* The (u, v) loop visits keys u * n + v in ascending order, so a
+         cursor over [prev]'s keys answers presence and the kept keys
+         come out sorted. *)
+      let prev_keys = Graph.edges prev in
+      let edges = Edge_table.create ~n () in
+      let c = ref 0 in
       for u = 0 to n - 1 do
         for v = u + 1 to n - 1 do
-          let present = Edge_set.mem_pair u v prev_edges in
+          let key = (u * n) + v in
+          let present =
+            !c < Array.length prev_keys && prev_keys.(!c) = key
+          in
+          if present then incr c;
           let next =
             if present then not (Rng.bernoulli rng p_down)
             else Rng.bernoulli rng p_up
           in
-          if next then edges := Edge_set.add_pair u v !edges
+          if next then Edge_table.add_pair edges u v
         done
       done;
-      patch_connected rng ~n !edges)
+      patch_connected rng ~n edges)
 
 let churn_bursts ~seed ~n ~period ~quiet =
   if period < 1 then invalid_arg "Oblivious.churn_bursts: period must be >= 1";

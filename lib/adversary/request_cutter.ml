@@ -8,20 +8,25 @@ let adversary ~seed ~n ~cut_prob =
   fun ~round ~prev ~states:_ ~traffic ->
     if round = 1 then Graph_gen.random_tree rng ~n
     else begin
-      let requested =
-        List.fold_left
-          (fun acc (src, dst, cls) ->
-            match cls with
-            | Engine.Msg_class.Request -> Edge_set.add_pair src dst acc
-            | Engine.Msg_class.Token | Engine.Msg_class.Completeness
-            | Engine.Msg_class.Walk | Engine.Msg_class.Center
-            | Engine.Msg_class.Control ->
-                acc)
-          Edge_set.empty traffic
+      let requested = Edge_table.create ~n () in
+      List.iter
+        (fun (src, dst, cls) ->
+          match cls with
+          | Engine.Msg_class.Request -> Edge_table.add_pair requested src dst
+          | Engine.Msg_class.Token | Engine.Msg_class.Completeness
+          | Engine.Msg_class.Walk | Engine.Msg_class.Center
+          | Engine.Msg_class.Control ->
+              ())
+        traffic;
+      (* One coin per distinct requested edge, in ascending key order. *)
+      let cut =
+        List.filter
+          (fun _ -> Rng.bernoulli rng cut_prob)
+          (Array.to_list (Edge_table.sorted_keys requested))
       in
-      let cut = Edge_set.filter (fun _ -> Rng.bernoulli rng cut_prob) requested in
-      let surviving = Edge_set.diff (Graph.edges prev) cut in
-      let g = Graph.make ~n surviving in
+      let g =
+        Graph.make ~n (Edge_table.diff_keys (Graph.edges prev) (Array.of_list cut))
+      in
       if Graph.is_connected g then g
       else begin
         (* Reconnect by chaining a random member of each component;
@@ -36,15 +41,14 @@ let adversary ~seed ~n ~cut_prob =
         match comps with
         | [] | [ _ ] -> g
         | first :: rest ->
-            let edges =
-              fst
-                (List.fold_left
-                   (fun (acc, prev_rep) comp ->
-                     let rep = pick_member comp in
-                     (Edge_set.add_pair prev_rep rep acc, rep))
-                   (surviving, pick_member first)
-                   rest)
-            in
-            Graph.make ~n edges
+            let patch = Edge_table.create ~n () in
+            ignore
+              (List.fold_left
+                 (fun prev_rep comp ->
+                   let rep = pick_member comp in
+                   Edge_table.add_pair patch prev_rep rep;
+                   rep)
+                 (pick_member first) rest);
+            Graph.union g (Graph.of_table patch)
       end
     end

@@ -19,12 +19,12 @@ let make ~seed ~n =
       | [] -> Rng.int rng n
       | candidates -> Rng.pick rng (Array.of_list candidates)
     in
-    let edges = ref Edge_set.empty in
+    let edges = Edge_table.create ~n ~size_hint:n () in
     for v = 0 to n - 1 do
-      if v <> hub then edges := Edge_set.add_pair hub v !edges
+      if v <> hub then Edge_table.add_pair edges hub v
     done;
     (* Only now record the current round's broadcasters, for next
        time: this is the one-round information lag of weak
        adaptivity. *)
     previous_broadcasters := Array.map Option.is_some intents;
-    Graph.make ~n !edges
+    Graph.of_table edges

@@ -21,20 +21,15 @@ let get t r =
   else if r >= 1 && r <= length t then t.rounds.(r - 1)
   else invalid_arg "Dyn_seq.get: round out of range"
 
-let insertions t r = Edge_set.diff (Graph.edges (get t r)) (Graph.edges (get t (r - 1)))
-let removals t r = Edge_set.diff (Graph.edges (get t (r - 1))) (Graph.edges (get t r))
-
 let sum_over_rounds t f =
   let total = ref 0 in
   for r = 1 to length t do
-    total := !total + f t r
+    total := !total + f (Graph.delta_counts ~prev:(get t (r - 1)) ~cur:(get t r))
   done;
   !total
 
-let tc t = sum_over_rounds t (fun t r -> Edge_set.cardinal (insertions t r))
-
-let total_removals t =
-  sum_over_rounds t (fun t r -> Edge_set.cardinal (removals t r))
+let tc t = sum_over_rounds t fst
+let total_removals t = sum_over_rounds t snd
 
 let all_connected t =
   let ok = ref true in
@@ -45,26 +40,29 @@ let all_connected t =
 
 let is_sigma_stable t ~sigma =
   if sigma < 1 then invalid_arg "Dyn_seq.is_sigma_stable: sigma must be >= 1";
-  let x = length t in
-  (* Collect every edge ever present, then check its presence runs. *)
-  let all_edges =
-    Array.fold_left
-      (fun acc g -> Edge_set.union acc (Graph.edges g))
-      Edge_set.empty t.rounds
-  in
-  let run_ok e =
-    let ok = ref true in
-    let run_start = ref 0 in
-    (* run_start = 0 means "not currently in a run". *)
-    for r = 1 to x do
-      let present = Edge_set.mem e (Graph.edges (get t r)) in
-      if present && !run_start = 0 then run_start := r;
-      if (not present) && !run_start > 0 then begin
-        if r - !run_start < sigma then ok := false;
-        run_start := 0
+  (* One merge walk per round over consecutive key arrays: an inserted
+     key opens a presence run, a removed key closes one, which must
+     have lasted [sigma] rounds.  Runs still open at the end are
+     accepted regardless of length. *)
+  let run_start = Hashtbl.create 64 in
+  let ok = ref true in
+  for r = 1 to length t do
+    let a = Graph.edges (get t (r - 1)) and b = Graph.edges (get t r) in
+    let la = Array.length a and lb = Array.length b in
+    let i = ref 0 and j = ref 0 in
+    while !i < la || !j < lb do
+      if !j >= lb || (!i < la && a.(!i) < b.(!j)) then begin
+        if r - Hashtbl.find run_start a.(!i) < sigma then ok := false;
+        incr i
       end
-    done;
-    (* A run still open at round x is accepted regardless of length. *)
-    !ok
-  in
-  Edge_set.for_all run_ok all_edges
+      else if !i >= la || b.(!j) < a.(!i) then begin
+        Hashtbl.replace run_start b.(!j) r;
+        incr j
+      end
+      else begin
+        incr i;
+        incr j
+      end
+    done
+  done;
+  !ok

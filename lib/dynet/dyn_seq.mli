@@ -32,12 +32,6 @@ val get : t -> int -> Graph.t
     graph [G_0].
     @raise Invalid_argument outside [0 .. length t]. *)
 
-val insertions : t -> int -> Edge_set.t
-(** [insertions t r = E⁺_r]; defined for [1 <= r <= length t]. *)
-
-val removals : t -> int -> Edge_set.t
-(** [removals t r = E⁻_r]. *)
-
 val tc : t -> int
 (** [TC(E) = Σ_{r=1..x} |E⁺_r|]. *)
 

@@ -83,13 +83,24 @@ let add_pair t u v =
     t.len <- t.len + 1
   end
 
-let add_edge t e =
-  let u, v = Edge.endpoints e in
-  add_pair t u v
-
 let sorted_keys t =
   normalise t;
   Array.sub t.keys 0 t.len
+
+let diff_keys a b =
+  let out = Array.make (Array.length a) 0 in
+  let j = ref 0 and m = ref 0 in
+  Array.iter
+    (fun key ->
+      while !j < Array.length b && b.(!j) < key do
+        incr j
+      done;
+      if not (!j < Array.length b && b.(!j) = key) then begin
+        out.(!m) <- key;
+        incr m
+      end)
+    a;
+  Array.sub out 0 !m
 
 let merge_keys a la b lb =
   let out = Array.make (la + lb) 0 in

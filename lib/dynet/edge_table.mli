@@ -2,10 +2,9 @@
     edge.
 
     The canonical edge [(u, v)] with [u < v < n] maps to the key
-    [u * n + v].  Because {!Edge.compare} is lexicographic on the
-    canonical endpoints, sorting keys numerically reproduces exactly
-    the iteration order of {!Edge_set} — which is what lets
-    {!Graph.of_table} build sorted adjacency without re-sorting.
+    [u * n + v], so numeric key order is lexicographic order on the
+    canonical endpoints — which is what lets {!Graph.of_table} build
+    sorted adjacency without re-sorting.
 
     Appends are O(1) amortised with zero per-edge boxing (the key is an
     immediate).  Builders that append in ascending key order (paths,
@@ -32,12 +31,15 @@ val add_pair : t -> Node_id.t -> Node_id.t -> unit
 (** Append the edge [{u, v}] (idempotent: duplicates are dropped).
     @raise Invalid_argument on self-loops or out-of-range endpoints. *)
 
-val add_edge : t -> Edge.t -> unit
-
 val sorted_keys : t -> int array
 (** All distinct packed keys in increasing order — i.e. in
-    {!Edge.compare} order of the corresponding edges.  The result is a
-    fresh array. *)
+    lexicographic order of the canonical endpoint pairs.  The result is
+    a fresh array. *)
+
+val diff_keys : int array -> int array -> int array
+(** [diff_keys a b] is the ascending keys of the ascending [a] that are
+    not in the ascending [b], by one merge walk — [diff_keys e_r e_{r-1}]
+    is the paper's [E⁺_r].  The result is a fresh array. *)
 
 val merge_keys : int array -> int -> int array -> int -> int array
 (** [merge_keys a la b lb] is the ascending union of the ascending

@@ -1,21 +1,13 @@
 open Ops
 
-(* The snapshot is stored as a sorted array of packed edge keys
-   (key = u*n + v for the canonical u < v; see Edge_table) plus the
-   precomputed adjacency.  The Edge_set view is materialised lazily:
-   the per-round hot paths (engines, ledger deltas, stability) only
-   need keys and adjacency, while reporting/tests can still ask for
-   the set. *)
-type t = {
-  n : int;
-  keys : int array;
-  adj : Node_id.t array array;
-  mutable eset : Edge_set.t option;
-}
+(* The snapshot is a sorted array of packed edge keys (key = u*n + v
+   for the canonical u < v; see Edge_table) plus the precomputed
+   adjacency. *)
+type t = { n : int; keys : int array; adj : Node_id.t array array }
 
-(* Packed keys sort in the same order as Edge.compare (lexicographic
-   on canonical endpoints).  One ascending scan therefore fills every
-   row in order: row w receives its smaller-side neighbors u (from keys
+(* Packed keys sort lexicographically on the canonical endpoints
+   (u, v).  One ascending scan therefore fills every row in order:
+   row w receives its smaller-side neighbors u (from keys
    (u, w), all below any key (w, _)) before its larger-side ones, so
    no row needs a sort.  Ascending keys also visit the rows u in order,
    so u is found by stepping a row boundary forward instead of dividing
@@ -24,8 +16,7 @@ type t = {
 let adjacency_of_keys n keys =
   let bad () =
     invalid_arg
-      "Graph.of_sorted_keys: keys must be strictly ascending canonical \
-       packed edges"
+      "Graph.make: keys must be strictly ascending canonical packed edges"
   in
   let m = Array.length keys in
   let deg = Array.make n 0 in
@@ -60,49 +51,17 @@ let adjacency_of_keys n keys =
   done;
   adj
 
-let build ~n ~eset keys = { n; keys; adj = adjacency_of_keys n keys; eset }
-
-let of_sorted_keys ~n keys =
-  if n < 0 then invalid_arg "Graph.of_sorted_keys: negative n";
-  build ~n ~eset:None keys
-
-let make ~n edges =
+let make ~n keys =
   if n < 0 then invalid_arg "Graph.make: negative n";
-  let keys = Array.make (Edge_set.cardinal edges) 0 in
-  let i = ref 0 in
-  Edge_set.iter
-    (fun e ->
-      let u, v = Edge.endpoints e in
-      if v >= n then
-        invalid_arg
-          (Printf.sprintf "Graph.make: edge endpoint %d out of range (n=%d)" v
-             n);
-      keys.(!i) <- (u * n) + v;
-      incr i)
-    edges;
-  (* Edge_set iterates in Edge.compare order, so [keys] is sorted. *)
-  build ~n ~eset:(Some edges) keys
+  { n; keys; adj = adjacency_of_keys n keys }
 
 let of_table table =
-  of_sorted_keys ~n:(Edge_table.n table) (Edge_table.sorted_keys table)
+  make ~n:(Edge_table.n table) (Edge_table.sorted_keys table)
 
-let empty ~n = make ~n Edge_set.empty
+let empty ~n = make ~n [||]
 let n t = t.n
-
-let edges t =
-  match t.eset with
-  | Some s -> s
-  | None ->
-      let s =
-        Array.fold_left
-          (fun acc key -> Edge_set.add_pair (key / t.n) (key mod t.n) acc)
-          Edge_set.empty t.keys
-      in
-      t.eset <- Some s;
-      s
-
+let edges t = t.keys
 let edge_count t = Array.length t.keys
-let keys t = t.keys
 
 let mem_key keys key =
   let lo = ref 0 and hi = ref (Array.length keys) in
@@ -122,12 +81,6 @@ let mem_edge t u v =
 let neighbors t v = t.adj.(v)
 let degree t v = Array.length t.adj.(v)
 
-let incident_edges t v =
-  (* O(degree) via the adjacency row, replacing the O(m) fold over the
-     full edge set. *)
-  Array.fold_left (fun acc w -> Edge.make v w :: acc) [] t.adj.(v)
-  |> List.rev
-
 let max_degree t =
   Array.fold_left (fun acc row -> max acc (Array.length row)) 0 t.adj
 
@@ -137,8 +90,6 @@ let fold_nodes f t acc =
 
 let iter_pairs f t =
   Array.iter (fun key -> f (key / t.n) (key mod t.n)) t.keys
-
-let iter_edges f t = iter_pairs (fun u v -> f (Edge.make u v)) t
 
 let delta_counts ~prev ~cur =
   if prev.n <> cur.n then invalid_arg "Graph.delta_counts: node counts differ";
@@ -217,32 +168,22 @@ let diameter t =
   done;
   !best
 
-let spanning_forest t =
-  let uf = Union_find.create t.n in
-  let acc = ref Edge_set.empty in
-  iter_pairs
-    (fun u v -> if Union_find.union uf u v then acc := Edge_set.add_pair u v !acc)
-    t;
-  !acc
-
 let connect_components t =
-  let uf = components t in
-  match Union_find.representatives uf with
-  | [] | [ _ ] -> Edge_set.empty
+  (* The representatives ascend, so the chain's keys do too. *)
+  match Union_find.representatives (components t) with
+  | [] | [ _ ] -> [||]
   | first :: rest ->
-      let extra, _ =
-        List.fold_left
-          (fun (acc, prev) rep -> (Edge_set.add_pair prev rep acc, rep))
-          (Edge_set.empty, first) rest
-      in
-      extra
+      let keys = Array.make (List.length rest) 0 in
+      ignore
+        (List.fold_left
+           (fun (i, prev) rep ->
+             keys.(i) <- (prev * t.n) + rep;
+             (i + 1, rep))
+           (0, first) rest);
+      keys
 
 let union a b =
   if a.n <> b.n then invalid_arg "Graph.union: node counts differ";
-  of_sorted_keys ~n:a.n
+  make ~n:a.n
     (Edge_table.merge_keys a.keys (Array.length a.keys) b.keys
        (Array.length b.keys))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>graph n=%d m=%d@ %a@]" t.n (edge_count t)
-    Edge_set.pp (edges t)

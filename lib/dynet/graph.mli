@@ -11,24 +11,18 @@
 
 type t
 
-val make : n:int -> Edge_set.t -> t
-(** [make ~n edges] builds the snapshot.
-    @raise Invalid_argument if [n < 0] or an endpoint is ≥ [n]. *)
-
-val of_sorted_keys : n:int -> int array -> t
-(** The round-graph constructor: the graph whose edges are the given
-    packed keys ([u * n + v] for the canonical [u < v], see
-    {!Edge_table}), which must be strictly ascending.  The array is
-    taken over, not copied — the caller must not mutate it afterwards.
-    Adjacency is built in O(n + m) with no sort, no division per key
-    and no [Edge_set]; the set view is created lazily on the first call
-    to {!edges}.
+val make : n:int -> int array -> t
+(** The graph whose edges are the given packed keys ([u * n + v] for
+    the canonical [u < v], see {!Edge_table}), which must be strictly
+    ascending.  The array is taken over, not copied — the caller must
+    not mutate it afterwards.  Adjacency is built in O(n + m) with no
+    sort and no division per key.
     @raise Invalid_argument if [n < 0], or the keys are not strictly
     ascending canonical keys of an [n]-node graph. *)
 
 val of_table : Edge_table.t -> t
-(** [of_sorted_keys] over the table's sorted keys (the static builders
-    and the random tree accumulate into one). *)
+(** [make] over the table's sorted keys (the static builders and the
+    random tree accumulate into one). *)
 
 val empty : n:int -> t
 (** The empty graph [(V, ∅)] — the paper's [G_0]. *)
@@ -36,16 +30,12 @@ val empty : n:int -> t
 val n : t -> int
 (** Number of nodes. *)
 
-val edges : t -> Edge_set.t
-(** The edge set view.  Materialised lazily (and memoised) when the
-    graph was not built by {!make}; O(1) otherwise. *)
+val edges : t -> int array
+(** The packed edge keys in increasing order — the input of merge walks
+    that build the next round's graph with {!make}.  The array is owned
+    by the graph: callers must not mutate it. *)
 
 val edge_count : t -> int
-
-val keys : t -> int array
-(** The packed edge keys in increasing order — the input of merge walks
-    that build the next round's graph with {!of_sorted_keys}.  The
-    array is owned by the graph: callers must not mutate it. *)
 
 val mem_edge : t -> Node_id.t -> Node_id.t -> bool
 (** Binary search over the packed edge keys: O(log m), allocation
@@ -69,19 +59,10 @@ val neighbors : t -> Node_id.t -> Node_id.t array
 val degree : t -> Node_id.t -> int
 val max_degree : t -> int
 
-val incident_edges : t -> Node_id.t -> Edge.t list
-(** Edges incident to the node, in increasing neighbor order — O(deg)
-    via the adjacency row.  Prefer this over
-    [Edge_set.incident_to (edges g) v], which folds over all m
-    edges. *)
-
 val fold_nodes : (Node_id.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val iter_pairs : (Node_id.t -> Node_id.t -> unit) -> t -> unit
-(** Canonical endpoint pairs ([u < v]) in {!Edge.compare} order,
-    without allocating [Edge.t] values — the fast-path iteration. *)
-
-val iter_edges : (Edge.t -> unit) -> t -> unit
+(** Canonical endpoint pairs ([u < v]) in increasing key order. *)
 
 val bfs_order : t -> Node_id.t -> (Node_id.t * int) list
 (** [(node, dist)] pairs reachable from the root, in BFS order
@@ -110,17 +91,12 @@ val diameter : t -> int
 (** Exact diameter (max over all BFS roots).
     @raise Invalid_argument if the graph is disconnected. *)
 
-val spanning_forest : t -> Edge_set.t
-(** Edges of an arbitrary spanning forest (spanning tree per
-    component). *)
-
-val connect_components : t -> Edge_set.t
-(** A minimal set of extra edges ([component_count - 1] of them,
-    chaining component representatives) whose addition makes the graph
-    connected.  Empty if already connected. *)
+val connect_components : t -> int array
+(** The ascending keys of a minimal set of extra edges
+    ([component_count - 1] of them, chaining component representatives
+    in increasing order) whose addition makes the graph connected.
+    Empty if already connected. *)
 
 val union : t -> t -> t
 (** Edge-union of two graphs on the same node set.
     @raise Invalid_argument if node counts differ. *)
-
-val pp : Format.formatter -> t -> unit

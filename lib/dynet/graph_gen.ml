@@ -3,9 +3,7 @@ open Ops
 (* Every builder hands Graph ascending packed keys.  The static
    builders and the random trees append to an Edge_table, which sorts
    only when the appends arrived out of order; random_connected merges
-   its tree into the already-ascending Bernoulli keys directly.  RNG
-   draw sequences are identical to the Edge_set-based versions, so
-   fixed-seed runs reproduce bit-for-bit. *)
+   its tree into the already-ascending Bernoulli keys directly. *)
 
 let table ~n ?size_hint () = Edge_table.create ~n ?size_hint ()
 
@@ -103,8 +101,7 @@ let hypercube ~n =
     Graph.of_table t
   end
 
-(* Random-tree edges into an existing table; same draws as the old
-   Edge_set-based builder. *)
+(* Random-tree edges into an existing table. *)
 let add_random_tree t rng ~n =
   let order = Rng.permutation rng n in
   for i = 1 to n - 1 do
@@ -152,7 +149,7 @@ let random_connected rng ~n ~p =
         end
       done
     done;
-    Graph.of_sorted_keys ~n
+    Graph.make ~n
       (Edge_table.merge_keys tree (Array.length tree) !drawn !len)
   end
 

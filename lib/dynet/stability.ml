@@ -29,7 +29,7 @@ let sigma t = t.sigma
    tell whether the edge set changed.  An active edge that is no longer
    proposed is dropped once its run is at least sigma rounds old. *)
 let walk t q keep =
-  let a = Graph.keys t.last in
+  let a = Graph.edges t.last in
   let la = Array.length a and lq = Array.length q in
   let i = ref 0 and j = ref 0 and changed = ref false in
   while !i < la || !j < lq do
@@ -55,7 +55,7 @@ let step t proposal =
   if Graph.n proposal <> t.n then
     invalid_arg "Stability.step: node count mismatch";
   t.round <- t.round + 1;
-  let q = Graph.keys proposal in
+  let q = Graph.edges proposal in
   if walk t q (fun _ _ -> ()) then begin
     let cap = Graph.edge_count t.last + Array.length q in
     let keys = Array.make cap 0 and born = Array.make cap 0 in
@@ -65,7 +65,7 @@ let step t proposal =
            keys.(!m) <- key;
            born.(!m) <- b;
            incr m));
-    t.last <- Graph.of_sorted_keys ~n:t.n (Array.sub keys 0 !m);
+    t.last <- Graph.make ~n:t.n (Array.sub keys 0 !m);
     t.born <- Array.sub born 0 !m
   end;
   t.last

@@ -88,8 +88,7 @@ let note_round t = t.rounds <- t.rounds + 1 [@@dynlint.hot]
 let rounds t = t.rounds
 
 let note_graph_change t ~prev ~cur =
-  (* Single merge walk over the graphs' sorted edge keys instead of two
-     Edge_set.diff set constructions per round. *)
+  (* Single merge walk over the graphs' sorted edge keys. *)
   let inserted, removed = Dynet.Graph.delta_counts ~prev ~cur in
   t.tc <- t.tc + inserted;
   t.removals <- t.removals + removed

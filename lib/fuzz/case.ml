@@ -21,6 +21,12 @@ let algo_name = function
 
 let period t = List.length t.rounds
 
+let without_edge g i =
+  let keys = Dynet.Graph.edges g in
+  Dynet.Graph.make ~n:(Dynet.Graph.n g)
+    (Array.append (Array.sub keys 0 i)
+       (Array.sub keys (i + 1) (Array.length keys - i - 1)))
+
 (* The label names engine-independent inputs only, so the two engines'
    reports can be compared byte for byte. *)
 let label t =
@@ -29,28 +35,6 @@ let label t =
 
 let to_trace t =
   Scenario.Trace_io.of_graphs ~seed:t.seed ~provenance:"fuzz" ~n:t.n t.rounds
-
-(* Both sides below mirror Scenario.Runner exactly — a saved
-   counterexample must reproduce through [dynspread scenario run]. *)
-let instance t =
-  match t.algo with
-  | Single_source -> Gossip.Instance.single_source ~n:t.n ~k:t.k ~source:0
-  | Flooding | Multi_source ->
-      if t.s <= 1 then Gossip.Instance.single_source ~n:t.n ~k:t.k ~source:0
-      else
-        Gossip.Instance.multi_source
-          ~rng:(Dynet.Rng.make ~seed:(t.seed + 1))
-          ~n:t.n ~k:t.k
-          ~s:(min t.s (min t.n t.k))
-
-let fault_plan t =
-  match t.faults with
-  | None -> Faults.Plan.none
-  | Some f ->
-      Faults.Plan.make ~loss:f.loss ~dup:f.dup ~crash:f.crash
-        ~restart:f.restart ~max_delay:f.max_delay
-        ~seed:(Option.value f.fault_seed ~default:t.seed)
-        ()
 
 let stall_after t =
   Scenario.Runner.stall_window ~period:(period t) ~n:t.n ~k:t.k
@@ -74,6 +58,14 @@ let to_spec t ~trace_path : Scenario.Spec.t =
     faults = t.faults;
     max_rounds = t.max_rounds;
   }
+
+(* Scenario.Runner's own builders, so a saved counterexample
+   reproduces through [dynspread scenario run]. *)
+let instance t =
+  Scenario.Runner.instance_of (spec_algorithm t.algo) ~n:t.n ~k:t.k ~s:t.s
+    ~seed:t.seed
+
+let fault_plan t = Scenario.Runner.fault_plan t.faults ~seed:t.seed
 
 let of_spec (spec : Scenario.Spec.t) ~trace =
   let algo =

@@ -5,9 +5,10 @@
     instance shape [(n, k, s)], seed, optional round cap and fault
     plan, and the concrete per-round graph sequence (round 1 first,
     replayed with {!Scenario.Replay.Loop} past the end).  Instance
-    construction, fault-plan wiring and the stall window all mirror
-    {!Scenario.Runner}, so a saved counterexample reproduces through
-    [dynspread scenario run] exactly as it did inside the fuzzer. *)
+    construction, fault-plan wiring and the stall window are
+    {!Scenario.Runner}'s own, so a saved counterexample reproduces
+    through [dynspread scenario run] exactly as it did inside the
+    fuzzer. *)
 
 type algo = Flooding | Single_source | Multi_source
 
@@ -29,6 +30,10 @@ val algo_name : algo -> string
 val period : t -> int
 (** Number of round graphs (the looped schedule's period). *)
 
+val without_edge : Dynet.Graph.t -> int -> Dynet.Graph.t
+(** The graph minus its [i]-th edge in key order (the churn and
+    edge-shrinking step). *)
+
 val label : t -> string
 (** Report name for both engines' runs — engine-independent by
     construction, so matching runs produce byte-identical reports. *)
@@ -38,12 +43,11 @@ val to_trace : t -> Scenario.Trace_io.t
     (provenance ["fuzz"], the case seed as trace seed). *)
 
 val instance : t -> Gossip.Instance.t
-(** Token placement, mirroring [Scenario.Runner]: source 0 for
-    single-source shapes, a seeded random assignment for [s > 1]. *)
+(** {!Scenario.Runner.instance_of} on the case's algorithm, shape and
+    seed. *)
 
 val fault_plan : t -> Faults.Plan.t
-(** The case's fault plan ({!Faults.Plan.none} when [faults] is
-    [None]); the fault seed defaults to the case seed. *)
+(** {!Scenario.Runner.fault_plan} of the case's faults and seed. *)
 
 val stall_after : t -> int
 (** {!Scenario.Runner.stall_window} for the case's period — the

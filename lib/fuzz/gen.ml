@@ -24,18 +24,18 @@ let base_graph rng ~n =
 (* Local churn: drop one edge (if connectivity survives), then try to
    add one absent pair.  Keeps the graph connected by construction. *)
 let churn rng g ~n =
-  let edges = Dynet.Graph.edges g in
+  let keys = Dynet.Graph.edges g in
   let g =
-    match Dynet.Edge_set.to_list edges with
-    | [] -> g
-    | l ->
-        let e = Dynet.Rng.pick rng (Array.of_list l) in
-        let g' = Dynet.Graph.make ~n (Dynet.Edge_set.remove e edges) in
-        if Dynet.Graph.is_connected g' then g' else g
+    if Array.length keys = 0 then g
+    else
+      let g' = Case.without_edge g (Dynet.Rng.int rng (Array.length keys)) in
+      if Dynet.Graph.is_connected g' then g' else g
   in
   let u = Dynet.Rng.int rng n and v = Dynet.Rng.int rng n in
   if u = v || Dynet.Graph.mem_edge g u v then g
-  else Dynet.Graph.make ~n (Dynet.Edge_set.add_pair u v (Dynet.Graph.edges g))
+  else
+    Dynet.Graph.union g
+      (Dynet.Graph.make ~n [| Dynet.Edge_table.key ~n u v |])
 
 (* A dynamic-adversary program as a round-graph list: each round either
    holds the topology (stability), redraws it wholesale (a churn

@@ -33,20 +33,21 @@ let drop_node (c : Case.t) v =
     let rounds =
       List.map
         (fun g ->
+          (* Remapping is monotone, so the surviving keys stay sorted. *)
+          let n = c.Case.n in
           let kept =
             List.filter_map
-              (fun e ->
-                let a, b = Dynet.Edge.endpoints e in
+              (fun key ->
+                let a = key / n and b = key mod n in
                 if a = v || b = v then None
-                else Some (Dynet.Edge.make (remap a) (remap b)))
-              (Dynet.Edge_set.to_list (Dynet.Graph.edges g))
+                else Some ((remap a * n') + remap b))
+              (Array.to_list (Dynet.Graph.edges g))
           in
-          let g' = Dynet.Graph.make ~n:n' (Dynet.Edge_set.of_list kept) in
+          let g' = Dynet.Graph.make ~n:n' (Array.of_list kept) in
           if Dynet.Graph.is_connected g' then g'
           else
-            Dynet.Graph.make ~n:n'
-              (Dynet.Edge_set.union (Dynet.Graph.edges g')
-                 (Dynet.Graph.connect_components g')))
+            Dynet.Graph.union g'
+              (Dynet.Graph.make ~n:n' (Dynet.Graph.connect_components g')))
         c.Case.rounds
     in
     Some (clamp_s { c with Case.n = n'; rounds })
@@ -62,10 +63,7 @@ let edge_candidates (c : Case.t) =
        (fun i g ->
          List.filter_map
            (fun e ->
-             let g' =
-               Dynet.Graph.make ~n:c.Case.n
-                 (Dynet.Edge_set.remove e (Dynet.Graph.edges g))
-             in
+             let g' = Case.without_edge g e in
              if Dynet.Graph.is_connected g' then
                Some
                  {
@@ -76,7 +74,7 @@ let edge_candidates (c : Case.t) =
                        c.Case.rounds;
                  }
              else None)
-           (Dynet.Edge_set.to_list (Dynet.Graph.edges g)))
+           (List.init (Dynet.Graph.edge_count g) Fun.id))
        c.Case.rounds)
 
 let fault_candidates (c : Case.t) =

@@ -29,14 +29,12 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
     outstanding : (int * entry) list;  (* FIFO by seq *)
     acks : (Dynet.Node_id.t * int) list;  (* queued, oldest first *)
     seen : ISet.t NMap.t;  (* delivered (sender, seq) pairs *)
-    retransmits : int;
     resent_round : int;  (* the round [resent] was sent in *)
     resent : Dynet.Node_id.t list;  (* that round's retransmissions, in order *)
     acks_sent : int;
   }
 
   let inner st = st.inner
-  let retransmits st = st.retransmits
   let resent st = (st.resent_round, st.resent)
   let acks_sent st = st.acks_sent
 
@@ -118,7 +116,6 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
           next_seq;
           outstanding;
           acks = waiting_acks;
-          retransmits = st.retransmits + List.length !resent;
           resent_round = round;
           resent = List.rev !resent;
           acks_sent = st.acks_sent + List.length ack_msgs;
@@ -183,7 +180,6 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
           outstanding = [];
           acks = [];
           seen = NMap.empty;
-          retransmits = 0;
           resent_round = 0;
           resent = [];
           acks_sent = 0;

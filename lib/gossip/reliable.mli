@@ -67,9 +67,6 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) : sig
   (** The wrapped protocol state (stop predicates and assertions look
       through the wrapper). *)
 
-  val retransmits : state -> int
-  (** Lifetime retransmissions this node performed. *)
-
   val resent : state -> int * Dynet.Node_id.t list
   (** [(round, dsts)]: the destinations of the retransmissions this
       node made in [round], the last round it sent in, in send order

@@ -50,40 +50,45 @@ module Reliable_multi = Reliable.Make ((val Multi_source.protocol))
 (* The wrapper records each node's retransmissions of a round in its
    own state, so its [send] stays pure.  Every engine evaluates [stop]
    sequentially, once before round 1 and once after each round's
-   receive, so this wrapper emits each round's records as [retransmit]
-   fault events in node order, the same on every engine. *)
-let tracing_retransmits obs ~resent stop =
-  match obs with
-  | Some sink when not (Obs.Sink.is_null sink) ->
-      let round = ref 0 in
-      fun states ->
-        Array.iteri
-          (fun v st ->
-            match resent st with
-            | r, dsts when Int.equal r !round ->
-                List.iter
-                  (fun dst ->
-                    Obs.Sink.emit sink
-                      (Obs.Trace.Fault
-                         { round = r; kind = "retransmit"; node = v;
-                           dst = Some dst; cls = None }))
-                  dsts
-            | _ -> ())
-          states;
-        incr round;
-        stop states
-  | Some _ | None -> stop
+   receive, so this wrapper counts each round's records there into
+   [total] and, when tracing, emits them as [retransmit] fault events
+   in node order, the same on every engine.  Counting per round keeps
+   the retransmissions of a node that a crash-restart later resets to
+   its initial state. *)
+let counting_retransmits obs ~resent ~total stop =
+  let sink = Option.value obs ~default:Obs.Sink.null in
+  let tracing = not (Obs.Sink.is_null sink) in
+  let round = ref 0 in
+  fun states ->
+    Array.iteri
+      (fun v st ->
+        match resent st with
+        | r, dsts when Int.equal r !round ->
+            total := !total + List.length dsts;
+            if tracing then
+              List.iter
+                (fun dst ->
+                  Obs.Sink.emit sink
+                    (Obs.Trace.Fault
+                       { round = r; kind = "retransmit"; node = v;
+                         dst = Some dst; cls = None }))
+                dsts
+        | _ -> ())
+      states;
+    incr round;
+    stop states
 
 (* Run a wrapped protocol and tally the wrapper's retransmissions into
    the run's fault counts, so degraded runs report their self-healing
    work alongside the faults it masked. *)
-let run_reliable ~engine protocol ~inner ~retransmits ~resent ~complete
-    ~instance ~env ?max_rounds ?faults ?obs ?prof states =
+let run_reliable ~engine protocol ~inner ~resent ~complete ~instance ~env
+    ?max_rounds ?faults ?obs ?prof states =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
   let max_rounds =
     Option.value max_rounds ~default:(2 * default_unicast_cap ~n ~k)
   in
+  let total = ref 0 in
   let result, states =
     E.Unicast.run protocol
       ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
@@ -91,20 +96,19 @@ let run_reliable ~engine protocol ~inner ~retransmits ~resent ~complete
       ~adversary:(unicast_adversary ~n env)
       ~max_rounds
       ~stop:
-        (tracing_retransmits obs ~resent (fun sts ->
+        (counting_retransmits obs ~resent ~total (fun sts ->
              complete ~k (Array.map inner sts)))
       ()
   in
-  let total = Array.fold_left (fun acc st -> acc + retransmits st) 0 states in
   (match result.Engine.Run_result.fault_counts with
-  | Some c -> c.Faults.Counts.retransmits <- total
+  | Some c -> c.Faults.Counts.retransmits <- !total
   | None -> ());
-  (result, Array.map inner states, total)
+  (result, Array.map inner states, !total)
 
 let reliable_single_source ~instance ~env ?(engine = Engine.Soa.default_engine)
     ?max_rounds ?config ?rto ?backoff ?faults ?obs ?prof () =
   run_reliable ~engine Reliable_single.protocol ~inner:Reliable_single.inner
-    ~retransmits:Reliable_single.retransmits ~resent:Reliable_single.resent
+    ~resent:Reliable_single.resent
     ~complete:Single_source.all_complete ~instance ~env ?max_rounds ?faults
     ?obs ?prof
     (Reliable_single.wrap ?rto ?backoff (Single_source.init ?config ~instance ()))
@@ -112,7 +116,7 @@ let reliable_single_source ~instance ~env ?(engine = Engine.Soa.default_engine)
 let reliable_multi_source ~instance ~env ?(engine = Engine.Soa.default_engine)
     ?max_rounds ?source_order ?seed ?rto ?backoff ?faults ?obs ?prof () =
   run_reliable ~engine Reliable_multi.protocol ~inner:Reliable_multi.inner
-    ~retransmits:Reliable_multi.retransmits ~resent:Reliable_multi.resent
+    ~resent:Reliable_multi.resent
     ~complete:Multi_source.all_complete ~instance ~env ?max_rounds ?faults
     ?obs ?prof
     (Reliable_multi.wrap ?rto ?backoff

@@ -100,7 +100,9 @@ val reliable_single_source :
     loss / duplication / delay that the bare protocol does not
     survive.  Returns the {e inner} protocol states and the total
     retransmission count (also folded into the result's fault counts
-    when a plan was active).  The default round cap is doubled — the
+    when a plan was active), counted round by round, so the
+    retransmissions of a node that later crashes and restarts still
+    count.  The default round cap is doubled — the
     wrapper trades rounds and messages for delivery guarantees.
     Each retransmission is traced as an [Obs.Trace.Fault
     {kind = "retransmit"}] event after its round's [Progress] event,

@@ -96,25 +96,18 @@ let import ?(bucket = 20.) ?(repair = true) ?(provenance = "import:inline")
       let t_min =
         List.fold_left (fun acc (ts, _, _) -> Float.min acc ts) infinity rows
       in
-      (* Bucket index per contact; buckets collect canonical edges. *)
-      let buckets : (int, Dynet.Edge_set.t ref) Hashtbl.t =
+      (* Bucket index per contact; buckets collect endpoint pairs until
+         the node count, which sizes the keys, is known. *)
+      let buckets : (int, (int * int) list ref) Hashtbl.t =
         Hashtbl.create 64
       in
-      let duplicates = ref 0 in
       List.iter
         (fun (ts, ul, vl) ->
           let u = intern ul and v = intern vl in
           let b = int_of_float (Float.floor ((ts -. t_min) /. bucket)) in
-          let set =
-            match Hashtbl.find_opt buckets b with
-            | Some s -> s
-            | None ->
-                let s = ref Dynet.Edge_set.empty in
-                Hashtbl.add buckets b s;
-                s
-          in
-          if Dynet.Edge_set.mem_pair u v !set then incr duplicates
-          else set := Dynet.Edge_set.add_pair u v !set)
+          match Hashtbl.find_opt buckets b with
+          | Some pairs -> pairs := (u, v) :: !pairs
+          | None -> Hashtbl.add buckets b (ref [ (u, v) ]))
         rows;
       let n = Hashtbl.length ids in
       if n < 2 then
@@ -130,17 +123,21 @@ let import ?(bucket = 20.) ?(repair = true) ?(provenance = "import:inline")
           | _, _ -> 0
         in
         let repaired_rounds = ref 0 and repaired_edges = ref 0 in
+        let duplicates = ref 0 in
         let graphs =
           List.map
             (fun b ->
-              let g = Dynet.Graph.make ~n !(Hashtbl.find buckets b) in
+              let pairs = !(Hashtbl.find buckets b) in
+              let table = Dynet.Edge_table.create ~n () in
+              List.iter (fun (u, v) -> Dynet.Edge_table.add_pair table u v) pairs;
+              let g = Dynet.Graph.of_table table in
+              duplicates :=
+                !duplicates + List.length pairs - Dynet.Graph.edge_count g;
               if repair && not (Dynet.Graph.is_connected g) then begin
                 let patch = Dynet.Graph.connect_components g in
                 incr repaired_rounds;
-                repaired_edges :=
-                  !repaired_edges + Dynet.Edge_set.cardinal patch;
-                Dynet.Graph.make ~n
-                  (Dynet.Edge_set.union (Dynet.Graph.edges g) patch)
+                repaired_edges := !repaired_edges + Array.length patch;
+                Dynet.Graph.union g (Dynet.Graph.make ~n patch)
               end
               else g)
             indexes

@@ -37,6 +37,17 @@ val stall_window : period:int -> n:int -> k:int -> int
     periods and two full flooding phase cycles, so no live protocol
     can trip it, while staying far below the unicast round cap. *)
 
+val instance_of :
+  Spec.algorithm -> n:int -> k:int -> s:int -> seed:int -> Gossip.Instance.t
+(** The token placement of every run the tool makes ([dynspread run],
+    scenario repeats, fuzz cases): source 0 for [Single_source] and for
+    [s <= 1], otherwise [min s (min n k)] sources assigned at random
+    from [seed + 1]. *)
+
+val fault_plan : Spec.faults option -> seed:int -> Faults.Plan.t
+(** The fault plan of a spec's [faults] ({!Faults.Plan.none} for
+    [None]); the fault seed defaults to [seed]. *)
+
 val builtin_schedule :
   env:Spec.env -> sigma:int -> n:int -> seed:int ->
   Adversary.Schedule.t option

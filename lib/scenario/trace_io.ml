@@ -19,12 +19,12 @@ let make ?seed ?(provenance = "unknown") ~n deltas =
 
 (* Canonical delta between consecutive round graphs: a merge walk over
    their sorted keys, from the top down so both pair lists come out
-   ascending (Edge.compare order) without a reversal. *)
+   ascending (key order) without a reversal. *)
 let delta_of_graphs ~round ~prev ~cur =
   let n = Dynet.Graph.n cur in
   if Dynet.Graph.n prev <> n then
     invalid_arg "Trace_io.delta_of_graphs: node counts differ";
-  let a = Dynet.Graph.keys prev and b = Dynet.Graph.keys cur in
+  let a = Dynet.Graph.edges prev and b = Dynet.Graph.edges cur in
   let pair key = (key / n, key mod n) in
   let add = ref [] and del = ref [] in
   let i = ref (Array.length a - 1) and j = ref (Array.length b - 1) in
@@ -270,7 +270,7 @@ let next_graph ~round prev d =
   match (d.add, d.del) with
   | [], [] -> prev
   | _ ->
-      let n = Dynet.Graph.n prev and pk = Dynet.Graph.keys prev in
+      let n = Dynet.Graph.n prev and pk = Dynet.Graph.edges prev in
       let adds =
         checked_keys ~n ~round d.add
           ~ok:(fun k -> find pk k < 0)
@@ -304,7 +304,7 @@ let next_graph ~round prev d =
             incr m
           end)
         union;
-      Dynet.Graph.of_sorted_keys ~n out
+      Dynet.Graph.make ~n out
 
 let fold_graphs t ~init ~f =
   let g = ref (Dynet.Graph.empty ~n:t.header.n) in

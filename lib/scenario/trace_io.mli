@@ -83,7 +83,7 @@ val of_graphs : ?seed:int -> ?provenance:string -> n:int ->
 val next_graph : round:int -> Dynet.Graph.t -> delta -> Dynet.Graph.t
 (** One replay step: the graph after applying round [round]'s delta to
     the previous round's graph — a merge walk over its sorted keys into
-    {!Dynet.Graph.of_sorted_keys}.  An empty delta returns the previous
+    {!Dynet.Graph.make}.  An empty delta returns the previous
     graph itself.  The pairs are checked in list order (adds, then
     dels), as applying them one at a time would, so an unvalidated
     delta with unsorted or repeated pairs gives the same graph or the

@@ -26,7 +26,7 @@ let test_schedule_is_committed () =
   ignore (Adversary.Schedule.get sched 20);
   let b = Adversary.Schedule.get sched 7 in
   check Alcotest.bool "same graph object semantics" true
-    (Dynet.Edge_set.equal (Dynet.Graph.edges a) (Dynet.Graph.edges b))
+    (Dynet.Graph.same_edges a b)
 
 let test_schedule_rejects_round_zero () =
   let sched = Adversary.Oblivious.tree_rotator ~seed:5 ~n:4 in
@@ -41,8 +41,8 @@ let test_schedule_iterate_order () =
     Adversary.Schedule.iterate ~n:6
       ~init:(fun () -> Dynet.Graph_gen.path ~n:6)
       (fun r prev ->
-        let e = Dynet.Edge.make 0 (1 + (r mod 5)) in
-        Dynet.Graph.make ~n:6 (Dynet.Edge_set.add e (Dynet.Graph.edges prev)))
+        Dynet.Graph.union prev
+          (Dynet.Graph.make ~n:6 [| Dynet.Edge_table.key ~n:6 0 (1 + (r mod 5)) |]))
   in
   let g5 = Adversary.Schedule.get sched 5 in
   check Alcotest.bool "accumulated edges" true
@@ -100,9 +100,12 @@ let test_churn_bursts_period () =
   let g3 = Adversary.Schedule.get sched 3 in
   let g4 = Adversary.Schedule.get sched 4 in
   check Alcotest.bool "quiet round matches quiet graph" true
-    (Dynet.Edge_set.equal (Dynet.Graph.edges g3) (Dynet.Graph.edges quiet));
+    (Dynet.Graph.same_edges g3 quiet);
   check Alcotest.bool "burst round is a tree" true
     (Dynet.Graph.edge_count g4 = 9 && Dynet.Graph.is_connected g4)
+
+(* [a]'s edges are all in [b]: nothing is inserted going from [b] to [a]. *)
+let subset a b = fst (Dynet.Graph.delta_counts ~prev:b ~cur:a) = 0
 
 let test_schedule_overlay () =
   let n = 10 in
@@ -114,15 +117,11 @@ let test_schedule_overlay () =
     Alcotest.check Alcotest.bool
       (Printf.sprintf "round %d contains backbone" r)
       true
-      (Dynet.Edge_set.subset
-         (Dynet.Graph.edges (Adversary.Schedule.get backbone r))
-         (Dynet.Graph.edges g));
+      (subset (Adversary.Schedule.get backbone r) g);
     Alcotest.check Alcotest.bool
       (Printf.sprintf "round %d contains churn layer" r)
       true
-      (Dynet.Edge_set.subset
-         (Dynet.Graph.edges (Adversary.Schedule.get churn r))
-         (Dynet.Graph.edges g))
+      (subset (Adversary.Schedule.get churn r) g)
   done;
   Alcotest.check_raises "mismatched sizes"
     (Invalid_argument "Schedule.overlay: node counts differ") (fun () ->
@@ -322,8 +321,8 @@ let test_request_cutter_connected_and_reactive () =
   let g1 = adv ~round:1 ~prev:(Dynet.Graph.empty ~n) ~states:[||] ~traffic:[] in
   check Alcotest.bool "round 1 connected" true (Dynet.Graph.is_connected g1);
   (* Report request traffic on a tree edge; with cut_prob 1 it must go. *)
-  let e = Option.get (Dynet.Edge_set.choose_opt (Dynet.Graph.edges g1)) in
-  let u, v = Dynet.Edge.endpoints e in
+  let key = (Dynet.Graph.edges g1).(0) in
+  let u = key / n and v = key mod n in
   let g2 =
     adv ~round:2 ~prev:g1 ~states:[||]
       ~traffic:[ (u, v, Engine.Msg_class.Request) ]
@@ -336,8 +335,8 @@ let test_request_cutter_ignores_other_traffic () =
   let n = 10 in
   let adv = Adversary.Request_cutter.adversary ~seed:6 ~n ~cut_prob:1.0 in
   let g1 = adv ~round:1 ~prev:(Dynet.Graph.empty ~n) ~states:[||] ~traffic:[] in
-  let e = Option.get (Dynet.Edge_set.choose_opt (Dynet.Graph.edges g1)) in
-  let u, v = Dynet.Edge.endpoints e in
+  let key = (Dynet.Graph.edges g1).(0) in
+  let u = key / n and v = key mod n in
   let g2 =
     adv ~round:2 ~prev:g1 ~states:[||]
       ~traffic:[ (u, v, Engine.Msg_class.Token) ]
@@ -349,14 +348,12 @@ let test_request_cutter_zero_prob_never_cuts () =
   let adv = Adversary.Request_cutter.adversary ~seed:7 ~n ~cut_prob:0.0 in
   let g1 = adv ~round:1 ~prev:(Dynet.Graph.empty ~n) ~states:[||] ~traffic:[] in
   let traffic =
-    Dynet.Edge_set.to_list (Dynet.Graph.edges g1)
-    |> List.map (fun e ->
-           let u, v = Dynet.Edge.endpoints e in
-           (u, v, Engine.Msg_class.Request))
+    Array.to_list (Dynet.Graph.edges g1)
+    |> List.map (fun key -> (key / n, key mod n, Engine.Msg_class.Request))
   in
   let g2 = adv ~round:2 ~prev:g1 ~states:[||] ~traffic in
   check Alcotest.bool "identical graph" true
-    (Dynet.Edge_set.equal (Dynet.Graph.edges g1) (Dynet.Graph.edges g2))
+    (Dynet.Graph.same_edges g1 g2)
 
 let test_request_cutter_validation () =
   Alcotest.check_raises "bad prob"
@@ -366,6 +363,237 @@ let test_request_cutter_validation () =
         Adversary.Request_cutter.adversary ~seed:1 ~n:5 ~cut_prob:1.5
       in
       ())
+
+(* {2 Key-array builders ≡ the set-algebra model}
+
+   Copies of the adversaries' round builders written over the balanced
+   tree of Edge_model, drawing the same random numbers in the same
+   order.  Each production adversary must produce the same keys, round
+   by round, as its copy. *)
+
+module ES = Edge_model.Edge_set
+
+let model_round_rng ~seed r = Dynet.Rng.make ~seed:(seed + (1000003 * r))
+
+let model_rewiring ~seed ~n ~extra ~rate ~rounds =
+  let base_rng = Dynet.Rng.make ~seed in
+  let tree = Edge_model.of_graph (Dynet.Graph_gen.random_tree base_rng ~n) in
+  let random_non_tree_edge rng =
+    if n < 3 then None
+    else
+      let rec try_draw attempts =
+        if attempts = 0 then None
+        else
+          let u = Dynet.Rng.int rng n and v = Dynet.Rng.int rng n in
+          if u = v then try_draw (attempts - 1)
+          else
+            let e = Edge_model.pair u v in
+            if ES.mem e tree then try_draw (attempts - 1) else Some e
+      in
+      try_draw 32
+  in
+  let draw_extras rng count =
+    let rec loop acc remaining =
+      if remaining = 0 then acc
+      else
+        match random_non_tree_edge rng with
+        | None -> acc
+        | Some e -> loop (ES.add e acc) (remaining - 1)
+    in
+    loop ES.empty count
+  in
+  let g1 = ES.union tree (draw_extras (Dynet.Rng.split base_rng) extra) in
+  let rec go r prev acc =
+    if r > rounds then List.rev acc
+    else
+      let rng = model_round_rng ~seed:(seed lxor 0x5bd1) r in
+      let kept =
+        ES.filter (fun _ -> not (Dynet.Rng.bernoulli rng rate)) (ES.diff prev tree)
+      in
+      let fresh = draw_extras rng (max 0 (extra - ES.cardinal kept)) in
+      let g = ES.union tree (ES.union kept fresh) in
+      go (r + 1) g (g :: acc)
+  in
+  go 2 g1 [ g1 ]
+
+let model_edge_markovian ~seed ~n ~p_up ~p_down ~rounds =
+  let g1 = Edge_model.of_graph (Dynet.Graph_gen.random_tree (Dynet.Rng.make ~seed) ~n) in
+  let rec go r prev acc =
+    if r > rounds then List.rev acc
+    else begin
+      let rng = model_round_rng ~seed:(seed lxor 0x193a) r in
+      let edges = ref ES.empty in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          let next =
+            if Edge_model.mem_pair u v prev then
+              not (Dynet.Rng.bernoulli rng p_down)
+            else Dynet.Rng.bernoulli rng p_up
+          in
+          if next then edges := Edge_model.add_pair u v !edges
+        done
+      done;
+      let g =
+        if Dynet.Graph.is_connected (Edge_model.graph ~n !edges) then !edges
+        else
+          ES.union !edges
+            (Edge_model.of_graph (Dynet.Graph_gen.random_tree rng ~n))
+      in
+      go (r + 1) g (g :: acc)
+    end
+  in
+  go 2 g1 [ g1 ]
+
+let model_request_cutter ~seed ~n ~cut_prob =
+  let rng = Dynet.Rng.make ~seed in
+  fun ~round ~prev ~traffic ->
+    if round = 1 then Edge_model.of_graph (Dynet.Graph_gen.random_tree rng ~n)
+    else begin
+      let requested =
+        List.fold_left
+          (fun acc (src, dst, cls) ->
+            match cls with
+            | Engine.Msg_class.Request -> Edge_model.add_pair src dst acc
+            | _ -> acc)
+          ES.empty traffic
+      in
+      let cut = ES.filter (fun _ -> Dynet.Rng.bernoulli rng cut_prob) requested in
+      let surviving = ES.diff prev cut in
+      let g = Edge_model.graph ~n surviving in
+      if Dynet.Graph.is_connected g then surviving
+      else
+        let pick_member members = Dynet.Rng.pick rng (Array.of_list members) in
+        match Dynet.Union_find.components (Dynet.Graph.components g) with
+        | [] | [ _ ] -> surviving
+        | first :: rest ->
+            fst
+              (List.fold_left
+                 (fun (acc, prev_rep) comp ->
+                   let rep = pick_member comp in
+                   (Edge_model.add_pair prev_rep rep acc, rep))
+                 (surviving, pick_member first)
+                 rest)
+    end
+
+let model_lb_next_graph lb (view : Adversary.Broadcast_lb.view) =
+  let n = Adversary.Broadcast_lb.n lb in
+  let covered v i = Adversary.Broadcast_lb.in_k_prime lb v i || view.knows v i in
+  let free u v =
+    let one_way a b =
+      match view.chosen.(a) with None -> true | Some i -> covered b i
+    in
+    one_way u v && one_way v u
+  in
+  let uf = Dynet.Union_find.create n in
+  let forest = ref ES.empty in
+  let connect u v =
+    if Dynet.Union_find.union uf u v then forest := Edge_model.add_pair u v !forest
+  in
+  let silent_hub = ref (-1) in
+  let broadcasters = ref [] in
+  for v = 0 to n - 1 do
+    match view.chosen.(v) with
+    | None -> if !silent_hub < 0 then silent_hub := v else connect !silent_hub v
+    | Some _ -> broadcasters := v :: !broadcasters
+  done;
+  List.iter
+    (fun u ->
+      for v = 0 to n - 1 do
+        if v <> u && (not (Dynet.Union_find.same uf u v)) && free u v then
+          connect u v
+      done)
+    !broadcasters;
+  match Dynet.Union_find.representatives uf with
+  | [] | [ _ ] -> !forest
+  | first :: rest ->
+      fst
+        (List.fold_left
+           (fun (acc, prev) rep -> (Edge_model.add_pair prev rep acc, rep))
+           (!forest, first) rest)
+
+let model_weak_bcast ~seed ~n =
+  let rng = Dynet.Rng.make ~seed in
+  let previous_broadcasters = ref [||] in
+  fun ~intents ->
+    let spoke = !previous_broadcasters in
+    let silent =
+      List.filter
+        (fun v -> v < Array.length spoke && not spoke.(v))
+        (List.init n (fun v -> v))
+    in
+    let hub =
+      match silent with
+      | [] -> Dynet.Rng.int rng n
+      | candidates -> Dynet.Rng.pick rng (Array.of_list candidates)
+    in
+    let edges = ref ES.empty in
+    for v = 0 to n - 1 do
+      if v <> hub then edges := Edge_model.add_pair hub v !edges
+    done;
+    previous_broadcasters := Array.map Option.is_some intents;
+    !edges
+
+let same_keys ~n model g = Dynet.Graph.edges g = Edge_model.keys ~n model
+
+let prop_builders_match_model =
+  QCheck.Test.make ~name:"every adversary's keys ≡ its set-algebra model"
+    ~count:40
+    QCheck.(pair (int_bound 10_000) (int_range 2 14))
+    (fun (seed, n) ->
+      let rounds = 12 in
+      let rng = Dynet.Rng.make ~seed:(seed + 1) in
+      let rewiring = Adversary.Oblivious.rewiring ~seed ~n ~extra:n ~rate:0.3 in
+      let markov =
+        Adversary.Oblivious.edge_markovian ~seed ~n
+          ~p_up:(2. /. float_of_int n) ~p_down:0.3
+      in
+      let oblivious_ok sched model =
+        List.for_all2
+          (fun r m -> same_keys ~n m (Adversary.Schedule.get sched r))
+          (List.init rounds (fun i -> i + 1))
+          model
+      in
+      let cutter = Adversary.Request_cutter.adversary ~seed ~n ~cut_prob:0.6 in
+      let cutter_model = model_request_cutter ~seed ~n ~cut_prob:0.6 in
+      let lb = Adversary.Broadcast_lb.create ~rng:(Dynet.Rng.make ~seed) ~n ~k:6 in
+      let weak = Adversary.Weak_bcast.make ~seed ~n in
+      let weak_model = model_weak_bcast ~seed ~n in
+      let ok = ref true in
+      let prev = ref (Dynet.Graph.empty ~n) and prev_model = ref ES.empty in
+      for round = 1 to rounds do
+        (* Random traffic, mostly along the current graph's edges. *)
+        let traffic =
+          List.init (Dynet.Rng.int rng (2 * n)) (fun _ ->
+              let u = Dynet.Rng.int rng n in
+              let v = (u + 1 + Dynet.Rng.int rng (n - 1)) mod n in
+              let cls =
+                if Dynet.Rng.bernoulli rng 0.7 then Engine.Msg_class.Request
+                else Engine.Msg_class.Token
+              in
+              (u, v, cls))
+        in
+        let g = cutter ~round ~prev:!prev ~states:[||] ~traffic in
+        let m = cutter_model ~round ~prev:!prev_model ~traffic in
+        ok := !ok && same_keys ~n m g;
+        prev := g;
+        prev_model := m;
+        let chosen =
+          Array.init n (fun _ ->
+              if Dynet.Rng.bernoulli rng 0.5 then Some (Dynet.Rng.int rng 6)
+              else None)
+        in
+        let known = Array.init n (fun _ -> Array.init 6 (fun _ -> Dynet.Rng.bernoulli rng 0.4)) in
+        let view = { Adversary.Broadcast_lb.knows = (fun v i -> known.(v).(i)); chosen } in
+        let lb_model = model_lb_next_graph lb view in
+        ok := !ok && same_keys ~n lb_model (Adversary.Broadcast_lb.next_graph lb view);
+        let wg = weak ~round ~prev:!prev ~states:(Array.make n ()) ~intents:chosen in
+        ok := !ok && same_keys ~n (weak_model ~intents:chosen) wg
+      done;
+      !ok
+      && oblivious_ok rewiring (model_rewiring ~seed ~n ~extra:n ~rate:0.3 ~rounds)
+      && oblivious_ok markov
+           (model_edge_markovian ~seed ~n ~p_up:(2. /. float_of_int n)
+              ~p_down:0.3 ~rounds))
 
 let suite =
   [
@@ -403,4 +631,5 @@ let suite =
     ("request cutter with cut_prob 0", `Quick,
      test_request_cutter_zero_prob_never_cuts);
     ("request cutter validation", `Quick, test_request_cutter_validation);
+    qcheck prop_builders_match_model;
   ]

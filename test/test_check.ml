@@ -92,9 +92,7 @@ let test_disconnected_graph_trips () =
         Check.connected ~what:"path is connected" connected;
         let disconnected =
           Dynet.Graph.make ~n:6
-            (Dynet.Edge_set.add
-               (Dynet.Edge.make 0 1)
-               (Dynet.Edge_set.singleton (Dynet.Edge.make 2 3)))
+            [| Dynet.Edge_table.key ~n:6 0 1; Dynet.Edge_table.key ~n:6 2 3 |]
         in
         Alcotest.check_raises "two components"
           (Check.Check_failed "split graph") (fun () ->

@@ -222,7 +222,7 @@ let test_futile_rounds_bounded () =
       let present = Dynet.Graph.edges g in
       (* rebuild insertion table against round r *)
       let fresh = Hashtbl.create 64 in
-      Dynet.Edge_set.iter
+      Array.iter
         (fun e ->
           let entry =
             match Hashtbl.find_opt inserted_at e with
@@ -237,7 +237,7 @@ let test_futile_rounds_bounded () =
       let request_on_contributive = ref false in
       List.iter
         (fun (src, dst, cls) ->
-          let e = Dynet.Edge.make src dst in
+          let e = Dynet.Edge_table.key ~n:(Dynet.Graph.n g) src dst in
           match cls with
           | Engine.Msg_class.Request -> (
               last_request_round := max !last_request_round r;

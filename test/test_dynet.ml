@@ -5,7 +5,7 @@ open Dynet
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
 
-(* {2 Node_id / Edge} *)
+(* {2 Node_id / edge keys} *)
 
 let test_node_id_basics () =
   check Alcotest.int "of_int round-trips" 7 (Node_id.to_int (Node_id.of_int 7));
@@ -15,67 +15,59 @@ let test_node_id_basics () =
     (Invalid_argument "Node_id.of_int: negative identifier") (fun () ->
       ignore (Node_id.of_int (-1)))
 
+(* The graph on [n] nodes with the given endpoint pairs. *)
+let of_pairs ~n pairs =
+  let t = Edge_table.create ~n () in
+  List.iter (fun (u, v) -> Edge_table.add_pair t u v) pairs;
+  Graph.of_table t
+
 let test_edge_canonical () =
-  let e = Edge.make 5 2 in
-  check (Alcotest.pair Alcotest.int Alcotest.int) "canonical order" (2, 5)
-    (Edge.endpoints e);
+  check Alcotest.int "smaller endpoint first" ((2 * 10) + 5)
+    (Edge_table.key ~n:10 5 2);
   check Alcotest.bool "equal regardless of direction" true
-    (Edge.equal (Edge.make 2 5) (Edge.make 5 2));
-  check Alcotest.int "other" 5 (Edge.other e 2);
-  check Alcotest.int "other, reversed" 2 (Edge.other e 5);
-  check Alcotest.bool "incident" true (Edge.incident e 5);
-  check Alcotest.bool "not incident" false (Edge.incident e 3)
+    (Edge_table.key ~n:10 2 5 = Edge_table.key ~n:10 5 2)
 
 let test_edge_rejects_self_loop () =
-  Alcotest.check_raises "self loop" (Invalid_argument "Edge.make: self-loop")
-    (fun () -> ignore (Edge.make 4 4))
+  Alcotest.check_raises "self loop" (Invalid_argument "Edge_table.key: self-loop")
+    (fun () -> ignore (Edge_table.key ~n:10 4 4))
 
-let test_edge_other_rejects_stranger () =
-  Alcotest.check_raises "stranger"
-    (Invalid_argument "Edge.other: node not incident to edge") (fun () ->
-      ignore (Edge.other (Edge.make 1 2) 3))
+(* {2 Edge-set algebra over sorted keys} *)
 
-(* {2 Edge_set} *)
-
-let edge_gen =
+let pair_gen =
   QCheck.Gen.(
-    map2
-      (fun a b -> if a = b then Edge.make a (b + 1) else Edge.make a b)
-      (int_bound 20) (int_bound 20))
+    map2 (fun a b -> if a = b then (a, b + 1) else (a, b)) (int_bound 20)
+      (int_bound 20))
 
-let edge_arb = QCheck.make ~print:(Format.asprintf "%a" Edge.pp) edge_gen
-
-let edge_list_arb = QCheck.list_of_size QCheck.Gen.(int_bound 30) edge_arb
+let pair_list_arb =
+  QCheck.list_of_size QCheck.Gen.(int_bound 30)
+    (QCheck.make ~print:QCheck.Print.(pair int int) pair_gen)
 
 let prop_edge_set_union_diff =
   QCheck.Test.make ~name:"edge_set: (a ∪ b) \\ b ⊆ a" ~count:200
-    (QCheck.pair edge_list_arb edge_list_arb)
+    (QCheck.pair pair_list_arb pair_list_arb)
     (fun (la, lb) ->
-      let a = Edge_set.of_list la and b = Edge_set.of_list lb in
-      Edge_set.subset (Edge_set.diff (Edge_set.union a b) b) a)
-
-let prop_edge_set_inter_subset =
-  QCheck.Test.make ~name:"edge_set: a ∩ b ⊆ a and ⊆ b" ~count:200
-    (QCheck.pair edge_list_arb edge_list_arb)
-    (fun (la, lb) ->
-      let a = Edge_set.of_list la and b = Edge_set.of_list lb in
-      let i = Edge_set.inter a b in
-      Edge_set.subset i a && Edge_set.subset i b)
+      let a = of_pairs ~n:22 la and b = of_pairs ~n:22 lb in
+      Array.for_all
+        (fun key ->
+          Graph.mem_edge b (key / 22) (key mod 22)
+          || Graph.mem_edge a (key / 22) (key mod 22))
+        (Graph.edges (Graph.union a b)))
 
 let prop_edge_set_cardinal =
   QCheck.Test.make ~name:"edge_set: |a| + |b| = |a ∪ b| + |a ∩ b|" ~count:200
-    (QCheck.pair edge_list_arb edge_list_arb)
+    (QCheck.pair pair_list_arb pair_list_arb)
     (fun (la, lb) ->
-      let a = Edge_set.of_list la and b = Edge_set.of_list lb in
-      Edge_set.cardinal a + Edge_set.cardinal b
-      = Edge_set.cardinal (Edge_set.union a b)
-        + Edge_set.cardinal (Edge_set.inter a b))
+      let a = of_pairs ~n:22 la and b = of_pairs ~n:22 lb in
+      (* |a ∩ b| = |a| − |a \ b|, the removals going from a to b. *)
+      let inter = Graph.edge_count a - snd (Graph.delta_counts ~prev:a ~cur:b) in
+      Graph.edge_count a + Graph.edge_count b
+      = Graph.edge_count (Graph.union a b) + inter)
 
 let test_edge_set_incident () =
-  let s = Edge_set.of_list [ Edge.make 0 1; Edge.make 1 2; Edge.make 2 3 ] in
-  check Alcotest.int "incident_to 1" 2 (List.length (Edge_set.incident_to 1 s));
-  check Alcotest.int "incident_to 3" 1 (List.length (Edge_set.incident_to 3 s));
-  check Alcotest.int "incident_to 9" 0 (List.length (Edge_set.incident_to 9 s))
+  let g = of_pairs ~n:10 [ (0, 1); (1, 2); (2, 3) ] in
+  check Alcotest.int "incident_to 1" 2 (Graph.degree g 1);
+  check Alcotest.int "incident_to 3" 1 (Graph.degree g 3);
+  check Alcotest.int "incident_to 9" 0 (Graph.degree g 9)
 
 (* {2 Union_find} *)
 
@@ -128,8 +120,7 @@ let prop_union_find_count_matches_representatives =
 
 let test_graph_adjacency_sorted () =
   let g =
-    Graph.make ~n:5
-      (Edge_set.of_list [ Edge.make 0 4; Edge.make 0 2; Edge.make 0 1 ])
+    of_pairs ~n:5 [ (0, 4); (0, 2); (0, 1) ]
   in
   check (Alcotest.array Alcotest.int) "sorted neighbors" [| 1; 2; 4 |]
     (Graph.neighbors g 0);
@@ -140,9 +131,9 @@ let test_graph_adjacency_sorted () =
 
 let test_graph_rejects_out_of_range () =
   Alcotest.check_raises "endpoint out of range"
-    (Invalid_argument "Graph.make: edge endpoint 5 out of range (n=4)")
-    (fun () ->
-      ignore (Graph.make ~n:4 (Edge_set.singleton (Edge.make 2 5))))
+    (Invalid_argument
+       "Graph.make: keys must be strictly ascending canonical packed edges")
+    (fun () -> ignore (Graph.make ~n:4 [| 16 |]))
 
 let test_graph_bfs_path () =
   let g = Graph_gen.path ~n:6 in
@@ -157,12 +148,12 @@ let test_graph_bfs_path () =
 
 let test_graph_components () =
   let g =
-    Graph.make ~n:6 (Edge_set.of_list [ Edge.make 0 1; Edge.make 2 3 ])
+    of_pairs ~n:6 [ (0, 1); (2, 3) ]
   in
   check Alcotest.int "components" 4 (Graph.component_count g);
   check Alcotest.bool "not connected" false (Graph.is_connected g);
   let extra = Graph.connect_components g in
-  check Alcotest.int "minimum connectors" 3 (Edge_set.cardinal extra);
+  check Alcotest.int "minimum connectors" 3 (Array.length extra);
   let joined = Graph.union g (Graph.make ~n:6 extra) in
   check Alcotest.bool "now connected" true (Graph.is_connected joined)
 
@@ -173,13 +164,6 @@ let test_graph_empty_connected_conventions () =
     (Graph.is_connected (Graph.empty ~n:0));
   check Alcotest.bool "two isolated nodes are not" false
     (Graph.is_connected (Graph.empty ~n:2))
-
-let test_graph_spanning_forest () =
-  let g = Graph_gen.clique ~n:6 in
-  let forest = Graph.spanning_forest g in
-  check Alcotest.int "tree size" 5 (Edge_set.cardinal forest);
-  check Alcotest.bool "forest spans" true
-    (Graph.is_connected (Graph.make ~n:6 forest))
 
 let test_graph_diameter_disconnected_raises () =
   Alcotest.check_raises "diameter of disconnected"
@@ -218,8 +202,10 @@ let test_specific_shapes () =
   check Alcotest.int "barbell bridge" 2
     (Graph.component_count
        (Graph.make ~n:10
-          (Edge_set.remove (Edge.make 4 5)
-             (Graph.edges (Graph_gen.barbell ~n:10)))))
+          (Array.of_list
+             (List.filter
+                (fun key -> key <> Edge_table.key ~n:10 4 5)
+                (Array.to_list (Graph.edges (Graph_gen.barbell ~n:10)))))))
 
 let test_grid_and_hypercube_shapes () =
   (* 3x3 grid: 12 edges, diameter 4. *)
@@ -270,17 +256,17 @@ let prop_regularish_degree_bounds =
 (* {2 Dyn_seq} *)
 
 let test_dyn_seq_deltas_and_tc () =
-  let g1 = Graph.make ~n:4 (Edge_set.of_list [ Edge.make 0 1; Edge.make 1 2; Edge.make 2 3 ]) in
-  let g2 = Graph.make ~n:4 (Edge_set.of_list [ Edge.make 0 1; Edge.make 1 3; Edge.make 2 3 ]) in
+  let g1 = of_pairs ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
+  let g2 = of_pairs ~n:4 [ (0, 1); (1, 3); (2, 3) ] in
   let g3 = g1 in
   let seq = Dyn_seq.of_graphs [ g1; g2; g3 ] in
   check Alcotest.int "length" 3 (Dyn_seq.length seq);
-  check Alcotest.int "round-1 insertions = its edges" 3
-    (Edge_set.cardinal (Dyn_seq.insertions seq 1));
-  check Alcotest.int "round-2 insertions" 1
-    (Edge_set.cardinal (Dyn_seq.insertions seq 2));
-  check Alcotest.int "round-2 removals" 1
-    (Edge_set.cardinal (Dyn_seq.removals seq 2));
+  check (Alcotest.pair Alcotest.int Alcotest.int)
+    "round-1 insertions = its edges" (3, 0)
+    (Graph.delta_counts ~prev:(Dyn_seq.get seq 0) ~cur:(Dyn_seq.get seq 1));
+  check (Alcotest.pair Alcotest.int Alcotest.int) "round-2 insertions, removals"
+    (1, 1)
+    (Graph.delta_counts ~prev:(Dyn_seq.get seq 1) ~cur:(Dyn_seq.get seq 2));
   check Alcotest.int "tc" 5 (Dyn_seq.tc seq);
   check Alcotest.int "removals total" 2 (Dyn_seq.total_removals seq);
   check Alcotest.bool "removals <= tc" true
@@ -288,9 +274,8 @@ let test_dyn_seq_deltas_and_tc () =
   check Alcotest.bool "all rounds connected" true (Dyn_seq.all_connected seq)
 
 let test_dyn_seq_stability_predicate () =
-  let e01 = Edge.make 0 1 and e12 = Edge.make 1 2 and e02 = Edge.make 0 2 in
-  let tri = Graph.make ~n:3 (Edge_set.of_list [ e01; e12; e02 ]) in
-  let no02 = Graph.make ~n:3 (Edge_set.of_list [ e01; e12 ]) in
+  let tri = of_pairs ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
+  let no02 = of_pairs ~n:3 [ (0, 1); (1, 2) ] in
   (* e02 present exactly one round in the middle: 1-stable only. *)
   let seq = Dyn_seq.of_graphs [ no02; tri; no02; no02 ] in
   check Alcotest.bool "1-stable" true (Dyn_seq.is_sigma_stable seq ~sigma:1);
@@ -336,7 +321,7 @@ let test_stability_superset_of_proposal () =
   List.iter2
     (fun prop actual ->
       Alcotest.check Alcotest.bool "proposal ⊆ actual" true
-        (Edge_set.subset (Graph.edges prop) (Graph.edges actual)))
+        (fst (Graph.delta_counts ~prev:actual ~cur:prop) = 0))
     proposals out
 
 let test_stability_sigma_one_is_identity () =
@@ -345,7 +330,7 @@ let test_stability_sigma_one_is_identity () =
   List.iter2
     (fun prop actual ->
       Alcotest.check Alcotest.bool "identity" true
-        (Edge_set.equal (Graph.edges prop) (Graph.edges actual)))
+        (Graph.same_edges prop actual))
     proposals out
 
 (* {2 Graph_metrics} *)
@@ -362,9 +347,7 @@ let test_metrics_clustering () =
   check (Alcotest.float 1e-9) "tree has no triangles" 0.
     (Graph_metrics.clustering_coefficient (Graph_gen.star ~n:6));
   let triangle_plus_tail =
-    Graph.make ~n:4
-      (Edge_set.of_list
-         [ Edge.make 0 1; Edge.make 1 2; Edge.make 0 2; Edge.make 2 3 ])
+    of_pairs ~n:4 [ (0, 1); (1, 2); (0, 2); (2, 3) ]
   in
   (* Nodes 0 and 1: coefficient 1; node 2: 1/3; node 3: degree 1 -> 0. *)
   check (Alcotest.float 1e-9) "mixed graph" ((1. +. 1. +. (1. /. 3.)) /. 4.)
@@ -392,27 +375,6 @@ let test_metrics_churn () =
   let c2 = Graph_metrics.churn_stats rotating in
   check Alcotest.bool "rotation churns" true
     (c2.Graph_metrics.turnover > 0.3)
-
-(* {2 Export} *)
-
-let test_export_dot () =
-  let dot = Export.to_dot ~name:"demo" (Graph_gen.path ~n:3) in
-  check Alcotest.bool "header" true
-    (String.length dot > 0 && String.sub dot 0 10 = "graph demo");
-  check Alcotest.bool "edge 0--1" true
-    (Astring.String.is_infix ~affix:"0 -- 1;" dot);
-  check Alcotest.bool "edge 1--2" true
-    (Astring.String.is_infix ~affix:"1 -- 2;" dot);
-  check Alcotest.bool "no 0--2" false
-    (Astring.String.is_infix ~affix:"0 -- 2;" dot)
-
-let test_export_seq_csv () =
-  let g1 = Graph_gen.path ~n:3 and g2 = Graph_gen.cycle ~n:3 in
-  let csv = Export.seq_to_csv (Dyn_seq.of_graphs [ g1; g2 ]) in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  check Alcotest.int "header + 2 rounds" 3 (List.length lines);
-  check Alcotest.string "round 1" "1,2,2,0,true" (List.nth lines 1);
-  check Alcotest.string "round 2" "2,3,1,0,true" (List.nth lines 2)
 
 (* {2 Rng} *)
 
@@ -462,10 +424,8 @@ let suite =
     ("node_id basics", `Quick, test_node_id_basics);
     ("edge canonical form", `Quick, test_edge_canonical);
     ("edge rejects self-loops", `Quick, test_edge_rejects_self_loop);
-    ("edge other rejects strangers", `Quick, test_edge_other_rejects_stranger);
     ("edge_set incident_to", `Quick, test_edge_set_incident);
     qcheck prop_edge_set_union_diff;
-    qcheck prop_edge_set_inter_subset;
     qcheck prop_edge_set_cardinal;
     ("union_find basics", `Quick, test_union_find_basics);
     ("union_find components", `Quick, test_union_find_components);
@@ -477,7 +437,6 @@ let suite =
     ("graph components & connectors", `Quick, test_graph_components);
     ("graph connectivity conventions", `Quick,
      test_graph_empty_connected_conventions);
-    ("graph spanning forest", `Quick, test_graph_spanning_forest);
     ("graph diameter raises when disconnected", `Quick,
      test_graph_diameter_disconnected_raises);
     ("all generators connected at all sizes", `Quick, test_generators_connected);
@@ -498,8 +457,6 @@ let suite =
     ("metrics: clustering", `Quick, test_metrics_clustering);
     ("metrics: mean distance", `Quick, test_metrics_mean_distance);
     ("metrics: churn", `Quick, test_metrics_churn);
-    ("export: dot", `Quick, test_export_dot);
-    ("export: sequence csv", `Quick, test_export_seq_csv);
     ("rng determinism", `Quick, test_rng_determinism);
     ("rng split determinism", `Quick, test_rng_split_independence);
     ("rng permutation", `Quick, test_rng_permutation);

@@ -1,11 +1,13 @@
 (* Tests for the fast-path substrate: packed bitsets checked against a
    reference [Set.Make (Int)] on random operation sequences, the
    int-keyed edge table and incremental graph deltas checked against
-   Edge_set algebra, the stability wrapper's physical graph reuse, and
+   the set algebra of Edge_model, the stability wrapper's physical graph
+   reuse, and
    the deterministic parallel sweep runner. *)
 
 open Dynet
 module ISet = Set.Make (Int)
+module Edge_set = Edge_model.Edge_set
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -131,19 +133,18 @@ let prop_of_table_matches_make =
       let g = graph_of_pairs n pairs in
       let eset =
         List.fold_left
-          (fun acc (u, v) ->
-            if u = v then acc else Edge_set.add (Edge.make u v) acc)
+          (fun acc (u, v) -> if u = v then acc else Edge_model.add_pair u v acc)
           Edge_set.empty pairs
       in
-      let g' = Graph.make ~n eset in
+      let g' = Edge_model.graph ~n eset in
       let table = Edge_table.create ~n ~size_hint:1 () in
       List.iter
         (fun (u, v) -> if u <> v then Edge_table.add_pair table u v)
         pairs;
       Edge_table.cardinal table = Edge_set.cardinal eset
       && Graph.same_edges g g'
-      && Graph.keys g = Graph.keys g'
-      && Edge_set.equal (Graph.edges g) (Graph.edges g')
+      && Graph.edges g = Graph.edges g'
+      && Edge_set.equal (Edge_model.of_graph g) eset
       && List.for_all
            (fun v -> Graph.neighbors g v = Graph.neighbors g' v)
            (List.init n Fun.id))
@@ -155,24 +156,9 @@ let prop_delta_counts_match_set_diff =
     (fun (ps_a, ps_b) ->
       let a = graph_of_pairs 16 ps_a and b = graph_of_pairs 16 ps_b in
       let inserted, removed = Graph.delta_counts ~prev:a ~cur:b in
-      inserted
-      = Edge_set.cardinal (Edge_set.diff (Graph.edges b) (Graph.edges a))
-      && removed
-         = Edge_set.cardinal (Edge_set.diff (Graph.edges a) (Graph.edges b)))
-
-let prop_incident_edges_match_filter =
-  QCheck.Test.make ~name:"graph: incident_edges ≡ Edge_set filter" ~count:200
-    (pairs_arb 16) (fun pairs ->
-      let n = 16 in
-      let g = graph_of_pairs n pairs in
-      List.for_all
-        (fun v ->
-          let fast = Edge_set.of_list (Graph.incident_edges g v) in
-          let slow =
-            Edge_set.filter (fun e -> Edge.incident e v) (Graph.edges g)
-          in
-          Edge_set.equal fast slow)
-        (List.init n Fun.id))
+      let sa = Edge_model.of_graph a and sb = Edge_model.of_graph b in
+      inserted = Edge_set.cardinal (Edge_set.diff sb sa)
+      && removed = Edge_set.cardinal (Edge_set.diff sa sb))
 
 let test_edge_table_basics () =
   let t = Edge_table.create ~n:6 () in
@@ -180,7 +166,7 @@ let test_edge_table_basics () =
   Edge_table.add_pair t 1 4 (* canonical dup *);
   Edge_table.add_pair t 0 5;
   check Alcotest.int "cardinal dedups" 2 (Edge_table.cardinal t);
-  check (Alcotest.array Alcotest.int) "sorted keys in Edge.compare order"
+  check (Alcotest.array Alcotest.int) "sorted keys in endpoint order"
     [| Edge_table.key ~n:6 0 5; Edge_table.key ~n:6 1 4 |]
     (Edge_table.sorted_keys t);
   (* appends after a sort: a non-adjacent duplicate and a smaller key *)
@@ -198,17 +184,17 @@ let test_edge_table_basics () =
     (Invalid_argument "Edge_table.key: self-loop") (fun () ->
       ignore (Edge_table.key ~n:6 3 3))
 
-let test_of_sorted_keys_validates () =
-  let g = Graph.of_sorted_keys ~n:4 [| 1; 6; 11 |] in
+let test_make_validates () =
+  let g = Graph.make ~n:4 [| 1; 6; 11 |] in
   check (Alcotest.array Alcotest.int) "path 0-1-2-3, middle row" [| 0; 2 |]
     (Graph.neighbors g 1);
   List.iter
     (fun (name, keys) ->
       Alcotest.check_raises name
         (Invalid_argument
-           "Graph.of_sorted_keys: keys must be strictly ascending canonical \
-            packed edges")
-        (fun () -> ignore (Graph.of_sorted_keys ~n:4 keys)))
+           "Graph.make: keys must be strictly ascending canonical packed \
+            edges")
+        (fun () -> ignore (Graph.make ~n:4 keys)))
     [
       ("descending", [| 6; 1 |]);
       ("duplicate", [| 1; 1 |]);
@@ -219,9 +205,8 @@ let test_of_sorted_keys_validates () =
     ];
   Alcotest.check_raises "no key fits n = 0"
     (Invalid_argument
-       "Graph.of_sorted_keys: keys must be strictly ascending canonical \
-        packed edges")
-    (fun () -> ignore (Graph.of_sorted_keys ~n:0 [| 0 |]))
+       "Graph.make: keys must be strictly ascending canonical packed edges")
+    (fun () -> ignore (Graph.make ~n:0 [| 0 |]))
 
 (* {2 random_connected vs a hashed reference builder} *)
 
@@ -269,7 +254,7 @@ let prop_random_connected_matches_oracle =
       let rng = Rng.make ~seed and oracle_rng = Rng.make ~seed in
       let g = Graph_gen.random_connected rng ~n ~p in
       let keys = oracle_random_connected oracle_rng ~n ~p in
-      Graph.keys g = keys
+      Graph.edges g = keys
       && Array.init n (Graph.neighbors g) = oracle_adjacency ~n keys
       (* same number of draws: the streams stay in step *)
       && Rng.int rng 1_000_000 = Rng.int oracle_rng 1_000_000)
@@ -378,10 +363,9 @@ let suite =
       test_bitset_persistent_sharing;
     qcheck prop_of_table_matches_make;
     qcheck prop_delta_counts_match_set_diff;
-    qcheck prop_incident_edges_match_filter;
     qcheck prop_random_connected_matches_oracle;
-    Alcotest.test_case "graph: of_sorted_keys validates its keys" `Quick
-      test_of_sorted_keys_validates;
+    Alcotest.test_case "graph: make validates its keys" `Quick
+      test_make_validates;
     Alcotest.test_case "edge_table: dedup, order, validation" `Quick
       test_edge_table_basics;
     Alcotest.test_case "stability: unchanged rounds reuse the graph" `Quick

@@ -128,7 +128,7 @@ let test_csr_delta_gated () =
     (Dynet.Csr.update csr g);
   (* Structurally identical but physically fresh graph — the
      delta-counts gate. *)
-  let g' = Dynet.Graph.make ~n (Dynet.Graph.edges g) in
+  let g' = Dynet.Graph.make ~n (Array.copy (Dynet.Graph.edges g)) in
   check Alcotest.bool "structurally unchanged graph served for free" false
     (Dynet.Csr.update csr g');
   check Alcotest.int "still one rebuild" 1 (Dynet.Csr.rebuilds csr);
@@ -572,6 +572,61 @@ let test_retransmit_trace_deterministic () =
   check Alcotest.int "one retransmit event per retransmission" retransmits
     (List.length (List.filter is_retransmit events1))
 
+let test_retransmit_count_survives_restarts () =
+  (* A crash-restart resets the wrapper's state, so the count must be
+     taken round by round: under a crash plan it still equals the
+     trace's retransmit events, on every engine, and in the report's
+     fault counts. *)
+  let n = 16 in
+  let counted engine =
+    let sink = Obs.Sink.memory () in
+    let result, _, retransmits =
+      Gossip.Runners.reliable_multi_source
+        ~instance:(Gossip.Instance.one_per_node ~n)
+        ~env:
+          (Gossip.Runners.Oblivious
+             (Adversary.Oblivious.rewiring ~seed:5 ~n ~extra:3 ~rate:0.3))
+        ~faults:
+          (Faults.Plan.make ~seed:2 ~loss:0.2 ~crash:0.05 ~restart:0.5 ())
+        ~max_rounds:400 ~engine ~obs:sink ()
+    in
+    let events =
+      List.filter
+        (fun ev ->
+          Astring.String.is_infix ~affix:{|"kind":"retransmit"|}
+            (Obs.Json.to_string (Obs.Trace.to_json ev)))
+        (Obs.Sink.events sink)
+    in
+    let restarts =
+      List.length
+        (List.filter
+           (fun ev ->
+             Astring.String.is_infix ~affix:{|"kind":"restart"|}
+               (Obs.Json.to_string (Obs.Trace.to_json ev)))
+           (Obs.Sink.events sink))
+    in
+    let folded =
+      match result.Engine.Run_result.fault_counts with
+      | Some c -> c.Faults.Counts.retransmits
+      | None -> -1
+    in
+    (retransmits, List.length events, restarts, folded)
+  in
+  List.iter
+    (fun (name, engine) ->
+      let retransmits, events, restarts, folded = counted engine in
+      check Alcotest.bool (name ^ ": the plan restarts nodes") true
+        (restarts > 0);
+      check Alcotest.int (name ^ ": count = retransmit events") events
+        retransmits;
+      check Alcotest.int (name ^ ": count folded into fault counts")
+        retransmits folded)
+    [
+      ("reference", Engine.Reference.engine);
+      ("soa-1", Engine.Soa.engine ());
+      ("soa-4", Engine.Soa.engine ~shards:4 ());
+    ]
+
 (* {2 Steady-state allocation}
 
    Differential minor-heap measurement shared by the three allocation
@@ -722,4 +777,6 @@ let suite =
       `Quick test_runner_boundary_mutant_observable;
     Alcotest.test_case "soa: retransmit trace identical at shards 1/4"
       `Quick test_retransmit_trace_deterministic;
+    Alcotest.test_case "soa: retransmit count survives crash-restarts"
+      `Quick test_retransmit_count_survives_restarts;
   ]

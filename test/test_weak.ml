@@ -56,7 +56,7 @@ let test_weak_is_deterministic_given_seed () =
           adv ~round:(r + 1) ~prev:(Dynet.Graph.empty ~n)
             ~states:(Array.make n ()) ~intents
         in
-        Dynet.Edge_set.to_list (Dynet.Graph.edges g))
+        Array.to_list (Dynet.Graph.edges g))
   in
   check Alcotest.bool "same seed, same graphs" true (run () = run ())
 
