@@ -2,51 +2,50 @@ type rule =
   | Stateless of (int -> Dynet.Graph.t)
   | Markov of (unit -> Dynet.Graph.t) * (int -> Dynet.Graph.t -> Dynet.Graph.t)
 
+(* A forward cursor: [round] is the last round produced (0 before the
+   first read) and [graph] its graph.  Nothing older is kept, so a
+   run's memory is flat in its round count. *)
 type t = {
   n : int;
   rule : rule;
-  mutable cache : Dynet.Graph.t array;
-  mutable filled : int;
+  mutable round : int;
+  mutable graph : Dynet.Graph.t;
 }
 
 let n t = t.n
 
-let ensure_capacity t r =
-  let cap = Array.length t.cache in
-  if r > cap then begin
-    let fresh = Array.make (max r (max 16 (2 * cap))) (Dynet.Graph.empty ~n:t.n) in
-    Array.blit t.cache 0 fresh 0 t.filled;
-    t.cache <- fresh
-  end
-
 let get t r =
   if r < 1 then invalid_arg "Schedule.get: rounds are 1-based";
-  ensure_capacity t r;
-  while t.filled < r do
-    let next = t.filled + 1 in
-    let g =
-      match t.rule with
-      | Stateless f -> f next
-      | Markov (init, step) ->
-          if next = 1 then init () else step next t.cache.(next - 2)
-    in
-    t.cache.(next - 1) <- g;
-    t.filled <- next
-  done;
-  t.cache.(r - 1)
+  if r <> t.round then begin
+    match t.rule with
+    | Stateless f ->
+        t.graph <- f r;
+        t.round <- r
+    | Markov (init, step) ->
+        (* Behind the cursor: replay the sequence from [init]. *)
+        if r < t.round then t.round <- 0;
+        while t.round < r do
+          let next = t.round + 1 in
+          t.graph <- (if next = 1 then init () else step next t.graph);
+          t.round <- next
+        done
+  end;
+  t.graph
 
-let of_fun ~n f = { n; rule = Stateless f; cache = [||]; filled = 0 }
-
-let iterate ~n ~init step =
-  { n; rule = Markov (init, step); cache = [||]; filled = 0 }
+let make ~n rule = { n; rule; round = 0; graph = Dynet.Graph.empty ~n }
+let of_fun ~n f = make ~n (Stateless f)
+let iterate ~n ~init step = make ~n (Markov (init, step))
 
 let stabilized ~sigma base =
-  let holder = Dynet.Stability.create ~sigma ~n:base.n in
   (* The stability transform is sequential; driving it from a Markov
-     rule guarantees rounds are produced in order exactly once. *)
+     rule feeds it the rounds in order.  [init] starts a fresh holder,
+     so a replay from round 1 repeats the same sequence. *)
+  let holder = ref (Dynet.Stability.create ~sigma ~n:base.n) in
   iterate ~n:base.n
-    ~init:(fun () -> Dynet.Stability.step holder (get base 1))
-    (fun r _prev -> Dynet.Stability.step holder (get base r))
+    ~init:(fun () ->
+      holder := Dynet.Stability.create ~sigma ~n:base.n;
+      Dynet.Stability.step !holder (get base 1))
+    (fun r _prev -> Dynet.Stability.step !holder (get base r))
 
 let overlay a b =
   if a.n <> b.n then invalid_arg "Schedule.overlay: node counts differ";

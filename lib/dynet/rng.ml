@@ -12,8 +12,17 @@ let int t bound = Random.State.int t bound
 let float t bound = Random.State.float t bound
 let bool t = Random.State.bool t
 
+(* [Random.State.float t 1. < p], computed inline: the stdlib's
+   [rawfloat] (53 high bits of one [bits64] draw, redrawn when they are
+   all zero) times 1., without the boxed float that crossing the module
+   boundary costs on every draw. *)
+let rec unit_float_below t p =
+  let bits = Int64.shift_right_logical (Random.State.bits64 t) 11 in
+  if Int64.equal bits 0L then unit_float_below t p
+  else Int64.to_float bits *. 0x1.p-53 < p
+
 let bernoulli t p =
-  if p <= 0. then false else if p >= 1. then true else Random.State.float t 1. < p
+  if p <= 0. then false else if p >= 1. then true else unit_float_below t p
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";

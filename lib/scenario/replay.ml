@@ -10,31 +10,23 @@ let schedule ?(past_end = Hold) (trace : Trace_io.t) =
      and delta r: a merge walk over the previous graph's sorted keys
      (Trace_io.next_graph, the step validation replays too), so no
      round materialises an edge set.  An empty delta hands back the
-     previous graph itself.  The base cycle is kept so Loop can wrap
-     without replaying (Schedule memoizes every produced graph
-     anyway). *)
-  let cycle = Array.make r_max None in
-  let build r prev =
-    let g = Trace_io.next_graph ~round:r prev trace.Trace_io.deltas.(r - 1) in
-    cycle.(r - 1) <- Some g;
-    g
-  in
-  let get_cycle r =
-    match cycle.(r - 1) with
-    | Some g -> g
-    | None ->
-        (* Unreachable through Schedule (rounds are produced in order),
-           kept total for safety. *)
-        invalid_arg (Printf.sprintf "Replay: round %d not yet built" r)
+     previous graph itself.  Loop keeps no copy of the cycle: round
+     r > r_max re-steps base round c = ((r - 1) mod r_max) + 1 from the
+     previous graph, which is base round c - 1, and starts again from
+     the empty graph at each wrap (c = 1). *)
+  let step c prev =
+    Trace_io.next_graph ~round:c prev trace.Trace_io.deltas.(c - 1)
   in
   Adversary.Schedule.iterate ~n
-    ~init:(fun () -> build 1 (Dynet.Graph.empty ~n))
+    ~init:(fun () -> step 1 (Dynet.Graph.empty ~n))
     (fun r prev ->
-      if r <= r_max then build r prev
+      if r <= r_max then step r prev
       else
         match past_end with
         | Hold -> prev
-        | Loop -> get_cycle (((r - 1) mod r_max) + 1)
+        | Loop ->
+            let c = ((r - 1) mod r_max) + 1 in
+            step c (if c = 1 then Dynet.Graph.empty ~n else prev)
         | Fail ->
             raise
               (Engine.Engine_error.Schedule_exhausted

@@ -8,16 +8,19 @@
     oblivious families — and a recorded run replays bit-for-bit:
     identical graphs, identical [TC], identical run report.
 
-    Graphs are built lazily in round order and memoized by the
-    schedule (the trace's deltas are the only data resident up front),
-    so replaying pays only for the rounds actually executed. *)
+    Graphs are built lazily in round order and only the current one is
+    kept (the trace's deltas are the only data resident throughout), so
+    replaying pays only for the rounds actually executed and its memory
+    does not grow with them. *)
 
 type past_end =
   | Hold  (** Rounds past the trace repeat its last graph. *)
   | Loop
       (** The graph sequence repeats from round 1 ([g(R + i) = g(i)]):
           the natural reading of periodic contact data.  The wrap-around
-          is an ordinary topology change, charged to [TC] as usual. *)
+          is an ordinary topology change, charged to [TC] as usual.
+          Each wrap re-steps the recorded deltas from the empty graph;
+          no copy of the cycle is kept. *)
   | Fail
       (** Asking past the trace raises
           {!Engine.Engine_error.Schedule_exhausted} (carrying the

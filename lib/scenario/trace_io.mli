@@ -24,8 +24,9 @@
 
     Only the {e deltas} are resident after a load (a few ints per
     changed edge); graphs are reconstructed on demand by {!fold_graphs}
-    and {!Replay.schedule}, which memoize per round — large traces
-    never need all their round graphs in memory at once.
+    and {!Replay.schedule}, which keep only the current round's graph
+    — large traces never need all their round graphs in memory at
+    once.
 
     {b Versioning policy}: the schema name is
     [dynspread-trace/v<version>].  Readers reject any other version;

@@ -6,18 +6,90 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 (* {2 Schedule mechanics} *)
 
-let test_schedule_memoizes () =
-  let calls = ref 0 in
+(* A schedule is a forward cursor: it keeps the current round's graph
+   and nothing older. *)
+let test_schedule_stateless_forward () =
+  let calls = ref [] in
   let sched =
-    Adversary.Schedule.of_fun ~n:4 (fun r ->
-        incr calls;
-        ignore r;
-        Dynet.Graph_gen.cycle ~n:4)
+    Adversary.Schedule.of_fun ~n:12 (fun r ->
+        calls := r :: !calls;
+        Dynet.Graph_gen.random_connected
+          (Dynet.Rng.make ~seed:(3 + r)) ~n:12 ~p:0.2)
   in
-  ignore (Adversary.Schedule.get sched 3);
-  ignore (Adversary.Schedule.get sched 3);
-  ignore (Adversary.Schedule.get sched 1);
-  check Alcotest.int "each round generated once" 3 !calls
+  for r = 1 to 3 do
+    ignore (Adversary.Schedule.get sched r)
+  done;
+  let g4 = Dynet.Graph.edges (Adversary.Schedule.get sched 4) in
+  (* Re-reading the cursor's round hands back the graph it holds. *)
+  ignore (Adversary.Schedule.get sched 4);
+  ignore (Adversary.Schedule.get sched 7);
+  let g4' = Dynet.Graph.edges (Adversary.Schedule.get sched 4) in
+  check Alcotest.(list int)
+    "forward rounds generated once, the current one not again, skipped \
+     ones never, a backward one again"
+    [ 1; 2; 3; 4; 7; 4 ] (List.rev !calls);
+  check Alcotest.(array int) "a backward read re-derives the same keys" g4 g4'
+
+(* A Markov rule has only the previous graph to step from, so a read
+   behind the cursor replays the sequence from [init], each round once,
+   in order, to the same keys. *)
+let test_schedule_markov_behind_replays () =
+  let steps = ref [] in
+  let make () =
+    Adversary.Schedule.iterate ~n:8
+      ~init:(fun () ->
+        steps := 1 :: !steps;
+        Dynet.Graph_gen.path ~n:8)
+      (fun r prev ->
+        steps := r :: !steps;
+        Dynet.Graph.union prev
+          (Dynet.Graph.make ~n:8
+             [| Dynet.Edge_table.key ~n:8 0 (2 + (r mod 6)) |]))
+  in
+  let sched = make () in
+  ignore (Adversary.Schedule.get sched 5);
+  let g3 = Dynet.Graph.edges (Adversary.Schedule.get sched 3) in
+  ignore (Adversary.Schedule.get sched 4);
+  check Alcotest.(list int) "forward, replay from round 1, then forward"
+    [ 1; 2; 3; 4; 5; 1; 2; 3; 4 ] (List.rev !steps);
+  check Alcotest.(array int) "the replayed round has the committed keys"
+    (Dynet.Graph.edges (Adversary.Schedule.get (make ()) 3)) g3
+
+(* The stability wrapper keeps per-edge ages; its replay must start
+   from fresh ages to repeat the committed sequence. *)
+let test_schedule_stabilized_replays () =
+  let sched =
+    Adversary.Schedule.stabilized ~sigma:3
+      (Adversary.Oblivious.rewiring ~seed:4 ~n:10 ~extra:10 ~rate:0.5)
+  in
+  let pass () =
+    List.init 15 (fun i ->
+        Dynet.Graph.edges (Adversary.Schedule.get sched (i + 1)))
+  in
+  let first = pass () in
+  check Alcotest.(list (array int)) "a second pass repeats the first" first
+    (pass ())
+
+(* 2000 rounds on one cursor leave at most a few graphs live; the old
+   per-round memo kept all of them (about 1.5 M words here). *)
+let test_schedule_memory_flat () =
+  let n = 40 in
+  let sched = Adversary.Oblivious.fresh_random ~seed:9 ~n ~p:0.25 in
+  let graph_words =
+    Obj.reachable_words (Obj.repr (Adversary.Schedule.get sched 1))
+  in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  for r = 2 to 2000 do
+    ignore (Adversary.Schedule.get sched r)
+  done;
+  Gc.full_major ();
+  let grown = (Gc.stat ()).Gc.live_words - before in
+  ignore (Sys.opaque_identity sched);
+  if grown > 4 * graph_words then
+    Alcotest.failf
+      "live words grew by %d over 2000 rounds (one graph is %d words)" grown
+      graph_words
 
 let test_schedule_is_committed () =
   (* Re-reading any round gives the identical graph (obliviousness). *)
@@ -37,17 +109,19 @@ let test_schedule_rejects_round_zero () =
 let test_schedule_iterate_order () =
   (* A Markov rule that appends one edge per round: proves rounds are
      produced in order exactly once. *)
-  let sched =
+  let sched () =
     Adversary.Schedule.iterate ~n:6
       ~init:(fun () -> Dynet.Graph_gen.path ~n:6)
       (fun r prev ->
         Dynet.Graph.union prev
           (Dynet.Graph.make ~n:6 [| Dynet.Edge_table.key ~n:6 0 (1 + (r mod 5)) |]))
   in
-  let g5 = Adversary.Schedule.get sched 5 in
+  (* Round 1 is read from a freshly constructed copy of the rule, not
+     by rewinding this cursor. *)
+  let g5 = Adversary.Schedule.get (sched ()) 5 in
   check Alcotest.bool "accumulated edges" true
     (Dynet.Graph.edge_count g5 >= Dynet.Graph.edge_count
-                                    (Adversary.Schedule.get sched 1))
+                                    (Adversary.Schedule.get (sched ()) 1))
 
 (* {2 Oblivious families: connectivity and churn shape} *)
 
@@ -597,7 +671,7 @@ let prop_builders_match_model =
 
 let suite =
   [
-    ("schedule memoizes", `Quick, test_schedule_memoizes);
+    ("schedule stateless forward", `Quick, test_schedule_stateless_forward);
     ("schedule is committed", `Quick, test_schedule_is_committed);
     ("schedule rejects round zero", `Quick, test_schedule_rejects_round_zero);
     ("schedule iterate runs in order", `Quick, test_schedule_iterate_order);
@@ -610,6 +684,11 @@ let suite =
     ("churn bursts alternate", `Quick, test_churn_bursts_period);
     ("schedule overlay", `Quick, test_schedule_overlay);
     ("stabilized schedule", `Quick, test_stabilized_schedule);
+    ("schedule Markov behind replays", `Quick,
+     test_schedule_markov_behind_replays);
+    ("schedule stabilized replays", `Quick,
+     test_schedule_stabilized_replays);
+    ("schedule memory is flat", `Quick, test_schedule_memory_flat);
     qcheck prop_stabilized_any_family;
     ("lb: silent round is one free component", `Quick,
      test_lb_silent_round_single_component);

@@ -186,7 +186,7 @@ let test_multi_source_announcement_budget_on_wire () =
 let test_futile_rounds_bounded () =
   let n = 14 and k = 24 in
   let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
-  let schedule =
+  let schedule () =
     Adversary.Schedule.stabilized ~sigma:3
       (Adversary.Oblivious.tree_rotator ~seed:9 ~n)
   in
@@ -194,7 +194,7 @@ let test_futile_rounds_bounded () =
   let states = Gossip.Single_source.init ~instance () in
   let result, _ =
     Engine.Runner_unicast.run Gossip.Single_source.protocol ~states
-      ~adversary:(spy_adversary schedule spy)
+      ~adversary:(spy_adversary (schedule ()) spy)
       ~max_rounds:(8 * n * k)
       ~stop:(Gossip.Single_source.all_complete ~k)
       ()
@@ -215,9 +215,12 @@ let test_futile_rounds_bounded () =
   let inserted_at = Hashtbl.create 64 in
   let last_request_round = ref 0 in
   let futile = ref 0 in
+  (* The run moved its schedule's cursor past every round; re-derive
+     the same committed sequence and read it forward again. *)
+  let replay = schedule () in
   List.iter
     (fun (r, traffic) ->
-      let g = Adversary.Schedule.get schedule r in
+      let g = Adversary.Schedule.get replay r in
       (* age update: edges not present are forgotten *)
       let present = Dynet.Graph.edges g in
       (* rebuild insertion table against round r *)

@@ -413,6 +413,32 @@ let prop_rng_sample_without_replacement =
       && List.for_all (fun x -> x >= 0 && x < n) s
       && List.sort_uniq Int.compare s = s)
 
+(* [bernoulli] computes [Random.State.float t 1. < p] inline; the
+   stream of outcomes must be the stdlib's draw for draw. *)
+let test_rng_bernoulli_same_draws () =
+  let a = Rng.make ~seed:11 and b = Rng.make ~seed:11 in
+  let ps = Rng.make ~seed:12 in
+  for i = 1 to 100_000 do
+    let p = if i mod 1000 = 0 then 1e-9 else Rng.float ps 1. in
+    let got = Rng.bernoulli a p and want = Rng.float b 1. < p in
+    if not (Bool.equal got want) then
+      Alcotest.failf "draw %d (p = %h): bernoulli %b, float < p %b" i p got
+        want
+  done
+
+let test_rng_bernoulli_allocation_free () =
+  let rng = Rng.make ~seed:3 in
+  let draws = 100_000 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    if Rng.bernoulli rng 0.3 then incr hits
+  done;
+  let per_draw = (Gc.minor_words () -. before) /. float_of_int draws in
+  ignore (Sys.opaque_identity !hits);
+  if per_draw > 0.01 then
+    Alcotest.failf "bernoulli allocates %.2f minor words per draw" per_draw
+
 let prop_rng_bernoulli_extremes =
   QCheck.Test.make ~name:"rng: bernoulli extremes" ~count:50 QCheck.int
     (fun seed ->
@@ -461,5 +487,8 @@ let suite =
     ("rng split determinism", `Quick, test_rng_split_independence);
     ("rng permutation", `Quick, test_rng_permutation);
     qcheck prop_rng_sample_without_replacement;
+    ("rng bernoulli same draws", `Quick, test_rng_bernoulli_same_draws);
+    ("rng bernoulli allocation-free", `Quick,
+     test_rng_bernoulli_allocation_free);
     qcheck prop_rng_bernoulli_extremes;
   ]

@@ -173,14 +173,16 @@ let test_span_format_of_path () =
 let test_engine_round_phase_spans () =
   let n = 10 in
   let instance = Gossip.Instance.single_source ~n ~k:12 ~source:0 in
-  let schedule =
+  (* The plain comparison run re-derives the committed schedule: the
+     profiled run has already moved its cursor past every round. *)
+  let schedule () =
     Adversary.Schedule.stabilized ~sigma:3
       (Adversary.Oblivious.tree_rotator ~seed:5 ~n)
   in
   let prof = Obs.Span.create () in
   let result, _ =
     Gossip.Runners.single_source ~instance
-      ~env:(Gossip.Runners.Oblivious schedule)
+      ~env:(Gossip.Runners.Oblivious (schedule ()))
       ~prof ()
   in
   check Alcotest.bool "completed" true result.Engine.Run_result.completed;
@@ -203,7 +205,7 @@ let test_engine_round_phase_spans () =
   (* A profiled run must not disturb the simulation itself. *)
   let plain, _ =
     Gossip.Runners.single_source ~instance
-      ~env:(Gossip.Runners.Oblivious schedule)
+      ~env:(Gossip.Runners.Oblivious (schedule ()))
       ()
   in
   check Alcotest.int "profiling is observation-only (messages)"

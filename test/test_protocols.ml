@@ -536,17 +536,23 @@ let test_result_and_ledger_pp_smoke () =
 let test_moderate_scale_soak () =
   let n = 48 and k = 96 in
   let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
-  let env =
+  (* Both protocols run the same committed schedule, each from its own
+     freshly constructed cursor. *)
+  let env () =
     Gossip.Runners.Oblivious
       (stable (Adversary.Oblivious.rewiring ~seed:77 ~n ~extra:n ~rate:0.3))
   in
-  let result, states = Gossip.Runners.single_source ~instance ~env () in
+  let result, states =
+    Gossip.Runners.single_source ~instance ~env:(env ()) ()
+  in
   check Alcotest.bool "single-source completes at scale" true
     (result.Engine.Run_result.completed
     && Array.for_all Gossip.Single_source.is_complete states);
   let rng = Dynet.Rng.make ~seed:78 in
   let instance = Gossip.Instance.multi_source ~rng ~n ~k ~s:12 in
-  let result, states = Gossip.Runners.multi_source ~instance ~env () in
+  let result, states =
+    Gossip.Runners.multi_source ~instance ~env:(env ()) ()
+  in
   check Alcotest.bool "multi-source completes at scale" true
     (result.Engine.Run_result.completed
     && Array.for_all (fun st -> Gossip.Multi_source.known_count st = k) states);

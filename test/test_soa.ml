@@ -229,18 +229,29 @@ let test_plane_pool_siblings_isolated () =
 
 (* {2 Byte-identical reports against the Reference oracle} *)
 
+(* Each engine run gets a freshly constructed schedule: the
+   constructors are pure in their seed, so every run sees the same
+   committed sequence, and no run pays to replay a Markov family's
+   cursor from round 1. *)
+let named_schedule ~n ~seed name =
+  List.assoc name (Adversary.Oblivious.all_named ~n ~seed)
+
 let test_flooding_identical () =
   let n = 33 in
   let instance = Gossip.Instance.single_source ~n ~k:5 ~source:0 in
   List.iter
-    (fun (sname, schedule) ->
+    (fun (sname, _) ->
+      let schedule () = named_schedule ~n ~seed:3 sname in
       let baseline, _ =
-        Gossip.Runners.flooding ~instance ~schedule
+        Gossip.Runners.flooding ~instance ~schedule:(schedule ())
           ~engine:Engine.Reference.engine ()
       in
       List.iter
         (fun (ename, engine) ->
-          let r, _ = Gossip.Runners.flooding ~instance ~schedule ~engine () in
+          let r, _ =
+            Gossip.Runners.flooding ~instance ~schedule:(schedule ()) ~engine
+              ()
+          in
           check Alcotest.string
             (Printf.sprintf "%s on %s matches the reference report" ename
                sname)
@@ -275,9 +286,10 @@ let test_planeless_flooding_identical () =
     r
   in
   List.iter
-    (fun (sname, schedule) ->
+    (fun (sname, _) ->
+      let schedule () = named_schedule ~n ~seed:6 sname in
       let baseline =
-        flood Engine.Reference.engine Gossip.Flooding.protocol schedule
+        flood Engine.Reference.engine Gossip.Flooding.protocol (schedule ())
       in
       List.iter
         (fun (ename, engine) ->
@@ -286,7 +298,8 @@ let test_planeless_flooding_identical () =
                "plane-less flooding on %s under %s matches reference" sname
                ename)
             (report baseline)
-            (report (flood engine (module Planeless_flooding) schedule)))
+            (report
+               (flood engine (module Planeless_flooding) (schedule ()))))
         (List.filteri (fun i _ -> i < 2) soa_engines))
     (Adversary.Oblivious.all_named ~n ~seed:6)
 
@@ -295,10 +308,12 @@ let test_unicast_identical () =
   let envs =
     [
       ( "rewiring",
-        Gossip.Runners.Oblivious
-          (Adversary.Oblivious.rewiring ~seed:5 ~n ~extra:3 ~rate:0.3) );
+        fun () ->
+          Gossip.Runners.Oblivious
+            (Adversary.Oblivious.rewiring ~seed:5 ~n ~extra:3 ~rate:0.3) );
       ( "request-cutting",
-        Gossip.Runners.Request_cutting { seed = 9; cut_prob = 0.25 } );
+        fun () -> Gossip.Runners.Request_cutting { seed = 9; cut_prob = 0.25 }
+      );
     ]
   in
   List.iter
@@ -306,24 +321,26 @@ let test_unicast_identical () =
       let single = Gossip.Instance.single_source ~n ~k:4 ~source:0 in
       let multi = Gossip.Instance.one_per_node ~n in
       let base_s, _ =
-        Gossip.Runners.single_source ~instance:single ~env
+        Gossip.Runners.single_source ~instance:single ~env:(env ())
           ~engine:Engine.Reference.engine ()
       in
       let base_m, _ =
-        Gossip.Runners.multi_source ~instance:multi ~env
+        Gossip.Runners.multi_source ~instance:multi ~env:(env ())
           ~engine:Engine.Reference.engine ()
       in
       List.iter
         (fun (ename, engine) ->
           let r_s, _ =
-            Gossip.Runners.single_source ~instance:single ~env ~engine ()
+            Gossip.Runners.single_source ~instance:single ~env:(env ())
+              ~engine ()
           in
           check Alcotest.string
             (Printf.sprintf "single-source/%s under %s matches reference"
                envname ename)
             (report base_s) (report r_s);
           let r_m, _ =
-            Gossip.Runners.multi_source ~instance:multi ~env ~engine ()
+            Gossip.Runners.multi_source ~instance:multi ~env:(env ())
+              ~engine ()
           in
           check Alcotest.string
             (Printf.sprintf "multi-source/%s under %s matches reference"
@@ -380,7 +397,7 @@ let test_faulty_runs_identical () =
     ];
   let n = 16 in
   let instance = Gossip.Instance.one_per_node ~n in
-  let env =
+  let env () =
     Gossip.Runners.Oblivious
       (Adversary.Oblivious.rewiring ~seed:5 ~n ~extra:3 ~rate:0.3)
   in
@@ -389,13 +406,13 @@ let test_faulty_runs_identical () =
       ~restart:0.5 ()
   in
   let base, _ =
-    Gossip.Runners.multi_source ~instance ~env ~faults
+    Gossip.Runners.multi_source ~instance ~env:(env ()) ~faults
       ~engine:Engine.Reference.engine ()
   in
   List.iter
     (fun (ename, engine) ->
       let r, _ =
-        Gossip.Runners.multi_source ~instance ~env ~faults ~engine ()
+        Gossip.Runners.multi_source ~instance ~env:(env ()) ~faults ~engine ()
       in
       check Alcotest.string
         (Printf.sprintf "faulty multi-source under %s matches reference" ename)
