@@ -183,47 +183,13 @@ let reliable_arg =
 
 (* Numeric-flag validation, bench/main.exe style: error line, exit 2 —
    cmdliner's own failures keep their usual exit code, this path is
-   for values that parse but make no sense.  The fault flags' usage
-   lines follow only errors in those flags. *)
-let bad_flag_with ~usage fmt =
+   for values that parse but make no sense. *)
+let bad_flag fmt =
   Printf.ksprintf
     (fun msg ->
       Obs.Console.error ("error: " ^ msg);
-      Obs.Console.lines usage;
       exit 2)
     fmt
-
-let bad_flag fmt = bad_flag_with ~usage:[] fmt
-
-let bad_fault_flag fmt =
-  bad_flag_with
-    ~usage:
-      [
-        "usage: --loss/--dup-rate/--crash-rate/--restart-rate take a \
-         probability in [0, 1];";
-        "       --max-delay takes a round count >= 0; --seed/--fault-seed \
-         take a seed >= 0";
-      ]
-    fmt
-
-let validate_prob ~flag p =
-  if not (Float.is_finite p && p >= 0. && p <= 1.) then
-    bad_fault_flag "--%s %g is not a probability in [0, 1]" flag p
-
-let validate_seed ~flag s =
-  if s < 0 then bad_fault_flag "--%s %d is negative" flag s
-
-let fault_plan ~loss ~dup ~crash ~restart ~max_delay ~fault_seed ~seed =
-  validate_prob ~flag:"loss" loss;
-  validate_prob ~flag:"dup-rate" dup;
-  validate_prob ~flag:"crash-rate" crash;
-  validate_prob ~flag:"restart-rate" restart;
-  if max_delay < 0 then bad_fault_flag "--max-delay %d is negative" max_delay;
-  validate_seed ~flag:"seed" seed;
-  Option.iter (validate_seed ~flag:"fault-seed") fault_seed;
-  Scenario.Runner.fault_plan
-    (Some { loss; dup; crash; restart; max_delay; fault_seed })
-    ~seed
 
 let check_shards ~engine ~shards =
   if shards < 1 then bad_flag "--shards %d must be >= 1" shards;
@@ -325,60 +291,30 @@ let exit_on_signals () =
 
 (* {2 run} *)
 
-type protocol_choice = Flooding | Single | Multi | Rw
-
-let protocol_conv =
-  Arg.enum
-    [ ("flooding", Flooding); ("single-source", Single);
-      ("multi-source", Multi); ("oblivious-rw", Rw) ]
-
-let spec_algorithm = function
-  | Flooding -> Scenario.Spec.Flooding
-  | Single -> Scenario.Spec.Single_source
-  | Multi -> Scenario.Spec.Multi_source
-  | Rw -> Scenario.Spec.Oblivious_rw
-
-let protocol_name p = Scenario.Spec.algorithm_name (spec_algorithm p)
-
 let protocol_arg =
   Arg.(
     value
-    & opt protocol_conv Single
+    & opt
+        (enum
+           (List.map
+              (fun a -> (Scenario.Spec.algorithm_name a, a))
+              Scenario.Spec.
+                [ Flooding; Single_source; Multi_source; Oblivious_rw ]))
+        Scenario.Spec.Single_source
     & info [ "protocol"; "algo" ] ~docv:"PROTOCOL"
         ~doc:
           "One of $(b,flooding), $(b,single-source), $(b,multi-source), \
            $(b,oblivious-rw).")
 
-type env_choice =
-  | Env_static
-  | Env_rotator
-  | Env_rewiring
-  | Env_markovian
-  | Env_fresh
-  | Env_cutter
-  | Env_lb
-
-let env_conv =
-  Arg.enum
-    [
-      ("static", Env_static); ("tree-rotator", Env_rotator);
-      ("rewiring", Env_rewiring); ("edge-markovian", Env_markovian);
-      ("fresh-random", Env_fresh); ("request-cutter", Env_cutter);
-      ("lower-bound", Env_lb);
-    ]
-
-let env_name = function
-  | Env_static -> "static"
-  | Env_rotator -> "tree-rotator"
-  | Env_rewiring -> "rewiring"
-  | Env_markovian -> "edge-markovian"
-  | Env_fresh -> "fresh-random"
-  | Env_cutter -> "request-cutter"
-  | Env_lb -> "lower-bound"
-
 let env_arg =
+  let choices =
+    List.map
+      (fun e -> (Scenario.Spec.env_family e, e))
+      Scenario.Spec.default_envs
+  in
   Arg.(
-    value & opt env_conv Env_rewiring
+    value
+    & opt (enum choices) (List.assoc "rewiring" choices)
     & info [ "env" ] ~docv:"ENV"
         ~doc:
           "Environment: $(b,static), $(b,tree-rotator), $(b,rewiring), \
@@ -392,35 +328,13 @@ let sigma_arg =
     & info [ "sigma" ] ~docv:"SIGMA"
         ~doc:
           "Edge-stability enforced on the generated oblivious environments \
-           (>= 1; default 3). $(b,fresh-random) draws every round afresh, \
-           so it takes no $(b,--sigma) above 1.")
+           (>= 1; default 3). $(b,fresh-random) and the two adaptive \
+           environments take no $(b,--sigma) above 1.")
 
-(* The CLI's committed envs as scenario envs, with the CLI's family
-   constants; [Scenario.Runner.builtin_schedule] builds their schedules. *)
-let spec_env = function
-  | Env_static -> Some (Scenario.Spec.Static { p = 0.15 })
-  | Env_rotator -> Some Scenario.Spec.Tree_rotator
-  | Env_rewiring -> Some (Scenario.Spec.Rewiring { extra = None; rate = 0.25 })
-  | Env_markovian ->
-      Some (Scenario.Spec.Edge_markovian { p_up = None; p_down = 0.3 })
-  | Env_fresh -> Some (Scenario.Spec.Fresh_random { p = 0.25 })
-  | Env_cutter | Env_lb -> None
-
-(* The --sigma a committed env runs with: the flag's value if the
-   family takes it (a value it refuses is exit 2, by the spec's own
-   rule), else the default 3 where it applies and 1 elsewhere. *)
-let resolve_sigma env sigma =
-  match (sigma, spec_env env) with
-  | Some sigma, Some env ->
-      Option.iter
-        (bad_flag "--sigma %d: %s" sigma)
-        (Scenario.Spec.sigma_error env ~sigma);
-      sigma
-  | Some sigma, None -> sigma
-  | None, Some env when Option.is_none (Scenario.Spec.sigma_error env ~sigma:3)
-    ->
-      3
-  | None, _ -> 1
+(* The sigma an env runs with when --sigma is absent: 3 where the
+   family takes it, 1 elsewhere. *)
+let default_sigma env =
+  if Option.is_none (Scenario.Spec.sigma_error env ~sigma:3) then 3 else 1
 
 let timeline_arg =
   Arg.(
@@ -482,132 +396,63 @@ let report_run ?(timeline = false) ?(json = false) ?retransmits ~name ~n ~k
 
 let run_cmd =
   let doc = "Run one protocol in one environment and print the cost ledger." in
-  let run protocol env n k s sigma seed loss dup crash restart max_delay
+  let run algorithm env n k s sigma seed loss dup crash restart max_delay
       fault_seed reliable timeline trace profile json check engine shards =
     Check.set_enabled check;
     let engine = resolve_engine ~engine ~shards in
-    let sigma = resolve_sigma env sigma in
+    let sigma = Option.value sigma ~default:(default_sigma env) in
     let faults =
-      fault_plan ~loss ~dup ~crash ~restart ~max_delay ~fault_seed ~seed
+      { Scenario.Spec.loss; dup; crash; restart; max_delay; fault_seed }
     in
-    let faulty = not (Faults.Plan.is_none faults) in
-    let name = protocol_name protocol ^ "/" ^ env_name env in
+    let name =
+      Scenario.Spec.algorithm_name algorithm ^ "/"
+      ^ Scenario.Spec.env_family env
+    in
+    let spec =
+      { Scenario.Spec.name; algorithm; env; sigma; n = Some n; k; s; seed;
+        repeats = 1; faults = Some faults; max_rounds = None }
+    in
+    (match Scenario.Spec.validate spec with
+    | Ok _ -> ()
+    | Error errs ->
+        List.iter (fun e -> Obs.Console.error ("error: " ^ e)) errs;
+        exit 2);
+    (match algorithm with
+    | (Scenario.Spec.Flooding | Scenario.Spec.Oblivious_rw) when reliable ->
+        bad_flag
+          "--reliable wraps a unicast protocol: use single-source or \
+           multi-source"
+    | _ -> ());
     with_trace trace @@ fun obs ->
     with_profile profile @@ fun prof ->
-    let instance =
-      Scenario.Runner.instance_of (spec_algorithm protocol) ~n ~k ~s ~seed
-    in
-    let run_unicast envv =
-      match (protocol, reliable) with
-      | Single, true ->
-          let result, _, rt =
-            Gossip.Runners.reliable_single_source ~instance ~env:envv ~engine
-              ~faults ~obs ~prof ()
-          in
-          (result, Some rt)
-      | Single, false ->
-          ( fst
-              (Gossip.Runners.single_source ~instance ~env:envv
-                 ~engine ~faults ~obs ~prof ()),
-            None )
-      | (Multi | Flooding | Rw), true ->
-          let result, _, rt =
-            Gossip.Runners.reliable_multi_source ~instance ~env:envv ~engine
-              ~faults ~obs ~prof ()
-          in
-          (result, Some rt)
-      | (Multi | Flooding | Rw), false ->
-          ( fst
-              (Gossip.Runners.multi_source ~instance ~env:envv
-                 ~engine ~faults ~obs ~prof ()),
-            None )
-    in
-    match (protocol, env) with
-    | (Flooding | Rw), _ when reliable ->
-        `Error
-          (false,
-           "--reliable wraps a unicast protocol: use single-source or \
-            multi-source")
-    | Rw, _ when faulty ->
-        `Error
-          (false,
-           "oblivious-rw does not take a fault plan yet; drop the fault flags")
-    | Flooding, Env_lb when faulty ->
-        `Error
-          (false,
-           "the lower-bound adversary models worst-case scheduling, not \
-            faults; drop the fault flags")
-    | (Single | Multi), Env_cutter ->
-        let envv =
-          Gossip.Runners.Request_cutting { seed; cut_prob = 0.7 }
-        in
-        let result, rt = run_unicast envv in
-        report_run ~timeline ~json ?retransmits:rt ~name ~n ~k result;
-        `Ok ()
-    | Flooding, Env_lb ->
-        let result, _, lb =
-          Gossip.Runners.flooding_vs_lower_bound ~instance ~seed ~engine ~obs
-            ~prof ()
-        in
-        report_run ~timeline ~json ~name ~n ~k result;
-        if not json then begin
-          let history = Adversary.Broadcast_lb.history lb in
-          let max_c = List.fold_left (fun a (_, c) -> max a c) 0 history in
-          Obs.Console.out
-            (Printf.sprintf
-               "lower-bound adversary: max free components %d (log n = %.1f)"
-               max_c (Gossip.Bounds.logn n))
-        end;
-        `Ok ()
-    | _, (Env_cutter | Env_lb) ->
-        `Error
-          (false,
-           "request-cutter needs a unicast protocol; lower-bound needs \
-            flooding")
-    | _, _ -> (
-        match
-          Option.bind (spec_env env) (fun env ->
-              Scenario.Runner.builtin_schedule ~env ~sigma ~n ~seed)
-        with
-        | None -> `Error (false, "unsupported environment")
-        | Some schedule -> (
-            match protocol with
-            | Flooding ->
-                let result, _ =
-                  Gossip.Runners.flooding ~instance ~schedule ~engine
-                    ~faults ~obs ~prof ()
-                in
-                report_run ~timeline ~json ~name ~n ~k result;
-                `Ok ()
-            | Single | Multi ->
-                let result, rt =
-                  run_unicast (Gossip.Runners.Oblivious schedule)
-                in
-                report_run ~timeline ~json ?retransmits:rt ~name ~n ~k result;
-                `Ok ()
-            | Rw ->
-                let r =
-                  Gossip.Runners.oblivious_rw ~instance ~schedule ~seed
-                    ~engine ~const_f:0.05 ~force_rw:true ~obs ~prof ()
-                in
-                if json then
-                  print_json_report (Gossip.Oblivious_rw.to_report ~name ~k r)
-                else begin
-                  Obs.Console.out
-                    (Format.asprintf
-                       "@[<v>algorithm 2: centers=%d phase1=%d rounds \
-                        (settled: %b) phase2=%d rounds completed=%b@ %a@]"
-                       r.Gossip.Oblivious_rw.centers
-                       r.Gossip.Oblivious_rw.phase1_rounds
-                       r.Gossip.Oblivious_rw.phase1_settled
-                       r.Gossip.Oblivious_rw.phase2_rounds
-                       r.Gossip.Oblivious_rw.completed Engine.Ledger.pp
-                       r.Gossip.Oblivious_rw.ledger);
-                  Obs.Console.out
-                    (Printf.sprintf "paper messages (sans center chatter): %d"
-                       r.Gossip.Oblivious_rw.paper_messages)
-                end;
-                `Ok ()))
+    (match
+       Scenario.Runner.execute ~reliable ~engine ~obs ~prof ~trace:None ~n
+         ~seed spec
+     with
+    | Scenario.Runner.Engine_run { result; retransmits; lower_bound } -> (
+        report_run ~timeline ~json ?retransmits ~name ~n ~k result;
+        match lower_bound with
+        | Some lb when not json ->
+            let history = Adversary.Broadcast_lb.history lb in
+            let max_c = List.fold_left (fun a (_, c) -> max a c) 0 history in
+            Obs.Console.out
+              (Printf.sprintf
+                 "lower-bound adversary: max free components %d (log n = %.1f)"
+                 max_c (Gossip.Bounds.logn n))
+        | Some _ | None -> ())
+    | Scenario.Runner.Rw_run r when json ->
+        print_json_report (Gossip.Oblivious_rw.to_report ~name ~k r)
+    | Scenario.Runner.Rw_run r ->
+        Obs.Console.out
+          (Format.asprintf
+             "@[<v>algorithm 2: centers=%d phase1=%d rounds (settled: %b) \
+              phase2=%d rounds completed=%b@ %a@]"
+             r.centers r.phase1_rounds r.phase1_settled r.phase2_rounds
+             r.completed Engine.Ledger.pp r.ledger);
+        Obs.Console.out
+          (Printf.sprintf "paper messages (sans center chatter): %d"
+             r.paper_messages));
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "run" ~doc)
@@ -762,7 +607,10 @@ let sweep_cmd =
       & info [ "k-factor" ] ~docv:"F" ~doc:"Tokens per size: k = F * n.")
   in
   let run protocol env sizes k_factor sigma seed csv trace json =
-    let sigma = resolve_sigma env sigma in
+    let sigma = Option.value sigma ~default:(default_sigma env) in
+    Option.iter
+      (bad_flag "--sigma %d: %s" sigma)
+      (Scenario.Spec.sigma_error env ~sigma);
     with_trace trace @@ fun obs ->
     let rows = ref [] in
     let reports = ref [] in
@@ -772,35 +620,31 @@ let sweep_cmd =
         let k = max 1 (k_factor * n) in
         let run_one () =
           match (protocol, env) with
-          | (Single | Multi), Env_cutter ->
-              let envv =
-                Gossip.Runners.Request_cutting { seed; cut_prob = 0.7 }
-              in
+          | ( (Scenario.Spec.Single_source | Scenario.Spec.Multi_source),
+              Scenario.Spec.Request_cutter { cut_prob } ) ->
+              let envv = Gossip.Runners.Request_cutting { seed; cut_prob } in
               let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
               Some
                 (match protocol with
-                | Single ->
+                | Scenario.Spec.Single_source ->
                     fst
                       (Gossip.Runners.single_source ~instance ~env:envv ~obs ())
-                | Multi | Flooding | Rw ->
+                | _ ->
                     fst
                       (Gossip.Runners.multi_source ~instance ~env:envv ~obs ()))
-          | _, (Env_cutter | Env_lb) -> None
           | _, _ -> (
               match
-                Option.bind (spec_env env) (fun env ->
-                    Scenario.Runner.builtin_schedule ~env ~sigma ~n
-                      ~seed:(seed + n))
+                Scenario.Runner.builtin_schedule ~env ~sigma ~n ~seed:(seed + n)
               with
               | None -> None
               | Some schedule -> (
                   match protocol with
-                  | Flooding ->
+                  | Scenario.Spec.Flooding ->
                       let instance = Gossip.Instance.one_per_node ~n in
                       Some
                         (fst
                            (Gossip.Runners.flooding ~instance ~schedule ~obs ()))
-                  | Single ->
+                  | Scenario.Spec.Single_source ->
                       let instance =
                         Gossip.Instance.single_source ~n ~k ~source:0
                       in
@@ -808,7 +652,7 @@ let sweep_cmd =
                         (fst
                            (Gossip.Runners.single_source ~instance
                               ~env:(Gossip.Runners.Oblivious schedule) ~obs ()))
-                  | Multi ->
+                  | Scenario.Spec.Multi_source ->
                       let instance =
                         Gossip.Instance.multi_source
                           ~rng:(Dynet.Rng.make ~seed:(seed + n))
@@ -818,18 +662,19 @@ let sweep_cmd =
                         (fst
                            (Gossip.Runners.multi_source ~instance
                               ~env:(Gossip.Runners.Oblivious schedule) ~obs ()))
-                  | Rw -> None))
+                  | Scenario.Spec.Oblivious_rw -> None))
         in
         match run_one () with
         | None -> ok := false
         | Some result ->
             let ledger = result.Engine.Run_result.ledger in
             let k_used =
-              match protocol with Flooding -> n | Single | Multi | Rw -> k
+              match protocol with Scenario.Spec.Flooding -> n | _ -> k
             in
             let name =
-              Printf.sprintf "%s/%s/n=%d" (protocol_name protocol)
-                (env_name env) n
+              Printf.sprintf "%s/%s/n=%d"
+                (Scenario.Spec.algorithm_name protocol)
+                (Scenario.Spec.env_family env) n
             in
             reports :=
               Engine.Run_result.to_report ~name
@@ -995,8 +840,9 @@ let scenario_record_cmd =
     | None ->
         fail
           "%s: only the built-in oblivious environments can be recorded here \
-           (traces are already recorded; the request-cutter is adaptive — \
-           capture its realized schedule with the library's Record wrappers)"
+           (traces are already recorded; the request-cutter and the \
+           lower-bound adversary are adaptive — capture a realized schedule \
+           with the library's Record wrappers)"
           path
     | Some schedule -> (
         let trace =
@@ -1243,7 +1089,7 @@ let fuzz_cmd =
     Check.set_enabled check;
     exit_on_signals ();
     if runs < 1 then bad_flag "--runs %d must be >= 1" runs;
-    validate_seed ~flag:"seed" seed;
+    if seed < 0 then bad_flag "--seed %d is negative" seed;
     if shrink_budget < 1 then
       bad_flag "--shrink-budget %d must be >= 1" shrink_budget;
     if jobs < 1 then bad_flag "--jobs %d must be >= 1" jobs;

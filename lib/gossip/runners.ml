@@ -145,7 +145,7 @@ let token_uid_of_msg = function
       None
 
 let flooding_vs_lower_bound ~instance ~seed ?(engine = Engine.Soa.default_engine)
-    ?max_rounds ?obs ?prof () =
+    ?max_rounds ?cancel ?obs ?prof () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
   let max_rounds =
@@ -161,7 +161,7 @@ let flooding_vs_lower_bound ~instance ~seed ?(engine = Engine.Soa.default_engine
   let states = Flooding.init ~instance () in
   let result, states =
     E.Broadcast.run Flooding.protocol
-      ~ctx:(Engine.Ctx.make ?obs ?prof ()) ~states
+      ~ctx:(Engine.Ctx.make ?obs ?prof ?cancel ()) ~states
       ~adversary
       ~max_rounds
       ~stop:(Flooding.all_complete ~k)

@@ -32,7 +32,7 @@
     environments included), [?stall_after] (which {!Scenario.Runner}
     arms on looped-trace environments), and [?cancel] (the serve
     scheduler's round-boundary cancellation), which {!oblivious_rw}
-    takes too. *)
+    and {!flooding_vs_lower_bound} take too. *)
 
 type unicast_env =
   | Oblivious of Adversary.Schedule.t
@@ -146,6 +146,7 @@ val flooding_vs_lower_bound :
   seed:int ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?max_rounds:int ->
+  ?cancel:(unit -> bool) ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
   unit ->

@@ -5,7 +5,7 @@ let builtin_schedule ~env ~sigma ~n ~seed =
     if sigma <= 1 then s else Adversary.Schedule.stabilized ~sigma s
   in
   match (env : Spec.env) with
-  | Trace _ | Request_cutter _ -> None
+  | Trace _ | Request_cutter _ | Lower_bound -> None
   | Static { p } ->
       Some
         (Adversary.Oblivious.static
@@ -74,33 +74,19 @@ let instance_of (algorithm : Spec.algorithm) ~n ~k ~s ~seed =
           ~rng:(Dynet.Rng.make ~seed:(seed + 1))
           ~n ~k ~s:(min s (min n k))
 
-let base_extra (spec : Spec.t) ~n ~seed =
-  [
-    ("n", Obs.Json.Int n);
-    ("k", Obs.Json.Int spec.k);
-    ("s", Obs.Json.Int spec.s);
-    ("seed", Obs.Json.Int seed);
-  ]
+type outcome =
+  | Engine_run of {
+      result : Engine.Run_result.t;
+      retransmits : int option;
+      lower_bound : Adversary.Broadcast_lb.t option;
+    }
+  | Rw_run of Gossip.Oblivious_rw.result
 
-let engine_report (spec : Spec.t) ~name ~n ~seed
-    (result : Engine.Run_result.t) =
-  Engine.Run_result.to_report ~name
-    ~extra:
-      (base_extra spec ~n ~seed
-      @ [
-          ( "amortized_per_token",
-            Obs.Json.Float (Engine.Ledger.amortized result.ledger ~k:spec.k)
-          );
-        ])
-    result
-
-let run_point (spec : Spec.t) ?engine ?obs ?cancel ~trace ~n ~prof ~seed () =
-  let name =
-    spec.name ^ "/" ^ Spec.algorithm_name spec.algorithm ^ "/seed="
-    ^ string_of_int seed
-  in
+let execute ?(reliable = false) ?engine ?obs ?cancel ?(prof = Obs.Span.null)
+    ~trace ~n ~seed (spec : Spec.t) =
   let faults = fault_plan spec.faults ~seed in
   let instance = instance_of spec.algorithm ~n ~k:spec.k ~s:spec.s ~seed in
+  let max_rounds = spec.max_rounds in
   (* Trace envs replay with [Loop]: the schedule is periodic, so the
      engines' livelock detector has a sound window to watch. *)
   let stall_after =
@@ -115,8 +101,8 @@ let run_point (spec : Spec.t) ?engine ?obs ?cancel ~trace ~n ~prof ~seed () =
         match builtin_schedule ~env:spec.env ~sigma:spec.sigma ~n ~seed with
         | Some s -> s
         | None ->
-            (* Validation rejects flooding/rw × request-cutter, and the
-               unicast algorithms route the cutter below. *)
+            (* [Spec.validate] pairs each adaptive env with the
+               algorithms routed to it below. *)
             invalid_arg "Scenario.Runner: no committed schedule for this env")
   in
   let unicast_env () =
@@ -125,33 +111,63 @@ let run_point (spec : Spec.t) ?engine ?obs ?cancel ~trace ~n ~prof ~seed () =
         Gossip.Runners.Request_cutting { seed; cut_prob }
     | _ -> Gossip.Runners.Oblivious (schedule ())
   in
-  match spec.algorithm with
-  | Spec.Flooding ->
-      let result, _ =
-        Gossip.Runners.flooding ~instance ~schedule:(schedule ()) ?engine
-          ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds ?stall_after
-          ()
+  let plain (result, _) =
+    Engine_run { result; retransmits = None; lower_bound = None }
+  in
+  let wrapped (result, _, rt) =
+    Engine_run { result; retransmits = Some rt; lower_bound = None }
+  in
+  match (spec.algorithm, spec.env) with
+  | (Spec.Flooding | Spec.Oblivious_rw), _ when reliable ->
+      invalid_arg "Scenario.Runner.execute: ~reliable wraps a unicast protocol"
+  | Spec.Flooding, Spec.Lower_bound ->
+      let result, _, lb =
+        Gossip.Runners.flooding_vs_lower_bound ~instance ~seed ?engine
+          ?max_rounds ?cancel ?obs ~prof ()
       in
-      engine_report spec ~name ~n ~seed result
-  | Spec.Single_source ->
-      let result, _ =
-        Gossip.Runners.single_source ~instance ~env:(unicast_env ()) ?engine
-          ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds ?stall_after
-          ()
-      in
-      engine_report spec ~name ~n ~seed result
-  | Spec.Multi_source ->
-      let result, _ =
-        Gossip.Runners.multi_source ~instance ~env:(unicast_env ()) ?engine
-          ~faults ?obs ?cancel ~prof ?max_rounds:spec.max_rounds ?stall_after
-          ()
-      in
-      engine_report spec ~name ~n ~seed result
-  | Spec.Oblivious_rw ->
-      Gossip.Oblivious_rw.to_report ~name ~extra:(base_extra spec ~n ~seed)
-        ~k:spec.k
+      Engine_run { result; retransmits = None; lower_bound = Some lb }
+  | Spec.Flooding, _ ->
+      plain
+        (Gossip.Runners.flooding ~instance ~schedule:(schedule ()) ?engine
+           ~faults ?obs ?cancel ~prof ?max_rounds ?stall_after ())
+  | Spec.Single_source, _ when reliable ->
+      wrapped
+        (Gossip.Runners.reliable_single_source ~instance ~env:(unicast_env ())
+           ?engine ~faults ?obs ~prof ?max_rounds ())
+  | Spec.Single_source, _ ->
+      plain
+        (Gossip.Runners.single_source ~instance ~env:(unicast_env ()) ?engine
+           ~faults ?obs ?cancel ~prof ?max_rounds ?stall_after ())
+  | Spec.Multi_source, _ when reliable ->
+      wrapped
+        (Gossip.Runners.reliable_multi_source ~instance ~env:(unicast_env ())
+           ?engine ~faults ?obs ~prof ?max_rounds ())
+  | Spec.Multi_source, _ ->
+      plain
+        (Gossip.Runners.multi_source ~instance ~env:(unicast_env ()) ?engine
+           ~faults ?obs ?cancel ~prof ?max_rounds ?stall_after ())
+  | Spec.Oblivious_rw, _ ->
+      Rw_run
         (Gossip.Runners.oblivious_rw ~instance ~schedule:(schedule ()) ~seed
            ?engine ~const_f:0.05 ~force_rw:true ?obs ~prof ?cancel ())
+
+(* A repeat's report, named by spec, algorithm and seed alone. *)
+let report (spec : Spec.t) ~n ~seed outcome =
+  let name =
+    spec.name ^ "/" ^ Spec.algorithm_name spec.algorithm ^ "/seed="
+    ^ string_of_int seed
+  in
+  let extra =
+    [ ("n", Obs.Json.Int n); ("k", Obs.Json.Int spec.k);
+      ("s", Obs.Json.Int spec.s); ("seed", Obs.Json.Int seed) ]
+  in
+  match outcome with
+  | Engine_run { result; _ } ->
+      let amortized = Engine.Ledger.amortized result.ledger ~k:spec.k in
+      Engine.Run_result.to_report ~name
+        ~extra:(extra @ [ ("amortized_per_token", Obs.Json.Float amortized) ])
+        result
+  | Rw_run r -> Gossip.Oblivious_rw.to_report ~name ~extra ~k:spec.k r
 
 (* A spec with its environment materialized: the trace (if any) loaded
    and checked, [n] resolved, the per-repeat seeds laid out.  This is
@@ -181,9 +197,10 @@ let prepare ?base_dir (spec : Spec.t) =
           let seeds = Array.init spec.repeats (fun i -> spec.seed + i) in
           Ok { spec; trace; n; seeds })
 
-let run_repeat ?(prof = Obs.Span.null) ?engine ?obs ?cancel prepared ~seed =
-  run_point prepared.spec ?engine ?obs ?cancel ~trace:prepared.trace
-    ~n:prepared.n ~prof ~seed ()
+let run_repeat ?prof ?engine ?obs ?cancel prepared ~seed =
+  report prepared.spec ~n:prepared.n ~seed
+    (execute ?engine ?obs ?cancel ?prof ~trace:prepared.trace ~n:prepared.n
+       ~seed prepared.spec)
 
 let run_prepared ?jobs ?prof ?engine ?cancel prepared =
   Analysis.Sweep.map_span ?jobs ?prof

@@ -10,9 +10,11 @@
       repeats are independent points and run through
       {!Analysis.Sweep.map} ([?jobs]) with bit-identical output
       whatever the parallelism;
-    - instance construction, fault-plan wiring, and per-algorithm
-      round caps mirror the [dynspread run] command exactly, so a
-      scenario file is a faithful replacement for a CLI invocation;
+    - each repeat is one {!execute} — instance construction,
+      fault-plan wiring, and per-algorithm round caps live there
+      alone.  [dynspread run] is a one-repeat spec through [execute],
+      so a scenario file is a faithful replacement for a CLI
+      invocation;
     - each report is named [<name>/<algorithm>/seed=<seed+i>] — the
       label depends only on the spec's name, algorithm, and seed,
       never on how the environment is represented, so a run against a
@@ -56,14 +58,38 @@ val builtin_schedule :
     [n], [p_up] to [2/n]; [sigma > 1] wraps the family in
     {!Adversary.Schedule.stabilized}).  [None] for the two
     non-committed envs ([trace] — use {!Replay.schedule} — and the
-    adaptive [request-cutter]). *)
+    adaptive [request-cutter] and [lower-bound]). *)
 
-val resolve_trace :
-  ?base_dir:string -> Spec.t -> (Trace_io.t option, string) result
-(** Load the spec's trace, if its env is one ([Ok None] otherwise).
-    Relative paths resolve against [base_dir] (default ["."] — pass
-    the spec file's directory).  Checks the trace against [spec.n]
-    when both are present. *)
+type outcome =
+  | Engine_run of {
+      result : Engine.Run_result.t;
+      retransmits : int option;  (** Set by a [~reliable] run. *)
+      lower_bound : Adversary.Broadcast_lb.t option;
+          (** The adversary of a [lower-bound] run, with its history. *)
+    }
+  | Rw_run of Gossip.Oblivious_rw.result  (** Algorithm 2. *)
+(** One run's raw result, before any report is built. *)
+
+val execute :
+  ?reliable:bool ->
+  ?engine:(module Engine.Engine_sig.ENGINE) ->
+  ?obs:Obs.Sink.t ->
+  ?cancel:(unit -> bool) ->
+  ?prof:Obs.Span.t ->
+  trace:Trace_io.t option ->
+  n:int ->
+  seed:int ->
+  Spec.t ->
+  outcome
+(** Run a {!Spec.validate}d spec once at [seed] on [n] nodes: the
+    [trace] looped (with the {!stall_window} armed), else
+    {!builtin_schedule}, else the env's adaptive adversary, against
+    the algorithm's {!Gossip.Runners} entry; Algorithm 2 takes
+    [~const_f:0.05 ~force_rw:true].  [~reliable] (default [false])
+    wraps the unicast algorithms in the ack/retransmit wrapper, which
+    takes no [cancel] and arms no stall window.
+    @raise Invalid_argument for [~reliable] on a broadcast algorithm
+    or an adaptive env that {!Spec.validate} refuses. *)
 
 type prepared = {
   spec : Spec.t;
@@ -90,7 +116,9 @@ val run_repeat :
   prepared ->
   seed:int ->
   Obs.Report.t
-(** One repeat of a prepared spec — the report depends only on
+(** One repeat of a prepared spec: {!execute}, then the report
+    named [<name>/<algorithm>/seed=<seed>] with the instance shape and
+    seed as extra fields.  The report depends only on
     [(prepared, seed)], never on which domain ran it or what ran
     before, which is what makes the daemon's reports byte-identical to
     [dynspread scenario run]'s.  [?obs] (default {!Obs.Sink.null})

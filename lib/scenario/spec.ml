@@ -10,6 +10,7 @@ type env =
   | Edge_markovian of { p_up : float option; p_down : float }
   | Fresh_random of { p : float }
   | Request_cutter of { cut_prob : float }
+  | Lower_bound
 
 type faults = {
   loss : float;
@@ -58,10 +59,22 @@ let env_family = function
   | Edge_markovian _ -> "edge-markovian"
   | Fresh_random _ -> "fresh-random"
   | Request_cutter _ -> "request-cutter"
+  | Lower_bound -> "lower-bound"
 
-let env_families =
-  [ "trace"; "static"; "tree-rotator"; "rewiring"; "edge-markovian";
-    "fresh-random"; "request-cutter" ]
+(* Each generated family at its defaults: the values a JSON env that
+   omits a parameter gets, and the CLI's [--env] choices. *)
+let default_envs =
+  [
+    Static { p = 0.15 };
+    Tree_rotator;
+    Rewiring { extra = None; rate = 0.25 };
+    Edge_markovian { p_up = None; p_down = 0.3 };
+    Fresh_random { p = 0.25 };
+    Request_cutter { cut_prob = 0.7 };
+    Lower_bound;
+  ]
+
+let env_families = "trace" :: List.map env_family default_envs
 
 let sigma_error env ~sigma =
   let refuse why =
@@ -70,6 +83,7 @@ let sigma_error env ~sigma =
   in
   match env with
   | Request_cutter _ -> refuse "the request-cutter is adaptive"
+  | Lower_bound -> refuse "the lower-bound adversary is adaptive"
   | Fresh_random _ -> refuse "fresh-random draws every round afresh"
   | Trace _ -> refuse "a trace replays its recorded rounds as they are"
   | Static _ | Tree_rotator | Rewiring _ | Edge_markovian _ -> None
@@ -142,48 +156,56 @@ let env_of_json ctx j =
           (get_string ctx ~where "family" None e)
           ~default:"(missing)"
       in
-      let prob name default =
-        let v = Option.value (get_float ctx ~where name None e) ~default in
-        check_prob ctx ~where name v;
-        v
+      let allowed fields =
+        check_unknown ctx ~where ~allowed:("family" :: fields) e
       in
-      let base = [ "family" ] in
-      match family with
-      | "trace" -> (
-          check_unknown ctx ~where ~allowed:(base @ [ "path" ]) e;
-          match get_string ctx ~where "path" None e with
-          | Some path when not (String.equal path "") -> Trace { path }
-          | Some _ | None ->
-              err ctx "env: family \"trace\" needs a non-empty \"path\"";
-              Tree_rotator)
-      | "static" ->
-          check_unknown ctx ~where ~allowed:(base @ [ "p" ]) e;
-          Static { p = prob "p" 0.15 }
-      | "tree-rotator" ->
-          check_unknown ctx ~where ~allowed:base e;
-          Tree_rotator
-      | "rewiring" ->
-          check_unknown ctx ~where ~allowed:(base @ [ "extra"; "rate" ]) e;
-          let extra = get_int ctx ~where "extra" None e in
-          Option.iter
-            (fun x -> check_min ctx ~where "extra" x ~min_v:0)
-            extra;
-          Rewiring { extra; rate = prob "rate" 0.25 }
-      | "edge-markovian" ->
-          check_unknown ctx ~where ~allowed:(base @ [ "p_up"; "p_down" ]) e;
-          let p_up = get_float ctx ~where "p_up" None e in
-          Option.iter (check_prob ctx ~where "p_up") p_up;
-          Edge_markovian { p_up; p_down = prob "p_down" 0.3 }
-      | "fresh-random" ->
-          check_unknown ctx ~where ~allowed:(base @ [ "p" ]) e;
-          Fresh_random { p = prob "p" 0.25 }
-      | "request-cutter" ->
-          check_unknown ctx ~where ~allowed:(base @ [ "cut_prob" ]) e;
-          Request_cutter { cut_prob = prob "cut_prob" 0.7 }
-      | other ->
-          err ctx "env: unknown family %S (one of: %s)" other
-            (String.concat ", " env_families);
-          Tree_rotator)
+      let prob name default =
+        Option.value (get_float ctx ~where name None e) ~default
+      in
+      if String.equal family "trace" then begin
+        allowed [ "path" ];
+        match get_string ctx ~where "path" None e with
+        | Some path -> Trace { path }
+        | None ->
+            err ctx "env: family \"trace\" needs a non-empty \"path\"";
+            Tree_rotator
+      end
+      else
+        match
+          List.find_opt
+            (fun d -> String.equal (env_family d) family)
+            default_envs
+        with
+        | None ->
+            err ctx "env: unknown family %S (one of: %s)" family
+              (String.concat ", " env_families);
+            Tree_rotator
+        | Some (Static { p }) ->
+            allowed [ "p" ];
+            Static { p = prob "p" p }
+        | Some (Rewiring { rate; _ }) ->
+            allowed [ "extra"; "rate" ];
+            Rewiring
+              {
+                extra = get_int ctx ~where "extra" None e;
+                rate = prob "rate" rate;
+              }
+        | Some (Edge_markovian { p_down; _ }) ->
+            allowed [ "p_up"; "p_down" ];
+            Edge_markovian
+              {
+                p_up = get_float ctx ~where "p_up" None e;
+                p_down = prob "p_down" p_down;
+              }
+        | Some (Fresh_random { p }) ->
+            allowed [ "p" ];
+            Fresh_random { p = prob "p" p }
+        | Some (Request_cutter { cut_prob }) ->
+            allowed [ "cut_prob" ];
+            Request_cutter { cut_prob = prob "cut_prob" cut_prob }
+        | Some ((Tree_rotator | Lower_bound | Trace _) as d) ->
+            allowed [];
+            d)
   | Some _ ->
       err ctx "field \"env\" must be an object with a \"family\"";
       Tree_rotator
@@ -197,22 +219,17 @@ let faults_of_json ctx j =
         ~allowed:[ "loss"; "dup"; "crash"; "restart"; "max_delay"; "seed" ]
         f;
       let prob name default =
-        let v = Option.value (get_float ctx ~where name None f) ~default in
-        check_prob ctx ~where name v;
-        v
+        Option.value (get_float ctx ~where name None f) ~default
       in
-      let max_delay = Option.value (get_int ctx ~where "max_delay" None f) ~default:0 in
-      check_min ctx ~where "max_delay" max_delay ~min_v:0;
-      let fault_seed = get_int ctx ~where "seed" None f in
-      Option.iter (fun s -> check_min ctx ~where "seed" s ~min_v:0) fault_seed;
       Some
         {
           loss = prob "loss" 0.;
           dup = prob "dup" 0.;
           crash = prob "crash" 0.;
           restart = prob "restart" 0.25;
-          max_delay;
-          fault_seed;
+          max_delay =
+            Option.value (get_int ctx ~where "max_delay" None f) ~default:0;
+          fault_seed = get_int ctx ~where "seed" None f;
         }
   | Some _ ->
       err ctx "field \"faults\" must be an object";
@@ -222,6 +239,89 @@ let faults_active = function
   | None -> false
   | Some f ->
       f.loss > 0. || f.dup > 0. || f.crash > 0. || f.max_delay > 0
+
+(* {2 Rules on the finished record} *)
+
+(* The range of every field, whichever front door built the record. *)
+let check_fields ctx t =
+  let spec_min name v ~min_v = check_min ctx ~where:"spec" name v ~min_v in
+  if String.equal t.name "" then
+    err ctx "missing or empty field \"name\" (labels the run reports)";
+  spec_min "sigma" t.sigma ~min_v:1;
+  Option.iter (fun v -> spec_min "n" v ~min_v:2) t.n;
+  spec_min "k" t.k ~min_v:1;
+  spec_min "s" t.s ~min_v:1;
+  spec_min "seed" t.seed ~min_v:0;
+  spec_min "repeats" t.repeats ~min_v:1;
+  Option.iter (fun v -> spec_min "max_rounds" v ~min_v:1) t.max_rounds;
+  (let prob = check_prob ctx ~where:"env" in
+   match t.env with
+   | Trace { path } ->
+       if String.equal path "" then
+         err ctx "env: family \"trace\" needs a non-empty \"path\""
+   | Static { p } | Fresh_random { p } -> prob "p" p
+   | Tree_rotator | Lower_bound -> ()
+   | Rewiring { extra; rate } ->
+       Option.iter
+         (fun x -> check_min ctx ~where:"env" "extra" x ~min_v:0)
+         extra;
+       prob "rate" rate
+   | Edge_markovian { p_up; p_down } ->
+       Option.iter (prob "p_up") p_up;
+       prob "p_down" p_down
+   | Request_cutter { cut_prob } -> prob "cut_prob" cut_prob);
+  Option.iter
+    (fun f ->
+      let where = "faults" in
+      List.iter
+        (fun (name, v) -> check_prob ctx ~where name v)
+        [ ("loss", f.loss); ("dup", f.dup); ("crash", f.crash);
+          ("restart", f.restart) ];
+      check_min ctx ~where "max_delay" f.max_delay ~min_v:0;
+      Option.iter
+        (fun s -> check_min ctx ~where "seed" s ~min_v:0)
+        f.fault_seed)
+    t.faults
+
+let check_combinations ctx t =
+  (match (t.env, t.n) with
+  | Trace _, _ | _, Some _ -> ()
+  | _, None ->
+      err ctx
+        "missing field \"n\": required unless env is a trace (traces carry \
+         their node count)");
+  (match (t.algorithm, t.env) with
+  | (Flooding | Oblivious_rw), Request_cutter _ ->
+      err ctx
+        "algorithm %S cannot face the request-cutter (an adaptive unicast \
+         adversary): use single-source or multi-source"
+        (algorithm_name t.algorithm)
+  | (Single_source | Multi_source | Oblivious_rw), Lower_bound ->
+      err ctx
+        "algorithm %S cannot face the lower-bound adversary (the Section-2 \
+         strongly adaptive broadcast adversary): use flooding"
+        (algorithm_name t.algorithm)
+  | _, _ -> ());
+  Option.iter (err ctx "%s") (sigma_error t.env ~sigma:t.sigma);
+  match (faults_active t.faults, t.algorithm, t.env) with
+  | true, Oblivious_rw, _ ->
+      err ctx
+        "oblivious-rw does not take a fault plan yet; drop the \"faults\" \
+         fields"
+  | true, _, Lower_bound ->
+      err ctx
+        "the lower-bound adversary models worst-case scheduling, not faults; \
+         drop the \"faults\" fields"
+  | _, _, _ -> ()
+
+let check_record ctx t =
+  check_fields ctx t;
+  check_combinations ctx t
+
+let validate t =
+  let ctx = { errors = [] } in
+  check_record ctx t;
+  match ctx.errors with [] -> Ok t | errors -> Error (List.rev errors)
 
 (* {2 Top level} *)
 
@@ -242,8 +342,8 @@ let of_json j =
   | None -> err ctx "missing field \"schema\" (expected %S)" schema_name);
   let name =
     match get_string ctx ~where "name" None j with
-    | Some s when not (String.equal s "") -> s
-    | Some _ | None ->
+    | Some s -> s
+    | None ->
         err ctx "missing or empty field \"name\" (labels the run reports)";
         "unnamed"
   in
@@ -262,10 +362,11 @@ let of_json j =
         Flooding
   in
   let env = env_of_json ctx j in
-  let sigma = Option.value (get_int ctx ~where "sigma" None j) ~default:1 in
-  check_min ctx ~where "sigma" sigma ~min_v:1;
+  let int_or name default =
+    Option.value (get_int ctx ~where name None j) ~default
+  in
+  let sigma = int_or "sigma" 1 in
   let n = get_int ctx ~where "n" None j in
-  Option.iter (fun v -> check_min ctx ~where "n" v ~min_v:2) n;
   let k =
     match get_int ctx ~where "k" None j with
     | Some k -> k
@@ -273,45 +374,16 @@ let of_json j =
         err ctx "missing field \"k\" (token count, >= 1)";
         1
   in
-  check_min ctx ~where "k" k ~min_v:1;
-  let s = Option.value (get_int ctx ~where "s" None j) ~default:1 in
-  check_min ctx ~where "s" s ~min_v:1;
-  let seed = Option.value (get_int ctx ~where "seed" None j) ~default:42 in
-  check_min ctx ~where "seed" seed ~min_v:0;
-  let repeats = Option.value (get_int ctx ~where "repeats" None j) ~default:1 in
-  check_min ctx ~where "repeats" repeats ~min_v:1;
+  let s = int_or "s" 1 in
+  let seed = int_or "seed" 42 in
+  let repeats = int_or "repeats" 1 in
   let faults = faults_of_json ctx j in
   let max_rounds = get_int ctx ~where "max_rounds" None j in
-  Option.iter (fun v -> check_min ctx ~where "max_rounds" v ~min_v:1) max_rounds;
-  (* Cross-field consistency. *)
-  (match (env, n) with
-  | Trace _, _ -> ()
-  | _, Some _ -> ()
-  | _, None ->
-      err ctx
-        "missing field \"n\": required unless env is a trace (traces carry \
-         their node count)");
-  (match (algorithm, env) with
-  | (Flooding | Oblivious_rw), Request_cutter _ ->
-      err ctx
-        "algorithm %S cannot face the request-cutter (an adaptive unicast \
-         adversary): use single-source or multi-source"
-        (algorithm_name algorithm)
-  | _, _ -> ());
-  Option.iter (err ctx "%s") (sigma_error env ~sigma);
-  if
-    (match algorithm with Oblivious_rw -> true | _ -> false)
-    && faults_active faults
-  then
-    err ctx
-      "oblivious-rw does not take a fault plan yet; drop the \"faults\" \
-       fields";
-  match ctx.errors with
-  | [] ->
-      Ok
-        { name; algorithm; env; sigma; n; k; s; seed; repeats; faults;
-          max_rounds }
-  | errors -> Error (List.rev errors)
+  let t =
+    { name; algorithm; env; sigma; n; k; s; seed; repeats; faults; max_rounds }
+  in
+  check_record ctx t;
+  match ctx.errors with [] -> Ok t | errors -> Error (List.rev errors)
 
 let of_string content =
   match Obs.Json.of_string content with
@@ -354,7 +426,8 @@ let env_to_json env =
         @ [ ("p_down", Obs.Json.Float p_down) ]
     | Fresh_random { p } -> [ family; ("p", Obs.Json.Float p) ]
     | Request_cutter { cut_prob } ->
-        [ family; ("cut_prob", Obs.Json.Float cut_prob) ])
+        [ family; ("cut_prob", Obs.Json.Float cut_prob) ]
+    | Lower_bound -> [ family ])
 
 let to_json t =
   let opt name f = function None -> [] | Some v -> [ (name, f v) ] in

@@ -16,7 +16,7 @@
                                             // | multi-source | oblivious-rw
       "env": { "family": "rewiring",        // or: static, tree-rotator,
                "rate": 0.1 },               //   edge-markovian, fresh-random,
-                                            //   request-cutter,
+                                            //   request-cutter, lower-bound,
                                             //   trace (+ "path")
       "sigma": 3,                           // edge-stability (default 1)
       "n": 24, "k": 48, "s": 6,             // instance (s defaults 1;
@@ -28,10 +28,9 @@
     v}
 
     Validation is strict and actionable: unknown fields, out-of-range
-    values, and inconsistent combinations (a broadcast algorithm with
-    the unicast-only request-cutter, a fault plan on Algorithm 2) are
-    each reported with the field name and the accepted values — the
-    CLI turns the error list into its exit-2 usage discipline. *)
+    values, and inconsistent combinations ({!validate}) are each
+    reported with the field name and the accepted values — the CLI
+    turns the error list into its exit-2 usage discipline. *)
 
 type algorithm = Flooding | Single_source | Multi_source | Oblivious_rw
 
@@ -47,6 +46,10 @@ type env =
       (** [p_up] defaults to [2/n] at run time. *)
   | Fresh_random of { p : float }
   | Request_cutter of { cut_prob : float }
+      (** The adaptive unicast adversary {!Adversary.Request_cutter}. *)
+  | Lower_bound
+      (** The Section-2 strongly adaptive broadcast adversary
+          {!Adversary.Broadcast_lb}, against flooding. *)
 
 type faults = {
   loss : float;
@@ -77,12 +80,30 @@ val schema_name : string
 val algorithm_name : algorithm -> string
 val env_family : env -> string
 
+val default_envs : env list
+(** Every family but [Trace], each at the parameters a JSON env that
+    omits them gets: the one place those defaults are written. *)
+
 val sigma_error : env -> sigma:int -> string option
 (** Why [sigma] cannot apply to [env], if it cannot: stability above 1
     is enforced on the generated oblivious families only, so it is
-    refused for the request-cutter (adaptive), fresh-random (every
-    round a fresh draw) and traces (replayed as recorded).  A static
-    graph is stable for any [sigma]. *)
+    refused for the two adaptive adversaries (request-cutter and
+    lower-bound), fresh-random (every round a fresh draw) and traces
+    (replayed as recorded).  A static graph is stable for any
+    [sigma]. *)
+
+val validate : t -> (t, string list) result
+(** Every rule {!of_json} applies once the JSON is parsed, so a record
+    built in code is refused exactly where the same values in a spec
+    file are.  Field ranges: a non-empty name, [sigma >= 1], [n >= 2],
+    [k >= 1], [s >= 1], [seed >= 0], [repeats >= 1],
+    [max_rounds >= 1], env and fault probabilities in [[0, 1]],
+    [extra], [max_delay] and the fault seed [>= 0], a non-empty trace
+    path.  Cross-field rules: [n] unless the env is a trace; the
+    request-cutter takes only the unicast algorithms and the
+    lower-bound adversary only flooding; {!sigma_error}; no active
+    fault plan on oblivious-rw or the lower-bound adversary.  Each
+    message names its field. *)
 
 val of_json : Obs.Json.t -> (t, string list) result
 (** Validate one parsed document; [Error] carries {e every} problem

@@ -353,6 +353,45 @@ let test_runner_faults_and_cutter () =
       check Alcotest.string "report name carries spec/algo/seed"
         "cutter/multi-source/seed=9" reports.(0).Obs.Report.name
 
+(* The lower-bound adversary through the scenario runner: the same run
+   as [dynspread run --protocol flooding --env lower-bound -n 32 -k 32],
+   so every field but the name and the extra fields equals the golden
+   CLI report. *)
+let test_runner_lower_bound_matches_golden () =
+  let spec =
+    spec_of_json_exn
+      {|{ "schema": "dynspread-scenario/v1", "name": "lb",
+          "algorithm": "flooding", "env": { "family": "lower-bound" },
+          "n": 32, "k": 32, "seed": 42 }|}
+  in
+  let golden =
+    In_channel.with_open_bin "../examples/reports/flooding-lower-bound.json"
+      In_channel.input_all
+  in
+  let shared json =
+    match Obs.Json.of_string json with
+    | Ok (Obs.Json.Obj fields) ->
+        Obs.Json.to_string
+          (Obs.Json.Obj
+             (List.filter
+                (fun (key, _) ->
+                  not
+                    (List.mem key
+                       [ "name"; "n"; "k"; "s"; "seed"; "budget_n2_nk" ]))
+                fields))
+    | Ok _ | Error _ -> Alcotest.failf "not a JSON object: %s" json
+  in
+  match Scenario.Runner.run spec with
+  | Error e -> Alcotest.failf "lower-bound run failed: %s" e
+  | Ok reports ->
+      let report = reports_json reports |> List.hd in
+      check Alcotest.bool "rounds, ledger and timeline present" true
+        (List.for_all
+           (fun key -> Astring.String.is_infix ~affix:("\"" ^ key ^ "\"") report)
+           [ "rounds"; "messages"; "tc"; "timeline" ]);
+      check Alcotest.string "equal to the golden CLI report" (shared golden)
+        (shared report)
+
 (* {2 Contact-sequence importer} *)
 
 let import_exn ?bucket ?repair content =
@@ -577,6 +616,23 @@ let test_spec_combo_rules () =
     {|{ "schema": "dynspread-scenario/v1", "name": "x",
         "algorithm": "flooding", "sigma": 2,
         "env": { "family": "trace", "path": "t.trace.jsonl" }, "k": 4 }|}
+    "sigma";
+  (* The lower-bound adversary: flooding only, no faults, no sigma. *)
+  rejected
+    {|{ "schema": "dynspread-scenario/v1", "name": "x",
+        "algorithm": "single-source",
+        "env": { "family": "lower-bound" }, "n": 8, "k": 4 }|}
+    "algorithm";
+  rejected
+    {|{ "schema": "dynspread-scenario/v1", "name": "x",
+        "algorithm": "flooding",
+        "env": { "family": "lower-bound" }, "n": 8, "k": 4,
+        "faults": { "loss": 0.1 } }|}
+    "\"faults\"";
+  rejected
+    {|{ "schema": "dynspread-scenario/v1", "name": "x",
+        "algorithm": "flooding", "sigma": 2,
+        "env": { "family": "lower-bound" }, "n": 8, "k": 4 }|}
     "sigma"
 
 let test_spec_to_json_roundtrip () =
@@ -595,6 +651,71 @@ let test_spec_to_json_roundtrip () =
       check Alcotest.string "round-trips to the same JSON"
         (Obs.Json.to_string (Scenario.Spec.to_json spec))
         (Obs.Json.to_string (Scenario.Spec.to_json spec'))
+
+(* A record built in code, as [dynspread run] builds one from its
+   flags, is refused by [validate] with exactly the errors [of_json]
+   gives for the same values in a file; a bare [{"family": f}] env
+   parses to [f]'s entry in [default_envs]. *)
+let test_spec_validate_matches_of_json () =
+  let base =
+    spec_of_json_exn
+      {|{ "schema": "dynspread-scenario/v1", "name": "v",
+          "algorithm": "multi-source", "env": { "family": "rewiring" },
+          "n": 8, "k": 4, "faults": { "loss": 0.1 } }|}
+  in
+  (match Scenario.Spec.validate base with
+  | Ok _ -> ()
+  | Error errs ->
+      Alcotest.failf "valid record refused: %s" (String.concat "; " errs));
+  let faults = Option.get base.Scenario.Spec.faults in
+  List.iter
+    (fun (field, (t : Scenario.Spec.t)) ->
+      let errs = function Ok _ -> [] | Error e -> e in
+      let direct = errs (Scenario.Spec.validate t) in
+      check Alcotest.bool (field ^ " refused") true
+        (List.exists (fun e -> Astring.String.is_infix ~affix:field e) direct);
+      check Alcotest.(list string) (field ^ ": same errors as of_json")
+        (errs (Scenario.Spec.of_json (Scenario.Spec.to_json t)))
+        direct)
+    [
+      ("\"k\"", { base with k = 0 });
+      ("\"n\"", { base with n = Some 1 });
+      ("\"sigma\"", { base with sigma = 0 });
+      ("\"s\"", { base with s = 0 });
+      ("\"seed\"", { base with seed = -1 });
+      ("\"repeats\"", { base with repeats = 0 });
+      ("\"max_rounds\"", { base with max_rounds = Some 0 });
+      ("\"name\"", { base with name = "" });
+      ("\"rate\"", { base with env = Rewiring { extra = None; rate = 1.5 } });
+      ( "\"extra\"",
+        { base with env = Rewiring { extra = Some (-1); rate = 0. } } );
+      ( "\"p_up\"",
+        { base with env = Edge_markovian { p_up = Some 2.; p_down = 0.3 } } );
+      ("\"loss\"", { base with faults = Some { faults with loss = -0.5 } });
+      ("\"restart\"", { base with faults = Some { faults with restart = 2. } });
+      ( "\"max_delay\"",
+        { base with faults = Some { faults with max_delay = -1 } } );
+      ( "\"seed\"",
+        { base with faults = Some { faults with fault_seed = Some (-2) } } );
+      ("\"path\"", { base with env = Trace { path = "" } });
+    ];
+  List.iter
+    (fun d ->
+      let family = Scenario.Spec.env_family d in
+      let t =
+        spec_of_json_exn
+          (Printf.sprintf
+             {|{ "schema": "dynspread-scenario/v1", "name": "d",
+                 "algorithm": "flooding", "env": { "family": %S },
+                 "n": 8, "k": 4 }|}
+             family)
+      in
+      check Alcotest.string (family ^ " defaults")
+        (Obs.Json.to_string (Scenario.Spec.to_json { t with env = d }))
+        (Obs.Json.to_string (Scenario.Spec.to_json t)))
+    (List.filter
+       (function Scenario.Spec.Request_cutter _ -> false | _ -> true)
+       Scenario.Spec.default_envs)
 
 (* {2 E17} *)
 
@@ -654,4 +775,8 @@ let suite =
       test_spec_to_json_roundtrip;
     Alcotest.test_case "E17 real-trace shape check" `Quick
       test_e17_shape_check_passes;
+    Alcotest.test_case "runner: lower-bound report = golden CLI report" `Quick
+      test_runner_lower_bound_matches_golden;
+    Alcotest.test_case "spec: validate = of_json on built records" `Quick
+      test_spec_validate_matches_of_json;
   ]

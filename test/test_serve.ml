@@ -16,6 +16,13 @@ let spec_string ?(name = "serve-flood") ?(algorithm = "flooding") ?(n = 16)
         "n": %d, "k": %d, "seed": %d, "repeats": %d }|}
     name algorithm n k seed repeats
 
+(* The Section-2 lower-bound adversary, an adaptive env the daemon runs
+   like any other spec. *)
+let lower_bound_spec =
+  {|{ "schema": "dynspread-scenario/v1", "name": "lb",
+      "algorithm": "flooding", "env": { "family": "lower-bound" },
+      "n": 32, "k": 32, "seed": 42 }|}
+
 let spec_of_string s =
   match Scenario.Spec.of_string s with
   | Ok spec -> spec
@@ -204,6 +211,20 @@ let test_cancel_before_start () =
       check Alcotest.string (tag ^ ": outcome") "cancelled"
         (report_outcome line);
       check Alcotest.int (tag ^ ": zero rounds") 0 (report_int line "rounds"))
+
+let test_cancel_lower_bound_before_start () =
+  List.iter
+    (fun (tag, engine) ->
+      let p = prepared_of lower_bound_spec in
+      let line =
+        report_line
+          (Scenario.Runner.run_repeat ?engine p ~seed:p.seeds.(0)
+             ~cancel:(fun () -> true))
+      in
+      check Alcotest.string (tag ^ ": outcome") "cancelled"
+        (report_outcome line);
+      check Alcotest.int (tag ^ ": zero rounds") 0 (report_int line "rounds"))
+    engines
 
 (* Cancel after [polls] round-boundary checks; coverage at the later
    cut must dominate the earlier one (the informed set only grows). *)
@@ -511,13 +532,18 @@ let submit_frame ?tag ?base_dir ?(events = false) raw =
     events;
   }
 
-let test_server_byte_identity () =
-  let raw = spec_string ~name:"e2e" ~n:16 ~k:8 ~repeats:3 () in
+(* Submit [raw] to a fresh daemon and check its report lines equal a
+   direct [Scenario.Runner.run] of the same spec, byte for byte.  Both
+   sides must give [reports] reports, one per repeat the spec asks
+   for, a count the caller states rather than one read off either
+   run. *)
+let daemon_matches_direct ?base_dir ~reports ~what raw =
   let expected =
-    match Scenario.Runner.run (spec_of_string raw) with
+    match Scenario.Runner.run ?base_dir (spec_of_string raw) with
     | Ok rs -> Array.to_list (Array.map report_line rs)
     | Error e -> Alcotest.failf "direct run failed: %s" e
   in
+  check Alcotest.int "direct report count" reports (List.length expected);
   with_server (fun path ->
       let c = connect path in
       Fun.protect
@@ -525,17 +551,21 @@ let test_server_byte_identity () =
         (fun () ->
           let got = ref [] in
           match
-            Serve.Client.submit_await c (submit_frame raw)
+            Serve.Client.submit_await c (submit_frame ?base_dir raw)
               ~on_event:(fun _ -> ())
               ~on_report:(fun _ line -> got := line :: !got)
           with
           | Error e -> Alcotest.failf "submit failed: %s" e
           | Ok (fin : Serve.Client.finished) ->
               check Alcotest.string "outcome" "completed" fin.outcome;
-              check Alcotest.int "report count" 3 fin.reports;
+              check Alcotest.int "report count" reports fin.reports;
               check
                 (Alcotest.list Alcotest.string)
-                "byte-identical to scenario run" expected (List.rev !got)))
+                what expected (List.rev !got)))
+
+let test_server_byte_identity () =
+  daemon_matches_direct ~reports:3 ~what:"byte-identical to scenario run"
+    (spec_string ~name:"e2e" ~n:16 ~k:8 ~repeats:3 ())
 
 let test_server_pipelined_submits () =
   with_server ~workers:4 (fun path ->
@@ -708,35 +738,16 @@ let test_server_malformed_frame () =
           | Error e -> Alcotest.failf "unparsable pong: %s" e))
 
 let test_server_corpus_replay () =
-  let raw =
-    In_channel.with_open_bin
-      (Filename.concat "corpus" "faulty-flooding.scenario.json")
-      In_channel.input_all
-  in
-  let expected =
-    match Scenario.Runner.run ~base_dir:"corpus" (spec_of_string raw) with
-    | Ok rs -> Array.to_list (Array.map report_line rs)
-    | Error e -> Alcotest.failf "direct run failed: %s" e
-  in
-  with_server (fun path ->
-      let c = connect path in
-      Fun.protect
-        ~finally:(fun () -> Serve.Client.close c)
-        (fun () ->
-          let got = ref [] in
-          match
-            Serve.Client.submit_await c
-              (submit_frame ~base_dir:"corpus" raw)
-              ~on_event:(fun _ -> ())
-              ~on_report:(fun _ line -> got := line :: !got)
-          with
-          | Error e -> Alcotest.failf "submit failed: %s" e
-          | Ok (fin : Serve.Client.finished) ->
-              check Alcotest.string "outcome" "completed" fin.outcome;
-              check
-                (Alcotest.list Alcotest.string)
-                "corpus bytes identical through the daemon" expected
-                (List.rev !got)))
+  daemon_matches_direct ~base_dir:"corpus" ~reports:1
+    ~what:"corpus bytes identical through the daemon"
+    (In_channel.with_open_bin
+       (Filename.concat "corpus" "faulty-flooding.scenario.json")
+       In_channel.input_all)
+
+let test_server_lower_bound () =
+  daemon_matches_direct ~reports:1
+    ~what:"lower-bound bytes identical through the daemon"
+    lower_bound_spec
 
 let test_bind_unix_stale_vs_live () =
   let path = sock_path () in
@@ -796,4 +807,8 @@ let suite =
       test_bind_unix_stale_vs_live;
     Alcotest.test_case "cancel: oblivious-rw in either phase" `Quick
       test_cancel_oblivious_rw;
+    Alcotest.test_case "cancel: lower-bound before start, every engine" `Quick
+      test_cancel_lower_bound_before_start;
+    Alcotest.test_case "server: lower-bound byte-identical" `Quick
+      test_server_lower_bound;
   ]
