@@ -85,20 +85,16 @@ let check_arg =
 
 (* {2 Engine selection}
 
-   Shared by `run` and `scenario run`.  Reports are engine-independent
+   Shared by `run`, `scenario run` and `submit`; the daemon resolves
+   the same names with the same rules.  Reports are engine-independent
    (the differential fuzz harness enforces bit identity), so the flag
    only changes wall-clock and memory layout. *)
 
-type engine_choice = Eng_fastpath | Eng_reference | Eng_soa
-
-let engine_conv =
-  Arg.enum
-    [ ("fastpath", Eng_fastpath); ("reference", Eng_reference);
-      ("soa", Eng_soa) ]
-
 let engine_arg =
   Arg.(
-    value & opt engine_conv Eng_fastpath
+    value
+    & opt (enum (List.map (fun e -> (e, e)) [ "fastpath"; "reference"; "soa" ]))
+        "fastpath"
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution engine: $(b,soa) (the production engine: Bigarray \
@@ -191,20 +187,10 @@ let bad_flag fmt =
       exit 2)
     fmt
 
-let check_shards ~engine ~shards =
-  if shards < 1 then bad_flag "--shards %d must be >= 1" shards;
-  match engine with
-  | Eng_soa -> ()
-  | Eng_fastpath | Eng_reference ->
-      if shards > 1 then
-        bad_flag "--shards %d applies to --engine soa only" shards
-
 let resolve_engine ~engine ~shards =
-  check_shards ~engine ~shards;
-  match engine with
-  | Eng_fastpath -> Engine.Soa.default_engine
-  | Eng_reference -> Engine.Reference.engine
-  | Eng_soa -> Engine.Soa.engine ~shards ()
+  match Scenario.Runner.engine_of_name engine ~shards with
+  | Ok e -> e
+  | Error msg -> bad_flag "--%s" msg
 
 (* Run [f] with a JSONL sink on --trace FILE, the null sink otherwise.
    [Obs.Sink.close] drains the sink's line buffer before the channel
@@ -830,8 +816,7 @@ let scenario_record_cmd =
             | Scenario.Spec.Single_source | Scenario.Spec.Multi_source ->
                 Gossip.Runners.default_unicast_cap ~n ~k:spec.Scenario.Spec.k
             | Scenario.Spec.Oblivious_rw ->
-                (* phase-1 + phase-2 default caps of Algorithm 2 *)
-                (50 * n) + 1000 + (4 * n * spec.Scenario.Spec.k) + (4 * n * n))
+                Gossip.Oblivious_rw.default_cap ~n ~k:spec.Scenario.Spec.k)
     in
     match
       Scenario.Runner.builtin_schedule ~env:spec.Scenario.Spec.env
@@ -842,7 +827,7 @@ let scenario_record_cmd =
           "%s: only the built-in oblivious environments can be recorded here \
            (traces are already recorded; the request-cutter and the \
            lower-bound adversary are adaptive — capture a realized schedule \
-           with the library's Record wrappers)"
+           with the library's Record on a run's on_graph hook)"
           path
     | Some schedule -> (
         let trace =
@@ -1356,18 +1341,7 @@ let submit_cmd =
       shutdown_flag tag =
     install_signal Sys.sigpipe Sys.Signal_ignore;
     exit_on_signals ();
-    check_shards ~engine ~shards;
-    let engine_name =
-      match engine with
-      | Eng_fastpath -> None
-      | Eng_reference -> Some "reference"
-      | Eng_soa -> Some "soa"
-    in
-    let shards_opt =
-      match engine with
-      | Eng_soa -> Some shards
-      | Eng_fastpath | Eng_reference -> None
-    in
+    ignore (resolve_engine ~engine ~shards);
     let target =
       match connect with
       | Some hp ->
@@ -1447,8 +1421,8 @@ let submit_cmd =
                       | None -> Some (Filename.basename path));
                     spec = spec_json;
                     base_dir = Some (abs_dir path);
-                    engine = engine_name;
-                    shards = shards_opt;
+                    engine = Some engine;
+                    shards = Some shards;
                     events;
                   }
                 in

@@ -3,53 +3,11 @@ let recommended_jobs () = Domain.recommended_domain_count ()
 (* Shared-cursor work sharing: slot [i] of [results] only ever belongs
    to point [i], so the only cross-domain contention is the Atomic
    cursor itself, and the join gives the caller a happens-before edge
-   over every slot. *)
-let run ~jobs f points =
-  let n = Array.length points in
-  let results = Array.make n None in
-  let job i = results.(i) <- Some (try Ok (f points.(i)) with e -> Error e) in
-  if jobs <= 1 || n <= 1 then
-    for i = 0 to n - 1 do
-      job i
-    done
-  else begin
-    let cursor = Atomic.make 0 in
-    let rec worker () =
-      let i = Atomic.fetch_and_add cursor 1 in
-      if i < n then begin
-        job i;
-        worker ()
-      end
-    in
-    let helpers = List.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join helpers
-  end;
-  (* First failure by input index, not by completion order. *)
-  Array.map
-    (function
-      | Some (Ok r) -> r
-      | Some (Error e) -> raise e
-      | None -> assert false)
-    results
-
-let map ?(jobs = 1) f points = run ~jobs f points
-
-let map_timed ?(jobs = 1) ?metrics ~name f points =
-  let timed = run ~jobs (fun x -> Obs.Span.time (fun () -> f x)) points in
-  Array.map
-    (fun (r, dt) ->
-      (match metrics with
-      | Some m -> Obs.Metrics.observe m name dt
-      | None -> ());
-      r)
-    timed
-
-(* Profiled variant: same cursor scheme as [run], but each domain owns
-   a {!Obs.Span.worker} lane (one mutable profiler per domain — the
-   lanes are absorbed back by the calling domain only after the join,
-   like the metrics merge), and the wrapping sweep span carries
-   per-worker busy seconds and a finish-time imbalance counter. *)
+   over every slot.  Each domain owns a {!Obs.Span.worker} lane (one
+   mutable profiler per domain — the lanes are absorbed back by the
+   calling domain only after the join, like the metrics merge), and
+   the wrapping sweep span carries per-worker busy seconds and a
+   finish-time imbalance counter. *)
 let map_span ?(jobs = 1) ?metrics ?(prof = Obs.Span.null) ~name
     (f : prof:Obs.Span.t -> 'a -> 'b) points =
   let n = Array.length points in
@@ -111,8 +69,8 @@ let map_span ?(jobs = 1) ?metrics ?(prof = Obs.Span.null) ~name
         Obs.Span.add_counter prof "imbalance"
           (if bmax > 0. then (bmax -. bmin) /. bmax else 0.)
       end);
-  (* First failure by input index, before any metrics are recorded —
-     the same contract as [run]/[map_timed]. *)
+  (* First failure by input index, not by completion order, and before
+     any metrics are recorded. *)
   Array.iter
     (function Some (Error e) -> raise e | Some (Ok _) | None -> ())
     results;
@@ -125,3 +83,6 @@ let map_span ?(jobs = 1) ?metrics ?(prof = Obs.Span.null) ~name
           r
       | Some (Error _) | None -> assert false)
     results
+
+let map ?jobs f points =
+  map_span ?jobs ~name:"map" (fun ~prof:_ x -> f x) points

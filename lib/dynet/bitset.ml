@@ -122,8 +122,6 @@ let store_word t i w =
   let m = if i = nw - 1 then pad_mask t else -1 in
   t.words.(i) <- w land m
 
-let word_count t = Array.length t.words
-
 let iter f t =
   for wi = 0 to Array.length t.words - 1 do
     let w = ref t.words.(wi) in

@@ -74,9 +74,6 @@ val bpw : int
 (** Usable bits per word (62: every word is a non-negative OCaml
     immediate). *)
 
-val word_count : t -> int
-(** Number of backing words, [ceil (capacity / bpw)]. *)
-
 val load_word : t -> int -> int
 (** [load_word t i] is backing word [i] — the memberships of indices
     [i*bpw .. i*bpw+bpw-1] as a packed non-negative int.  Raw word

@@ -84,10 +84,6 @@ let degree t v = Array.length t.adj.(v)
 let max_degree t =
   Array.fold_left (fun acc row -> max acc (Array.length row)) 0 t.adj
 
-let fold_nodes f t acc =
-  let rec loop v acc = if v >= t.n then acc else loop (v + 1) (f v acc) in
-  loop 0 acc
-
 let iter_pairs f t =
   Array.iter (fun key -> f (key / t.n) (key mod t.n)) t.keys
 
@@ -117,13 +113,11 @@ let same_edges a b =
 let bfs t root =
   let dist = Array.make t.n max_int in
   let parent = Array.make t.n None in
-  let order = ref [] in
   let q = Queue.create () in
   dist.(root) <- 0;
   Queue.add root q;
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    order := (v, dist.(v)) :: !order;
     Array.iter
       (fun w ->
         if dist.(w) = max_int then begin
@@ -133,18 +127,14 @@ let bfs t root =
         end)
       t.adj.(v)
   done;
-  (List.rev !order, parent, dist)
-
-let bfs_order t root =
-  let order, _, _ = bfs t root in
-  order
+  (parent, dist)
 
 let bfs_tree t root =
-  let _, parent, _ = bfs t root in
+  let parent, _ = bfs t root in
   parent
 
 let distances t root =
-  let _, _, dist = bfs t root in
+  let _, dist = bfs t root in
   dist
 
 let components t =

@@ -59,14 +59,8 @@ val neighbors : t -> Node_id.t -> Node_id.t array
 val degree : t -> Node_id.t -> int
 val max_degree : t -> int
 
-val fold_nodes : (Node_id.t -> 'a -> 'a) -> t -> 'a -> 'a
-
 val iter_pairs : (Node_id.t -> Node_id.t -> unit) -> t -> unit
 (** Canonical endpoint pairs ([u < v]) in increasing key order. *)
-
-val bfs_order : t -> Node_id.t -> (Node_id.t * int) list
-(** [(node, dist)] pairs reachable from the root, in BFS order
-    (root first, distance 0). *)
 
 val bfs_tree : t -> Node_id.t -> Node_id.t option array
 (** Parent pointers of a BFS tree rooted at the given node; [None] for

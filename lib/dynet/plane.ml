@@ -14,29 +14,22 @@ open Ops
 
 let bpw = Bitset.bpw
 
-type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type t = { data : buf; rows : int; width : int; wpr : int }
-
-let words_for width = (width + bpw - 1) / bpw
-
-let make_buf len : buf =
-  let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-  Bigarray.Array1.fill b 0;
-  b
+type t = {
+  data : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  rows : int;
+  width : int;
+  wpr : int;
+}
 
 let create ~rows ~width =
   if rows < 0 then invalid_arg "Plane.create: negative rows";
   if width < 0 then invalid_arg "Plane.create: negative width";
-  let wpr = words_for width in
-  { data = make_buf (max 1 (rows * wpr)); rows; width; wpr }
-
-let rows t = t.rows
-let width t = t.width
-let words_per_row t = t.wpr
-
-let clear t =
-  Bigarray.Array1.fill t.data 0
+  let wpr = (width + bpw - 1) / bpw in
+  let data =
+    Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 (rows * wpr))
+  in
+  Bigarray.Array1.fill data 0;
+  { data; rows; width; wpr }
 
 let check_row t r op =
   if r < 0 || r >= t.rows then
@@ -49,9 +42,7 @@ let check_bit t i op =
       (Printf.sprintf "Plane.%s: bit %d out of range (width=%d)" op i t.width)
 
 (* Hot-path accessors: row/bit arithmetic is explicit and the Bigarray
-   access is unsafe once our own range check has passed — a borrowed
-   slice (see [sub]) carries its own extent, so the check also fences
-   every operation inside the slice. *)
+   access is unsafe once our own range check has passed. *)
 
 let mem t r i =
   check_row t r "mem";
@@ -155,58 +146,3 @@ let union_row_into t ~src ~dst =
       lor Bigarray.Array1.unsafe_get t.data (sb + i))
   done
 [@@dynlint.hot]
-
-let union_row_from t r bs =
-  check_row t r "union_row_from";
-  if Bitset.capacity bs <> t.width then
-    invalid_arg "Plane.union_row_from: bitset capacity <> plane width";
-  let base = r * t.wpr in
-  for i = 0 to t.wpr - 1 do
-    Bigarray.Array1.unsafe_set t.data (base + i)
-      (Bigarray.Array1.unsafe_get t.data (base + i) lor Bitset.load_word bs i)
-  done
-[@@dynlint.hot]
-
-(* {2 Borrowed slices} *)
-
-let sub t ~row ~rows:nrows =
-  check_row t row "sub";
-  if nrows < 0 || row + nrows > t.rows then
-    invalid_arg
-      (Printf.sprintf "Plane.sub: rows [%d, %d) exceed plane rows %d" row
-         (row + nrows) t.rows);
-  {
-    data = Bigarray.Array1.sub t.data (row * t.wpr) (nrows * t.wpr);
-    rows = nrows;
-    width = t.width;
-    wpr = t.wpr;
-  }
-
-(* {2 Pool} *)
-
-module Pool = struct
-  type t = { mutable backing : buf; mutable used : int }
-
-  let create ?(capacity_words = 1024) () =
-    { backing = make_buf (max 1 capacity_words); used = 0 }
-
-  let alloc p ~rows ~width =
-    if rows < 0 || width < 0 then invalid_arg "Plane.Pool.alloc";
-    let wpr = words_for width in
-    let need = max 1 (rows * wpr) in
-    let cap = Bigarray.Array1.dim p.backing in
-    if p.used + need > cap then begin
-      let cap' = max (p.used + need) (2 * cap) in
-      let backing' = make_buf cap' in
-      Bigarray.Array1.blit
-        (Bigarray.Array1.sub p.backing 0 p.used)
-        (Bigarray.Array1.sub backing' 0 p.used);
-      p.backing <- backing'
-    end;
-    let data = Bigarray.Array1.sub p.backing p.used need in
-    Bigarray.Array1.fill data 0;
-    p.used <- p.used + need;
-    { data; rows; width; wpr }
-
-  let reset p = p.used <- 0
-end

@@ -9,33 +9,22 @@
     word, which is what makes contiguous node-range sharding sound.
 
     Bigarray int elements are unboxed, so every accessor here is
-    allocation-free; only {!create}, {!extract_row} and {!Pool.alloc}
-    allocate. *)
+    allocation-free; only {!create} and {!extract_row} allocate. *)
 
 type t
 
 val create : rows:int -> width:int -> t
 (** A zeroed plane.  @raise Invalid_argument on negative dimensions. *)
 
-val rows : t -> int
-val width : t -> int
-
-val words_per_row : t -> int
-(** [ceil (width / Bitset.bpw)] — the row stride in words. *)
-
-val clear : t -> unit
-(** Zero every row. *)
-
 val mem : t -> int -> int -> bool
-(** [mem t row bit].  Row and bit are range-checked — on a borrowed
-    {!sub} slice the row check fences every access inside the slice. *)
+(** [mem t row bit].  Row and bit are range-checked. *)
 
 val set : t -> int -> int -> unit
 (** In-place insert, range-checked like {!mem}. *)
 
 val unsafe_mem : t -> int -> int -> bool
 (** Unchecked {!mem} for innermost loops whose row is already bounded
-    by a shard range.  Only meaningful on root planes. *)
+    by a shard range. *)
 
 val unsafe_set : t -> int -> int -> unit
 (** Unchecked {!set}, same contract as {!unsafe_mem}. *)
@@ -57,34 +46,3 @@ val extract_row : t -> int -> Bitset.t
 
 val union_row_into : t -> src:int -> dst:int -> unit
 (** In-place word-wide union of row [src] into row [dst]. *)
-
-val union_row_from : t -> int -> Bitset.t -> unit
-(** In-place union of a bitset into a row (capacity must equal the
-    plane width). *)
-
-val sub : t -> row:int -> rows:int -> t
-(** A borrowed slice sharing the backing storage: rows
-    [row .. row+rows-1] renumbered from 0.  The slice's own bounds
-    checks make it impossible to reach a sibling's rows through it —
-    the per-shard write window of the sharded engine. *)
-
-module Pool : sig
-  (** A bump allocator carving sibling planes out of one backing
-      buffer — the layout under which a leak across a run's plane
-      boundary would corrupt a {e different} run's state, which the
-      regression tests pin down. *)
-
-  type plane := t
-  type t
-
-  val create : ?capacity_words:int -> unit -> t
-
-  val alloc : t -> rows:int -> width:int -> plane
-  (** A zeroed plane carved from the pool (grown if needed).  Planes
-      allocated from one pool are siblings in the same backing
-      buffer. *)
-
-  val reset : t -> unit
-  (** Forget all allocations; previously returned planes must no
-      longer be used (their storage will be handed out again). *)
-end

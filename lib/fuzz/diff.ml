@@ -1,8 +1,9 @@
 open! Dynet.Ops
 
 (* What the differential harness needs from a flooding implementation.
-   The real protocol satisfies it ([real_flooding]); [Mutant] provides
-   deliberately broken copies for the harness's own smoke test.  The
+   The real protocol satisfies it ([real_flooding]); the test suite's
+   mutants are deliberately broken copies for the harness's own smoke
+   test.  The
    single-source and multi-source protocols need no such seam — they
    run through the engine-parametric {!Gossip.Runners}. *)
 module type FLOODING = sig
@@ -28,7 +29,7 @@ end
 let real_flooding = (module Real_flooding : FLOODING)
 
 (* The unicast counterpart, for the protocol differential: production
-   and {!Oracle}'s frozen copies run on the same engine through one
+   and the test suite's frozen copies run on the same engine through one
    direct engine call, so a divergence can only come from the
    protocol modules. *)
 module type UNICAST = sig
@@ -114,7 +115,7 @@ let execute_gen ~engine ~flooding ~unicast ?prof (case : Case.t) =
     Scenario.Replay.schedule ~past_end:Scenario.Replay.Loop (Case.to_trace case)
   in
   let recorder = Scenario.Record.create ~n () in
-  let on_graph = Scenario.Record.hook recorder in
+  let on_graph = Scenario.Record.observe recorder in
   let stall_after = Case.stall_after case in
   let realized () =
     Scenario.Trace_io.to_string (Scenario.Record.to_trace recorder)

@@ -13,7 +13,7 @@
     divergence. *)
 
 (** What the harness needs from a flooding implementation, so
-    {!Mutant}'s deliberately broken copies can stand in for the real
+    the test suite's deliberately broken copies can stand in for the real
     protocol on one side of the comparison. *)
 module type FLOODING = sig
   type state
@@ -32,7 +32,7 @@ val real_flooding : (module FLOODING)
 
 (** What the protocol differential needs from a unicast protocol: the
     production {!Gossip.Single_source} / {!Gossip.Multi_source} and
-    {!Oracle}'s frozen copies of them both fit, so the two can run on
+    the test suite's frozen copies of them both fit, so the two can run on
     one engine through the same wiring. *)
 module type UNICAST = sig
   type state
@@ -71,7 +71,7 @@ val execute :
     engine directly: flooding through [?flooding] (default
     {!real_flooding}), unicast cases through {!real_single_source}
     with the default config or {!real_multi_source} [Min_source], so
-    a mutant or an {!Oracle} copy shares every line of wiring with
+    a mutant or a frozen copy shares every line of wiring with
     the real protocol. *)
 
 val execute_protocol :

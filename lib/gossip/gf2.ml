@@ -56,11 +56,6 @@ module Vec = struct
     end;
     v
 
-  let random_combination rng vectors ~dim =
-    List.fold_left
-      (fun acc v -> if Dynet.Rng.bool rng then xor acc v else acc)
-      (zero ~dim) vectors
-
   let equal a b = a.dim = b.dim && int_array_equal a.words b.words
 
   let pp ppf v =

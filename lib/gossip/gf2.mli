@@ -28,10 +28,6 @@ module Vec : sig
   val random : Dynet.Rng.t -> dim:int -> t
   (** Uniform vector (each coordinate an independent fair bit). *)
 
-  val random_combination : Dynet.Rng.t -> t list -> dim:int -> t
-  (** XOR of a uniformly random subset of the given vectors (the RLNC
-      recombination step over GF(2)). *)
-
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end

@@ -34,6 +34,10 @@ let summary ~centers ~skipped_phase1 ~phase1_rounds ~phase1_settled
       Engine.Ledger.total_excluding ledger [ Engine.Msg_class.Center ];
   }
 
+let default_phase1_cap ~n = (50 * n) + 1000
+let default_phase2_cap ~n ~k = (4 * n * k) + (4 * n * n)
+let default_cap ~n ~k = default_phase1_cap ~n + default_phase2_cap ~n ~k
+
 let run ~instance ~schedule ~seed ?(engine = Engine.Soa.default_engine)
     ?(const_f = 1.0) ?(const_gamma = 1.0) ?(force_rw = false) ?phase1_cap
     ?phase2_cap ?(obs = Obs.Sink.null) ?(prof = Obs.Span.null) ?cancel () =
@@ -41,9 +45,9 @@ let run ~instance ~schedule ~seed ?(engine = Engine.Soa.default_engine)
   let n = Instance.n instance in
   let k = Instance.k instance in
   let s = Instance.source_count instance in
-  let phase1_cap = Option.value phase1_cap ~default:((50 * n) + 1000) in
+  let phase1_cap = Option.value phase1_cap ~default:(default_phase1_cap ~n) in
   let phase2_cap =
-    Option.value phase2_cap ~default:((4 * n * k) + (4 * n * n))
+    Option.value phase2_cap ~default:(default_phase2_cap ~n ~k)
   in
   let ctx = Engine.Ctx.make ~obs ~prof ?cancel () in
   let emit_phase name round =

@@ -45,6 +45,11 @@ type result = {
           Theorem 3.8 bounds. *)
 }
 
+val default_cap : n:int -> k:int -> int
+(** [(50·n + 1000) + (4·n·k + 4·n²)]: {!run}'s default phase-1 and
+    phase-2 caps together, the most rounds a default-capped run can
+    take. *)
+
 val run :
   instance:Instance.t ->
   schedule:Adversary.Schedule.t ->
@@ -63,7 +68,7 @@ val run :
 (** [const_f] and [const_gamma] (default 1.0) scale [f] and [γ];
     [force_rw] (default false) runs both phases even under the source
     threshold; caps default to [50·n + 1000] (phase 1) and
-    [4·n·k + 4·n²] (phase 2).
+    [4·n·k + 4·n²] (phase 2), {!default_cap} in all.
 
     Both phases run on [engine] (default {!Engine.Soa.default_engine})
     and poll [cancel] (default: off) at their round boundaries; a

@@ -188,19 +188,6 @@ let dropped = function
   | Null -> 0
   | Active st -> List.fold_left (fun acc l -> acc + l.dropped) 0 (lanes_of st)
 
-let lane_busy_us = function
-  | Null -> 0.
-  | Active st ->
-      (* Sum of root-span durations: nested spans lie inside a root, so
-         roots alone measure lane-busy wall-clock without double
-         counting. *)
-      let busy = ref 0. in
-      for i = 0 to st.len - 1 do
-        let sp = st.spans.(i) in
-        if sp.parent = -1 && sp.dur_us > 0. then busy := !busy +. sp.dur_us
-      done;
-      !busy
-
 (* {2 Exporters} *)
 
 (* Close any span still open (export can race a run aborted mid-round,

@@ -78,12 +78,6 @@ val span_count : t -> int
 val dropped : t -> int
 (** Spans dropped to the per-lane limit, across all lanes. *)
 
-val lane_busy_us : t -> float
-(** Sum of this lane's {e root}-span durations in µs — the lane's busy
-    wall-clock (children nest inside roots, so roots alone avoid
-    double counting).  Ignores absorbed lanes; use on {!worker} lanes
-    to compute per-domain utilization. *)
-
 val to_chrome_json : t -> Json.t
 (** The profile as Chrome trace-event JSON (loadable by Perfetto /
     [chrome://tracing]): one ["X"] complete event per span with

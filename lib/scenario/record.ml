@@ -24,11 +24,7 @@ let observe t ~round g =
     invalid_arg
       (Printf.sprintf "Record.observe: graph has %d nodes, recorder expects %d"
          (Dynet.Graph.n g) t.n);
-  if round = t.filled && Dynet.Graph.same_edges g t.prev then
-    (* Hook + wrapper both firing on the same round: tolerate the
-       duplicate observation instead of forcing callers to pick one. *)
-    ()
-  else if round <> t.filled + 1 then
+  if round <> t.filled + 1 then
     invalid_arg
       (Printf.sprintf
          "Record.observe: round %d out of order (recorded %d rounds; rounds \
@@ -41,7 +37,6 @@ let observe t ~round g =
     t.filled <- round
   end
 
-let hook t ~round g = observe t ~round g
 let recorded_rounds t = t.filled
 
 let to_trace t =
@@ -56,13 +51,3 @@ let of_schedule ?seed ?(provenance = "oblivious") ~rounds schedule =
     observe t ~round:r (Adversary.Schedule.get schedule r)
   done;
   to_trace t
-
-let unicast t adv ~round ~prev ~states ~traffic =
-  let g = adv ~round ~prev ~states ~traffic in
-  observe t ~round g;
-  g
-
-let broadcast t adv ~round ~prev ~states ~intents =
-  let g = adv ~round ~prev ~states ~intents in
-  observe t ~round g;
-  g

@@ -9,8 +9,7 @@
       across machines and CI;
     - a {!t} recorder accumulates round graphs one at a time as a run
       executes.  Feed it through the run context's [on_graph] hook (see
-      {!Engine.Ctx}) or the {!unicast}/{!broadcast}
-      adversary wrappers to capture the {e realized} schedule of an
+      {!Engine.Ctx}) to capture the {e realized} schedule of an
       adaptive adversary — the sequence it actually played against this
       execution, which is then replayable as an oblivious workload.
 
@@ -25,14 +24,10 @@ val create : n:int -> ?seed:int -> ?provenance:string -> unit -> t
 
 val observe : t -> round:int -> Dynet.Graph.t -> unit
 (** Record round [round]'s graph.  Rounds must arrive in order
-    [1, 2, ...] with no gaps; re-observing the current round with the
-    same graph is a no-op (so a wrapper and a hook can coexist).
+    [1, 2, ...] with no gaps.  Shaped for the [on_graph] setting of
+    {!Engine.Ctx} and the runners: [~on_graph:(Record.observe recorder)].
     @raise Invalid_argument on out-of-order rounds or a node-count
     mismatch. *)
-
-val hook : t -> round:int -> Dynet.Graph.t -> unit
-(** [observe] shaped for the [on_graph] setting of {!Engine.Ctx} and
-    the runners: [~on_graph:(Record.hook recorder)]. *)
 
 val recorded_rounds : t -> int
 
@@ -45,14 +40,3 @@ val of_schedule :
   Adversary.Schedule.t -> Trace_io.t
 (** The first [rounds] rounds of a committed schedule as a trace.
     @raise Invalid_argument if [rounds < 1]. *)
-
-val unicast :
-  t -> 'state Engine.Runner_unicast.adversary ->
-  'state Engine.Runner_unicast.adversary
-(** Wrap a unicast adversary so every graph it commits is recorded —
-    for call sites that own the adversary rather than the engine
-    invocation. *)
-
-val broadcast :
-  t -> ('state, 'msg) Engine.Runner_broadcast.adversary ->
-  ('state, 'msg) Engine.Runner_broadcast.adversary

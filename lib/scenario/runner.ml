@@ -197,6 +197,17 @@ let prepare ?base_dir (spec : Spec.t) =
           let seeds = Array.init spec.repeats (fun i -> spec.seed + i) in
           Ok { spec; trace; n; seeds })
 
+let engine_of_name name ~shards =
+  if shards < 1 then Error (Printf.sprintf "shards %d must be >= 1" shards)
+  else
+    match name with
+    | "soa" -> Ok (Engine.Soa.engine ~shards ())
+    | ("fastpath" | "reference") when shards > 1 ->
+        Error (Printf.sprintf "shards %d applies to the soa engine only" shards)
+    | "fastpath" -> Ok Engine.Soa.default_engine
+    | "reference" -> Ok Engine.Reference.engine
+    | other -> Error (Printf.sprintf "unknown engine %S" other)
+
 let run_repeat ?prof ?engine ?obs ?cancel prepared ~seed =
   report prepared.spec ~n:prepared.n ~seed
     (execute ?engine ?obs ?cancel ?prof ~trace:prepared.trace ~n:prepared.n

@@ -108,6 +108,15 @@ val prepare : ?base_dir:string -> Spec.t -> (prepared, string) result
     resolve [n], and lay out the per-repeat seeds.  [Error] covers
     exactly the materialization failures [run] reports. *)
 
+val engine_of_name :
+  string -> shards:int -> ((module Engine.Engine_sig.ENGINE), string) result
+(** The engine a front door names: ["soa"] at [shards] domains,
+    ["fastpath"] (a name for {!Engine.Soa.default_engine}) or
+    ["reference"].  [Error] names the fault: [shards < 1], [shards > 1]
+    on an engine other than soa, or an unknown name.  The CLI's
+    [--engine]/[--shards] and the daemon's submit fields both resolve
+    here. *)
+
 val run_repeat :
   ?prof:Obs.Span.t ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->

@@ -303,6 +303,12 @@ let check_combinations ctx t =
         (algorithm_name t.algorithm)
   | _, _ -> ());
   Option.iter (err ctx "%s") (sigma_error t.env ~sigma:t.sigma);
+  (match (t.algorithm, t.max_rounds) with
+  | Oblivious_rw, Some _ ->
+      err ctx
+        "oblivious-rw does not take \"max_rounds\" (Algorithm 2 caps each \
+         phase itself); drop the field"
+  | _, _ -> ());
   match (faults_active t.faults, t.algorithm, t.env) with
   | true, Oblivious_rw, _ ->
       err ctx

@@ -102,7 +102,9 @@ val validate : t -> (t, string list) result
     path.  Cross-field rules: [n] unless the env is a trace; the
     request-cutter takes only the unicast algorithms and the
     lower-bound adversary only flooding; {!sigma_error}; no active
-    fault plan on oblivious-rw or the lower-bound adversary.  Each
+    fault plan on oblivious-rw or the lower-bound adversary; no
+    [max_rounds] on oblivious-rw (its two phases have their own
+    caps).  Each
     message names its field. *)
 
 val of_json : Obs.Json.t -> (t, string list) result

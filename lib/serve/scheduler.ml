@@ -56,7 +56,6 @@ type job = {
 type t = {
   m : Mutex.t;
   work : Condition.t;  (* new work, or stopping *)
-  idle : Condition.t;  (* a job finished, or stopping *)
   queue_cap : int;
   notify : notification -> unit;
   queues : (int, job Queue.t) Hashtbl.t;  (* client -> pending, nonempty *)
@@ -158,7 +157,6 @@ let finish t job outcome ~reports ~was_running =
   | Completed -> t.completed <- t.completed + 1
   | Cancelled -> t.cancelled <- t.cancelled + 1
   | Failed _ -> t.failed <- t.failed + 1);
-  Condition.broadcast t.idle;
   Mutex.unlock t.m;
   t.notify (Finished { job = job.jid; outcome; reports })
 
@@ -206,7 +204,6 @@ let create ?(workers = 2) ?(queue_cap = 128) ~notify () =
     {
       m = Mutex.create ();
       work = Condition.create ();
-      idle = Condition.create ();
       queue_cap;
       notify;
       queues = Hashtbl.create 16;
@@ -361,13 +358,6 @@ let idle t =
   Mutex.unlock t.m;
   r
 
-let wait_idle t =
-  Mutex.lock t.m;
-  while t.queued_total > 0 || t.running > 0 do
-    Condition.wait t.idle t.m
-  done;
-  Mutex.unlock t.m
-
 let shutdown ?(mode = `Drain) t =
   Mutex.lock t.m;
   t.stopping <- true;
@@ -383,6 +373,5 @@ let shutdown ?(mode = `Drain) t =
           | Finished_ _ -> ())
         t.jobs);
   Condition.broadcast t.work;
-  Condition.broadcast t.idle;
   Mutex.unlock t.m;
   Array.iter Domain.join t.workers

@@ -89,9 +89,6 @@ val stats : t -> stats
 val idle : t -> bool
 (** No job queued or running right now. *)
 
-val wait_idle : t -> unit
-(** Block until {!idle} (used by drains and tests). *)
-
 val shutdown : ?mode:[ `Drain | `Cancel ] -> t -> unit
 (** Stop admission and join the pool.  [`Drain] (default, the rpc
     [shutdown] path) runs the backlog out first; [`Cancel] (the

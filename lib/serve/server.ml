@@ -30,18 +30,6 @@ type config = {
   stop : int Atomic.t;  (* signal handlers bump this *)
 }
 
-let default_config =
-  (* dynlint: domain-safe — every config field is immutable; the scan
-     matches field names (workers) that other types declare mutable *)
-  {
-    socket = Some "dynspread.sock";
-    listen = None;
-    metrics = None;
-    workers = 2;
-    queue_cap = 128;
-    stop = Atomic.make 0;
-  }
-
 type session_kind = Rpc_session | Metrics_session
 
 type session = {
@@ -144,23 +132,6 @@ let notify t = function
 
 (* {2 Request handling} *)
 
-let resolve_engine name shards =
-  let shards = Option.value shards ~default:1 in
-  if shards < 1 then Result.Error "shards must be >= 1"
-  else
-    match name with
-    | None -> Ok None
-    | Some "fastpath" ->
-        if shards > 1 then
-          Result.Error "\"shards\" applies to the soa engine only"
-        else Ok None
-    | Some "reference" ->
-        if shards > 1 then
-          Result.Error "\"shards\" applies to the soa engine only"
-        else Ok (Some Engine.Reference.engine)
-    | Some "soa" -> Ok (Some (Engine.Soa.engine ~shards ()))
-    | Some other -> Result.Error (Printf.sprintf "unknown engine %S" other)
-
 let handle_submit t session (sub : Rpc.submit) =
   if t.draining then
     let s = Scheduler.stats t.sched in
@@ -177,7 +148,11 @@ let handle_submit t session (sub : Rpc.submit) =
         reply t session
           (Rpc.Error { reason = "invalid spec: " ^ String.concat "; " errs })
     | Ok spec -> (
-        match resolve_engine sub.Rpc.engine sub.Rpc.shards with
+        match
+          Scenario.Runner.engine_of_name
+            (Option.value sub.Rpc.engine ~default:"soa")
+            ~shards:(Option.value sub.Rpc.shards ~default:1)
+        with
         | Result.Error reason -> reply t session (Rpc.Error { reason })
         | Ok engine -> (
             match Scenario.Runner.prepare ?base_dir:sub.Rpc.base_dir spec with
@@ -190,7 +165,7 @@ let handle_submit t session (sub : Rpc.submit) =
                 Mutex.lock t.sub_m;
                 let admission =
                   Scheduler.submit t.sched ~client:session.sid
-                    ~name:spec.Scenario.Spec.name ~prepared ?engine
+                    ~name:spec.Scenario.Spec.name ~prepared ~engine
                     ~events:sub.Rpc.events ()
                 in
                 (match admission with

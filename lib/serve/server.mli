@@ -33,10 +33,6 @@ type config = {
   stop : int Atomic.t;  (** signal handlers bump this to request cancel *)
 }
 
-val default_config : config
-(** [socket = Some "dynspread.sock"], no tcp listeners, 2 workers,
-    queue cap 128, a fresh [stop] cell. *)
-
 val run : config -> [ `Completed | `Signalled ]
 (** Bind the listeners and serve until shutdown.  At least one of
     [socket]/[listen] must be set.  Blocks the calling thread; worker

@@ -310,7 +310,7 @@ let build (files : Source_file.t list) =
         (f :: Option.value (Hashtbl.find_opt by_file fkey) ~default:[]);
       (* Register under the file's module name and, for functions inside
          nested modules, under the nested module's own name (so
-         [Pool.alloc] resolves from outside plane.ml too). *)
+         [Vec.xor] resolves from outside gf2.ml too). *)
       let modnames =
         let file_mod = Source_file.module_name f.src.Source_file.id in
         match String.rindex_opt f.name '.' with

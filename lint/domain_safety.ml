@@ -6,10 +6,10 @@
    something:
 
    1. Roots: any file whose token stream applies [Sweep.map] /
-      [Sweep.map_timed] / [Sweep.map_span] / [Sweep.run] holds worker
-      closures, so every module that file references (plus the file
-      itself) is a root.  [Shard_pool.run] / [Shard_pool.create] /
-      [Shard_pool.with_pool] call sites root the walk the same way:
+      [Sweep.map_span] holds worker closures, so every module that
+      file references (plus the file itself) is a root.
+      [Shard_pool.run] / [Shard_pool.create] / [Shard_pool.with_pool]
+      call sites root the walk the same way:
       the SoA engine's intra-run shard jobs execute on pool domains
       exactly like Sweep's point closures, so everything they can
       reach joins the closure.  (The jobs' writes into their owned
@@ -36,7 +36,7 @@
    A hit is a violation unless annotated with a checked
    [(* dynlint: domain-safe — <reason> *)] waiver. *)
 
-let sweep_fns = [ "map"; "map_timed"; "map_span"; "run" ]
+let sweep_fns = [ "map"; "map_span" ]
 let shard_pool_fns = [ "run"; "create"; "with_pool" ]
 let scheduler_fns = [ "create"; "submit"; "shutdown" ]
 

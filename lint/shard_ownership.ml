@@ -38,7 +38,7 @@ let local_creator lid =
 let writer_fns =
   [
     "set"; "unsafe_set"; "fill"; "blit"; "clear"; "unset"; "row_clear";
-    "load_row"; "store_word"; "union_row_into"; "union_row_from"; "push";
+    "load_row"; "store_word"; "union_row_into"; "push";
     "add"; "replace"; "remove"; "reset"; "transfer"; ":="; "incr"; "decr";
   ]
 

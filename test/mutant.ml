@@ -40,7 +40,7 @@ let init ~instance =
 let all_complete ~k states =
   Array.for_all (fun st -> st.known_count >= k) states
 
-let flooding ~bug : (module Diff.FLOODING) =
+let flooding ~bug : (module Fuzz.Diff.FLOODING) =
   (module struct
     type nonrec state = state
 
@@ -86,4 +86,4 @@ let flooding ~bug : (module Diff.FLOODING) =
 
     let init = init
     let all_complete = all_complete
-  end : Diff.FLOODING)
+  end : Fuzz.Diff.FLOODING)

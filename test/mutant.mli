@@ -12,4 +12,4 @@
     — an off-by-one in token selection that diverges only on runs
     long enough to complete a phase. *)
 
-val flooding : bug:bool -> (module Diff.FLOODING)
+val flooding : bug:bool -> (module Fuzz.Diff.FLOODING)

@@ -592,16 +592,16 @@ module Multi_source = struct
             })
 end
 
-let single_source config : (module Diff.UNICAST) =
+let single_source config : (module Fuzz.Diff.UNICAST) =
   (module struct
     type state = Single_source.state
 
     let protocol = Single_source.protocol
     let init ~instance = Single_source.init ~config ~instance ()
     let all_complete = Single_source.all_complete
-  end : Diff.UNICAST)
+  end : Fuzz.Diff.UNICAST)
 
-let multi_source ~bug source_order : (module Diff.UNICAST) =
+let multi_source ~bug source_order : (module Fuzz.Diff.UNICAST) =
   (module struct
     type state = Multi_source.state
 
@@ -611,4 +611,4 @@ let multi_source ~bug source_order : (module Diff.UNICAST) =
       Multi_source.init ~source_order ~ignore_arriving:bug ~instance ()
 
     let all_complete = Multi_source.all_complete
-  end : Diff.UNICAST)
+  end : Fuzz.Diff.UNICAST)

@@ -8,7 +8,7 @@
     These copies keep their own state types and share only the
     message, token, instance and configuration types with production,
     so diffing production against them on one engine
-    ({!Diff.execute_protocol}) checks the rewrite itself, byte for
+    ({!Fuzz.Diff.execute_protocol}) checks the rewrite itself, byte for
     byte.
 
     [multi_source ~bug:true] is the diff's mutant: its request task
@@ -16,7 +16,7 @@
     the request de-dup regression the protocol differential must
     catch. *)
 
-val single_source : Gossip.Single_source.config -> (module Diff.UNICAST)
+val single_source : Gossip.Single_source.config -> (module Fuzz.Diff.UNICAST)
 
 val multi_source :
-  bug:bool -> Gossip.Multi_source.source_order -> (module Diff.UNICAST)
+  bug:bool -> Gossip.Multi_source.source_order -> (module Fuzz.Diff.UNICAST)

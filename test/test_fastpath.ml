@@ -321,11 +321,11 @@ let test_sweep_raises_first_failure_by_index () =
         (fun () -> ignore (Analysis.Sweep.map ~jobs f points)))
     [ 1; 4 ]
 
-let test_sweep_map_timed_records_per_point () =
+let test_sweep_map_span_records_per_point () =
   let metrics = Obs.Metrics.create () in
   let out =
-    Analysis.Sweep.map_timed ~jobs:4 ~metrics ~name:"sweep/test-point"
-      (fun i -> i + 1)
+    Analysis.Sweep.map_span ~jobs:4 ~metrics ~name:"sweep/test-point"
+      (fun ~prof:_ i -> i + 1)
       (Array.init 10 Fun.id)
   in
   check (Alcotest.array Alcotest.int) "results in input order"
@@ -374,8 +374,8 @@ let suite =
       test_sweep_map_order_independent_of_jobs;
     Alcotest.test_case "sweep: first failure by index" `Quick
       test_sweep_raises_first_failure_by_index;
-    Alcotest.test_case "sweep: map_timed records per-point wall time" `Quick
-      test_sweep_map_timed_records_per_point;
+    Alcotest.test_case "sweep: map_span records per-point wall time" `Quick
+      test_sweep_map_span_records_per_point;
     Alcotest.test_case "sweep: experiment tables identical across jobs" `Slow
       test_sweep_experiments_deterministic_across_jobs;
   ]

@@ -118,7 +118,7 @@ let test_differential_batch () =
 let test_mutant_control () =
   let outcome =
     Fuzz.Campaign.run
-      ~flooding_b:(Fuzz.Mutant.flooding ~bug:false)
+      ~flooding_b:(Mutant.flooding ~bug:false)
       ~jobs:2 ~runs:40 ~seed:2 ()
   in
   check Alcotest.int "the faithful protocol copy diffs clean" 0
@@ -126,7 +126,7 @@ let test_mutant_control () =
 
 let test_mutation_smoke () =
   let metrics = Obs.Metrics.create () in
-  let mutant = Fuzz.Mutant.flooding ~bug:true in
+  let mutant = Mutant.flooding ~bug:true in
   let outcome =
     Fuzz.Campaign.run ~flooding_b:mutant ~jobs:2 ~metrics ~shrink_budget:200
       ~runs:60 ~seed:0 ()
@@ -189,13 +189,13 @@ let protocol_pairs (c : Fuzz.Case.t) =
   | Fuzz.Case.Single_source ->
       List.map
         (fun config ->
-          (Fuzz.Diff.real_single_source config, Fuzz.Oracle.single_source config))
+          (Fuzz.Diff.real_single_source config, Oracle.single_source config))
         single_source_configs
   | Fuzz.Case.Multi_source ->
       List.map
         (fun order ->
           ( Fuzz.Diff.real_multi_source order,
-            Fuzz.Oracle.multi_source ~bug:false order ))
+            Oracle.multi_source ~bug:false order ))
         Gossip.Multi_source.[ Min_source; Random_source ]
 
 let protocol_diff ~engine ~production ~oracle c =
@@ -227,7 +227,7 @@ let test_protocol_oracle () =
   check Alcotest.bool "crash/restart plans covered" true (!crashed >= 5)
 
 let test_protocol_mutant () =
-  let mutant = Fuzz.Oracle.multi_source ~bug:true Gossip.Multi_source.Min_source in
+  let mutant = Oracle.multi_source ~bug:true Gossip.Multi_source.Min_source in
   let production = Fuzz.Diff.real_multi_source Gossip.Multi_source.Min_source in
   let fired = ref 0 in
   for id = 0 to 119 do
@@ -285,7 +285,7 @@ let test_soa_boundary_mutant () =
     outcome.Fuzz.Campaign.mismatches
 
 let test_corpus_saving () =
-  let mutant = Fuzz.Mutant.flooding ~bug:true in
+  let mutant = Mutant.flooding ~bug:true in
   let outcome =
     Fuzz.Campaign.run ~flooding_b:mutant ~jobs:2 ~shrink_budget:200 ~runs:30
       ~seed:0 ()

@@ -247,7 +247,7 @@ let test_sweep_map_span_lanes_and_order () =
   in
   check Alcotest.int "every point's inner span survived absorb" 8
     (List.length inner);
-  (* And with the null profiler the same call is just map_timed.  The
+  (* And with the null profiler every point gets the null lane.  The
      lane each point saw is checked back on the calling domain: Alcotest's
      [check] is not safe to call from a worker domain. *)
   let out2 =

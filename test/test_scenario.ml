@@ -243,7 +243,7 @@ let test_on_graph_records_realized_schedule () =
   let result, _ =
     Gossip.Runners.single_source ~instance
       ~env:(Gossip.Runners.Oblivious sched)
-      ~on_graph:(Scenario.Record.hook recorder)
+      ~on_graph:(Scenario.Record.observe recorder)
       ()
   in
   let rounds = Scenario.Record.recorded_rounds recorder in
@@ -633,13 +633,21 @@ let test_spec_combo_rules () =
     {|{ "schema": "dynspread-scenario/v1", "name": "x",
         "algorithm": "flooding", "sigma": 2,
         "env": { "family": "lower-bound" }, "n": 8, "k": 4 }|}
-    "sigma"
+    "sigma";
+  (* Algorithm 2 caps each of its phases itself, so a spec round cap
+     would be silently ignored. *)
+  rejected
+    {|{ "schema": "dynspread-scenario/v1", "name": "x",
+        "algorithm": "oblivious-rw",
+        "env": { "family": "tree-rotator" }, "n": 8, "k": 4,
+        "max_rounds": 5 }|}
+    "max_rounds"
 
 let test_spec_to_json_roundtrip () =
   let spec =
     spec_of_json_exn
       {|{ "schema": "dynspread-scenario/v1", "name": "rt",
-          "algorithm": "oblivious-rw",
+          "algorithm": "multi-source",
           "env": { "family": "edge-markovian", "p_up": 0.2, "p_down": 0.4 },
           "sigma": 2, "n": 12, "k": 9, "s": 3, "seed": 5, "repeats": 2,
           "max_rounds": 500 }|}
@@ -656,6 +664,32 @@ let test_spec_to_json_roundtrip () =
    flags, is refused by [validate] with exactly the errors [of_json]
    gives for the same values in a file; a bare [{"family": f}] env
    parses to [f]'s entry in [default_envs]. *)
+(* The CLI and the daemon resolve engine names through one function:
+   soa takes any shard count, the others only one. *)
+let test_runner_engine_of_name () =
+  let name = function
+    | Ok e ->
+        let module E = (val e : Engine.Engine_sig.ENGINE) in
+        "ok " ^ E.name
+    | Error msg -> "error " ^ msg
+  in
+  List.iter
+    (fun (engine, shards, want) ->
+      check Alcotest.string
+        (Printf.sprintf "%s with %d shards" engine shards)
+        want
+        (name (Scenario.Runner.engine_of_name engine ~shards)))
+    [
+      ("fastpath", 1, "ok soa");
+      ("soa", 1, "ok soa");
+      ("soa", 3, "ok soa-3");
+      ("reference", 1, "ok " ^ Engine.Reference.name);
+      ("fastpath", 2, "error shards 2 applies to the soa engine only");
+      ("reference", 2, "error shards 2 applies to the soa engine only");
+      ("soa", 0, "error shards 0 must be >= 1");
+      ("bogus", 1, "error unknown engine \"bogus\"");
+    ]
+
 let test_spec_validate_matches_of_json () =
   let base =
     spec_of_json_exn
@@ -779,4 +813,6 @@ let suite =
       test_runner_lower_bound_matches_golden;
     Alcotest.test_case "spec: validate = of_json on built records" `Quick
       test_spec_validate_matches_of_json;
+    Alcotest.test_case "runner: engine names and shard rules" `Quick
+      test_runner_engine_of_name;
   ]

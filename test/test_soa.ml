@@ -185,48 +185,6 @@ let test_bitset_store_word_pad_hygiene () =
   expect_invalid_arg "width-mismatched load_row" (fun () ->
       Dynet.Plane.load_row p 0 (Dynet.Bitset.create (width + 1)))
 
-let test_plane_sub_is_fenced () =
-  let p = Dynet.Plane.create ~rows:6 ~width:40 in
-  let slice = Dynet.Plane.sub p ~row:2 ~rows:2 in
-  check Alcotest.int "slice row count" 2 (Dynet.Plane.rows slice);
-  Dynet.Plane.set slice 0 5;
-  check Alcotest.bool "slice writes land in the parent row" true
-    (Dynet.Plane.mem p 2 5);
-  Dynet.Plane.set p 4 9;
-  check Alcotest.bool "slice reads see the shared storage" true
-    (Dynet.Plane.mem slice 1 0 = false && Dynet.Plane.mem slice 0 5);
-  expect_invalid_arg "slice cannot reach a sibling row" (fun () ->
-      Dynet.Plane.mem slice 2 0);
-  expect_invalid_arg "slice cannot write past its window" (fun () ->
-      Dynet.Plane.set slice 3 0)
-
-let test_plane_pool_siblings_isolated () =
-  let pool = Dynet.Plane.Pool.create () in
-  let a = Dynet.Plane.Pool.alloc pool ~rows:3 ~width:70 in
-  let b = Dynet.Plane.Pool.alloc pool ~rows:2 ~width:70 in
-  for r = 0 to 2 do
-    for i = 0 to 69 do
-      Dynet.Plane.set a r i
-    done
-  done;
-  for r = 0 to 1 do
-    check Alcotest.int
-      (Printf.sprintf "sibling row %d untouched by a's saturation" r)
-      0
-      (Dynet.Plane.row_popcount b r)
-  done;
-  Dynet.Plane.set b 1 69;
-  check Alcotest.bool "a's last row unaffected by b's write" true
-    (Dynet.Plane.row_popcount a 2 = 70);
-  Dynet.Plane.Pool.reset pool;
-  let c = Dynet.Plane.Pool.alloc pool ~rows:3 ~width:70 in
-  for r = 0 to 2 do
-    check Alcotest.int
-      (Printf.sprintf "post-reset plane row %d comes back zeroed" r)
-      0
-      (Dynet.Plane.row_popcount c r)
-  done
-
 (* {2 Byte-identical reports against the Reference oracle} *)
 
 (* Each engine run gets a freshly constructed schedule: the
@@ -768,10 +726,6 @@ let suite =
       test_plane_extract_is_detached;
     Alcotest.test_case "plane: store_word pad hygiene" `Quick
       test_bitset_store_word_pad_hygiene;
-    Alcotest.test_case "plane: sub slices are fenced" `Quick
-      test_plane_sub_is_fenced;
-    Alcotest.test_case "plane: pool siblings isolated" `Quick
-      test_plane_pool_siblings_isolated;
     Alcotest.test_case "soa: flooding byte-identical at shards 1/2/4" `Quick
       test_flooding_identical;
     Alcotest.test_case "soa: plane-less flooding byte-identical at shards 1/2"
