@@ -827,7 +827,7 @@ let scenario_record_cmd =
           "%s: only the built-in oblivious environments can be recorded here \
            (traces are already recorded; the request-cutter and the \
            lower-bound adversary are adaptive — capture a realized schedule \
-           with the library's Record on a run's on_graph hook)"
+           with Scenario.Record through Engine.Ctx.make ~on_graph)"
           path
     | Some schedule -> (
         let trace =

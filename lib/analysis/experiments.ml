@@ -629,8 +629,9 @@ let time_vs_messages ?(n = 24) ?metrics ~seed () =
 
 (* {2 E10 — Algorithm 1 ablation} *)
 
-let ablation ?(n = 20) ?(k = 40) ?metrics ~seed () =
+let ablation ?metrics ~seed () =
   timed ?metrics "experiment/e10-ablation" @@ fun () ->
+  let n = 20 and k = 40 in
   let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
   let replicates = 3 in
   let environments =
@@ -796,8 +797,9 @@ let ablation ?(n = 20) ?(k = 40) ?metrics ~seed () =
 
 (* {2 E11 — the f trade-off inside Theorem 3.8} *)
 
-let rw_tradeoff ?(n = 32) ?(k = 128) ?metrics ~seed () =
+let rw_tradeoff ?metrics ~seed () =
   timed ?metrics "experiment/e11-rw-tradeoff" @@ fun () ->
+  let n = 32 and k = 128 in
   let s = min n k in
   let replicates = 3 in
   let rows = ref [] in
@@ -865,7 +867,7 @@ let rw_tradeoff ?(n = 32) ?(k = 128) ?metrics ~seed () =
 
 (* {2 E12 — coding vs token forwarding} *)
 
-let coding_gap ?(ns = [ 12; 16; 24; 32 ]) ?metrics ~seed () =
+let coding_gap ?metrics ~seed () =
   timed ?metrics "experiment/e12-coding-gap" @@ fun () ->
   let rows = ref [] in
   let flood_pts = ref [] and coded_pts = ref [] in
@@ -909,7 +911,7 @@ let coding_gap ?(ns = [ 12; 16; 24; 32 ]) ?metrics ~seed () =
           Table.fint (coded_msgs * coded_msg_bits);
         ]
         :: !rows)
-    ns;
+    [ 12; 16; 24; 32 ];
   let flood_slope = Obs.Stats.loglog_slope (List.rev !flood_pts) in
   let coded_slope = Obs.Stats.loglog_slope (List.rev !coded_pts) in
   Table.make
@@ -977,7 +979,7 @@ let environments ?(n = 32) ?(rounds = 40) ?metrics ~seed () =
 
 (* {2 E13 — leader election under the competitive measure} *)
 
-let leader_election ?(ns = [ 16; 32; 64 ]) ?metrics ~seed () =
+let leader_election ?metrics ~seed () =
   timed ?metrics "experiment/e13-leader-election" @@ fun () ->
   let rows = ref [] in
   let within = ref true in
@@ -1026,7 +1028,7 @@ let leader_election ?(ns = [ 16; 32; 64 ]) ?metrics ~seed () =
             Gossip.Runners.Oblivious
               (Adversary.Oblivious.tree_rotator ~seed:(seed + n + 2) ~n) );
         ])
-    ns;
+    [ 16; 32; 64 ];
   Table.make
     ~title:
       "E13 (beyond the paper, its Section-4 program): max-id leader \
@@ -1156,9 +1158,9 @@ let fault_count (result : Engine.Run_result.t) field =
 let inflation ~baseline v =
   if baseline = 0 then Float.nan else float_of_int v /. float_of_int baseline
 
-let robustness_loss ?(n = 16) ?(k = 16)
-    ?(rates = [ 0.; 0.05; 0.1; 0.2; 0.5; 0.8 ]) ?metrics ~seed () =
+let robustness_loss ?metrics ~seed () =
   timed ?metrics "experiment/e15-robustness-loss" @@ fun () ->
+  let n = 16 and k = 16 and rates = [ 0.; 0.05; 0.1; 0.2; 0.5; 0.8 ] in
   let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
   (* The same 3-edge-stable environment for every run: the sweep
      varies only the fault plan, so cost deltas are the robustness
@@ -1240,9 +1242,9 @@ let robustness_loss ?(n = 16) ?(k = 16)
 
 (* {2 E16 — robustness tax: crash-restart} *)
 
-let robustness_crash ?(n = 16) ?(k = 16)
-    ?(rates = [ 0.; 0.005; 0.01; 0.02 ]) ?metrics ~seed () =
+let robustness_crash ?metrics ~seed () =
   timed ?metrics "experiment/e16-robustness-crash" @@ fun () ->
+  let n = 16 and k = 16 and rates = [ 0.; 0.005; 0.01; 0.02 ] in
   let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
   let schedule () =
     stable (Adversary.Oblivious.tree_rotator ~seed:(seed + 2) ~n)
@@ -1313,9 +1315,9 @@ let robustness_crash ?(n = 16) ?(k = 16)
 
 (* {2 E18 — mega-scale SoA engine} *)
 
-let mega ?(ns = [ 1_000; 10_000 ]) ?(k = 32) ?(shards = 4) ?metrics ?prof
-    ~seed () =
+let mega ?(ns = [ 1_000; 10_000 ]) ?metrics ?prof ~seed () =
   timed ?metrics "experiment/e18-mega" @@ fun () ->
+  let k = 32 and shards = 4 in
   let report r =
     Obs.Json.to_string (Obs.Report.to_json (Engine.Run_result.to_report r))
   in
@@ -1410,15 +1412,15 @@ let mega ?(ns = [ 1_000; 10_000 ]) ?(k = 32) ?(shards = 4) ?metrics ?prof
       ]
     rows
 
-let all ?jobs ?metrics ?prof ~seed () =
+let all ?jobs ?metrics ~seed () =
   [
     environments ?metrics ~seed ();
-    table1 ?jobs ?metrics ?prof ~seed ();
+    table1 ?jobs ?metrics ~seed ();
     lower_bound ?metrics ~seed ();
     free_edges ?metrics ~seed ();
-    single_source ?jobs ?metrics ?prof ~seed ();
+    single_source ?jobs ?metrics ~seed ();
     multi_source ?metrics ~seed ();
-    rw_scaling ?jobs ?metrics ?prof ~seed ();
+    rw_scaling ?jobs ?metrics ~seed ();
     static_baseline ?metrics ~seed ();
     time_vs_messages ?metrics ~seed ();
     ablation ?metrics ~seed ();
@@ -1428,5 +1430,5 @@ let all ?jobs ?metrics ?prof ~seed () =
     adaptivity ?metrics ~seed ();
     robustness_loss ?metrics ~seed ();
     robustness_crash ?metrics ~seed ();
-    mega ~ns:[ 500; 2_000 ] ?metrics ?prof ~seed ();
+    mega ~ns:[ 500; 2_000 ] ?metrics ~seed ();
   ]

@@ -67,21 +67,21 @@ val time_vs_messages : ?n:int -> ?metrics:Obs.Metrics.t -> seed:int -> unit -> T
     time-optimal strategy (flooding) is not message-optimal and vice
     versa. *)
 
-val ablation : ?n:int -> ?k:int -> ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
-(** E10 — ablation of Algorithm 1's design choices: the paper's
+val ablation : ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
+(** E10 — ablation of Algorithm 1's design choices (n = 20, k = 40): the paper's
     new > idle > contributive request priority (Lemmas 3.2/3.3) and its
     pending-request deduplication, plus the unstructured random-push
     baseline, all on identical instances and environments. *)
 
-val rw_tradeoff : ?n:int -> ?k:int -> ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
-(** E11 — the optimization step inside Theorem 3.8: sweeping the
+val rw_tradeoff : ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
+(** E11 — the optimization step inside Theorem 3.8 (n = 32, k = 128): sweeping the
     center density f trades walk cost (fewer centers, longer walks, the
     kL term) against scatter cost (more centers, more per-source
     announcements, the f n^2 term); the paper picks f to balance them. *)
 
-val coding_gap : ?ns:int list -> ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
+val coding_gap : ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
 (** E12 — the token-forwarding barrier (Section 1.2): on identical
-    n-gossip instances, network-coding gossip completes in ~O(n + k)
+    n-gossip instances (n = 12, 16, 24, 32), network-coding gossip completes in ~O(n + k)
     rounds where phased flooding needs ~nk — the round gap that
     motivates restricting the lower bounds to token-forwarding
     algorithms (coded packets carry k-bit coefficient vectors, far
@@ -93,9 +93,9 @@ val environments : ?n:int -> ?rounds:int -> ?metrics:Obs.Metrics.t -> seed:int -
     adversary family (density, clustering, distances, TC per round,
     turnover), measured over a committed prefix. *)
 
-val leader_election : ?ns:int list -> ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
+val leader_election : ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
 (** E13 — beyond the paper (its Section-4 program): leader election
-    under the adversary-competitive measure.  Sends decompose into
+    under the adversary-competitive measure, at n = 16, 32, 64.  Sends decompose into
     champion improvements (bounded regardless of churn) and per-edge
     catch-ups (bounded by 2·TC), so the competitive cost stays small
     however hard the topology churns. *)
@@ -106,32 +106,29 @@ val adaptivity : ?n:int -> ?budget:int -> ?metrics:Obs.Metrics.t -> seed:int -> 
     progress (token learnings) each allows an unstructured broadcaster
     within a fixed round budget.  More adaptivity, less progress. *)
 
-val robustness_loss :
-  ?n:int -> ?k:int -> ?rates:float list -> ?metrics:Obs.Metrics.t ->
-  seed:int -> unit -> Table.t
+val robustness_loss : ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
 (** E15 — beyond the paper (robustness): the message-loss tax.
-    Single-Source-Unicast on a 3-edge-stable rotator under a
-    {!Faults.Plan} loss sweep, bare vs wrapped in {!Gossip.Reliable}.
-    The bare protocol degrades to a [Partial] coverage report; the
-    wrapper completes at every swept rate, paying a message inflation
-    (acks + retransmissions) that grows with the loss rate. *)
+    Single-Source-Unicast (n = k = 16) on a 3-edge-stable rotator
+    under a {!Faults.Plan} loss sweep (0 to 0.8), bare vs wrapped in
+    {!Gossip.Reliable}.  The bare protocol degrades to a [Partial]
+    coverage report; the wrapper completes at every swept rate, paying
+    a message inflation (acks + retransmissions) that grows with the
+    loss rate. *)
 
-val robustness_crash :
-  ?n:int -> ?k:int -> ?rates:float list -> ?metrics:Obs.Metrics.t ->
-  seed:int -> unit -> Table.t
+val robustness_crash : ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
 (** E16 — beyond the paper (robustness): the crash-restart tax.
-    Phased flooding under node crash faults with full state loss
-    (restart p = 0.25): restarted nodes are re-taught, so crashes buy
-    round/message inflation — and at worst a graceful [Partial] or
-    [Aborted] verdict — never wrong answers. *)
+    Phased flooding (n = k = 16) under node crash faults (rates 0 to
+    0.02) with full state loss (restart p = 0.25): restarted nodes are
+    re-taught, so crashes buy round/message inflation — and at worst a
+    graceful [Partial] or [Aborted] verdict — never wrong answers. *)
 
 val mega :
-  ?ns:int list -> ?k:int -> ?shards:int -> ?metrics:Obs.Metrics.t ->
-  ?prof:Obs.Span.t -> seed:int -> unit -> Table.t
+  ?ns:int list -> ?metrics:Obs.Metrics.t -> ?prof:Obs.Span.t -> seed:int ->
+  unit -> Table.t
 (** E18 — beyond the paper (scale): phased flooding on the
     struct-of-arrays engine ({!Engine.Soa}) at n up to 10^5, on a
-    sparse regular-ish schedule re-drawn every 16 rounds.  Each row
-    runs the same committed environment on [soa], [soa-<shards>] and
+    sparse regular-ish schedule re-drawn every 16 rounds, at k = 32.
+    Each row runs the same committed environment on [soa], [soa-4] and
     the {!Engine.Reference} oracle and requires byte-identical run
     reports — the determinism contract at scale — alongside amortized
     messages per token and wall-clock per round.  The untimed oracle
@@ -140,9 +137,7 @@ val mega :
     run's round/phase spans.  Defaults keep CI fast; the 10^5
     invocation is in EXPERIMENTS.md. *)
 
-val all :
-  ?jobs:int -> ?metrics:Obs.Metrics.t -> ?prof:Obs.Span.t -> seed:int ->
-  unit -> Table.t list
+val all : ?jobs:int -> ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t list
 (** Every experiment at its default size, in index order ([mega] at a
-    reduced [ns] so the full sweep stays laptop-fast); [?jobs] and
-    [?prof] are forwarded to the sweep-parallel ones (E1, E4, E7). *)
+    reduced [ns] so the full sweep stays laptop-fast); [?jobs] is
+    forwarded to the sweep-parallel ones (E1, E4, E7). *)

@@ -73,7 +73,7 @@ let outcome_fields t =
   in
   base @ detail @ faults
 
-let to_report ?(name = "run") ?(alpha = 1.) ?(extra = []) t =
+let to_report ?(name = "run") ?(extra = []) t =
   Obs.Report.make ~name ~completed:t.completed ~rounds:t.rounds
     ~messages:(Ledger.total t.ledger)
     ~class_counts:
@@ -81,8 +81,8 @@ let to_report ?(name = "run") ?(alpha = 1.) ?(extra = []) t =
          (fun cls -> (Msg_class.to_string cls, Ledger.count t.ledger cls))
          Msg_class.all)
     ~tc:(Ledger.tc t.ledger) ~removals:(Ledger.removals t.ledger)
-    ~learnings:(Ledger.learnings t.ledger) ~alpha
-    ~competitive_cost:(Ledger.competitive_cost t.ledger ~alpha)
+    ~learnings:(Ledger.learnings t.ledger) ~alpha:1.
+    ~competitive_cost:(Ledger.competitive_cost t.ledger ~alpha:1.)
     ~max_load:(Ledger.max_load t.ledger)
     ~mean_load:(Ledger.mean_load t.ledger)
     ?load_summary:

@@ -65,11 +65,10 @@ val messages : t -> int
 (** Shorthand for [Ledger.total t.ledger]. *)
 
 val to_report :
-  ?name:string -> ?alpha:float -> ?extra:(string * Obs.Json.t) list -> t ->
-  Obs.Report.t
+  ?name:string -> ?extra:(string * Obs.Json.t) list -> t -> Obs.Report.t
 (** The machine-readable counterpart of {!pp}: everything the ledger
     accounted for — totals, per-class counts, [TC], removals,
-    learnings, the [alpha]-competitive cost (default [alpha = 1]),
+    learnings, the competitive cost at [alpha = 1],
     per-node load statistics, and the timeline — as an {!Obs.Report.t}
     ready for JSON output.  [name] (default ["run"]) labels the run;
     [extra] fields are appended to the JSON object verbatim.  The

@@ -18,11 +18,9 @@ open Dynet.Ops
 
 type job = shard:int -> lo:int -> hi:int -> unit
 
-let ranges ~n ~shards ?(align = 1) () =
+let ranges ~n ~shards =
   if shards < 1 then invalid_arg "Shard_pool.ranges: shards must be >= 1";
-  if align < 1 then invalid_arg "Shard_pool.ranges: align must be >= 1";
   let per = (n + shards - 1) / shards in
-  let per = (per + align - 1) / align * align in
   Array.init shards (fun i ->
       let lo = min n (i * per) in
       let hi = min n (lo + per) in

@@ -22,12 +22,14 @@ type t
 
 type job = shard:int -> lo:int -> hi:int -> unit
 
-val ranges : n:int -> shards:int -> ?align:int -> unit -> (int * int) array
-(** Contiguous spans [[lo, hi)] covering [0 .. n-1], one per shard.
-    [align] (default 1) rounds the span length up to a multiple — the
-    plane engine aligns to {!Dynet.Bitset.bpw} so no two shards ever
-    write the same word of a shared bit plane.  Trailing shards may be
-    empty. *)
+val ranges : n:int -> shards:int -> (int * int) array
+(** Contiguous spans [[lo, hi)] covering [0 .. n-1], one per shard,
+    each [ceil (n / shards)] nodes long except the clamped trailing
+    ones, which may be empty.  Spans are not aligned to
+    {!Dynet.Bitset.bpw}: two shards may share a word of a node-indexed
+    bit plane, so the plane engine gives each shard its own staging
+    row instead of writing shared rows from workers.
+    @raise Invalid_argument if [shards < 1]. *)
 
 val create : spans:(int * int) array -> t
 (** Spawn [Array.length spans - 1] worker domains (none for a single

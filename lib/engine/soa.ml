@@ -307,7 +307,7 @@ let run_plane (type s m)
 (* {2 Engine packaging} *)
 
 let spans_for ~n ~shards ~boundary_bug =
-  let spans = Shard_pool.ranges ~n ~shards () in
+  let spans = Shard_pool.ranges ~n ~shards in
   if boundary_bug && Array.length spans > 1 then begin
     (* The seeded mutant for the fuzz harness's smoke test: shard 1
        starts one node late, so the node on the 0/1 boundary is owned

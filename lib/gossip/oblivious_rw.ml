@@ -39,16 +39,14 @@ let default_phase2_cap ~n ~k = (4 * n * k) + (4 * n * n)
 let default_cap ~n ~k = default_phase1_cap ~n + default_phase2_cap ~n ~k
 
 let run ~instance ~schedule ~seed ?(engine = Engine.Soa.default_engine)
-    ?(const_f = 1.0) ?(const_gamma = 1.0) ?(force_rw = false) ?phase1_cap
-    ?phase2_cap ?(obs = Obs.Sink.null) ?(prof = Obs.Span.null) ?cancel () =
+    ?(const_f = 1.0) ?(force_rw = false) ?phase1_cap ?(obs = Obs.Sink.null)
+    ?(prof = Obs.Span.null) ?cancel () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance in
   let k = Instance.k instance in
   let s = Instance.source_count instance in
   let phase1_cap = Option.value phase1_cap ~default:(default_phase1_cap ~n) in
-  let phase2_cap =
-    Option.value phase2_cap ~default:(default_phase2_cap ~n ~k)
-  in
+  let phase2_cap = default_phase2_cap ~n ~k in
   let ctx = Engine.Ctx.make ~obs ~prof ?cancel () in
   let emit_phase name round =
     if not (Obs.Sink.is_null obs) then
@@ -81,7 +79,7 @@ let run ~instance ~schedule ~seed ?(engine = Engine.Soa.default_engine)
   else begin
     let rng = Dynet.Rng.make ~seed in
     let f = Bounds.centers_f ~c:const_f ~n ~k () in
-    let gamma = Bounds.degree_gamma ~c:const_gamma ~n ~f () in
+    let gamma = Bounds.degree_gamma ~n ~f () in
     let centers = Array.init n (fun _ -> Dynet.Rng.bernoulli rng (f /. float_of_int n)) in
     if not (Array.exists Fun.id centers) then
       centers.(Dynet.Rng.int rng n) <- true;

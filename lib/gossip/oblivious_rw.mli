@@ -18,7 +18,7 @@
     regime.
 
     Deviations needed to make the asymptotics executable (recorded in
-    DESIGN.md): leading constants of [f] and [γ] are parameters;
+    DESIGN.md): the leading constant of [f] is a parameter;
     phase 1 ends early once every token has settled (the paper runs a
     fixed ℓ = Θ(k^{1/4} n^{5/2} log^{9/4} n) rounds, astronomically
     conservative at simulable sizes) and is round-capped; if sampling
@@ -56,19 +56,17 @@ val run :
   seed:int ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?const_f:float ->
-  ?const_gamma:float ->
   ?force_rw:bool ->
   ?phase1_cap:int ->
-  ?phase2_cap:int ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
   ?cancel:(unit -> bool) ->
   unit ->
   result
-(** [const_f] and [const_gamma] (default 1.0) scale [f] and [γ];
+(** [const_f] (default 1.0) scales [f]; [γ] keeps leading constant 1.
     [force_rw] (default false) runs both phases even under the source
-    threshold; caps default to [50·n + 1000] (phase 1) and
-    [4·n·k + 4·n²] (phase 2), {!default_cap} in all.
+    threshold.  [phase1_cap] defaults to [50·n + 1000]; phase 2 is
+    capped at [4·n·k + 4·n²], {!default_cap} in all.
 
     Both phases run on [engine] (default {!Engine.Soa.default_engine})
     and poll [cancel] (default: off) at their round boundaries; a

@@ -20,10 +20,13 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
     attempts : int;
   }
 
-  type config = { rto0 : int; backoff : float; max_rto : int }
+  (* The retransmit timer: [rto0] rounds at first (one for delivery,
+     one for the ack), doubled per transmission up to [max_rto]. *)
+  let rto0 = 2
+  let backoff = 2
+  let max_rto = 64
 
   type state = {
-    cfg : config;
     inner : P.state;
     next_seq : int;
     outstanding : (int * entry) list;  (* FIFO by seq *)
@@ -65,7 +68,7 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
                   payload;
                   is_token;
                   next_try = round;
-                  rto = st.cfg.rto0;
+                  rto = rto0;
                   attempts = 0;
                 } )
               :: acc ))
@@ -101,10 +104,7 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
                   e with
                   attempts = e.attempts + 1;
                   next_try = round + e.rto;
-                  rto =
-                    min st.cfg.max_rto
-                      (max (e.rto + 1)
-                         (int_of_float (float_of_int e.rto *. st.cfg.backoff)));
+                  rto = min max_rto (e.rto * backoff);
                 } )
             end
             else (seq, e))
@@ -166,15 +166,10 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) = struct
       with type state = state
        and type msg = msg)
 
-  let wrap ?(rto = 2) ?(backoff = 2.) ?(max_rto = 64) states =
-    if rto < 1 then invalid_arg "Reliable.wrap: rto < 1";
-    if backoff < 1. then invalid_arg "Reliable.wrap: backoff < 1";
-    if max_rto < rto then invalid_arg "Reliable.wrap: max_rto < rto";
-    let cfg = { rto0 = rto; backoff; max_rto } in
+  let wrap states =
     Array.map
       (fun inner ->
         {
-          cfg;
           inner;
           next_seq = 0;
           outstanding = [];

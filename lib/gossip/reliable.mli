@@ -9,10 +9,10 @@
       it; acks are [Control]-class messages, queued in [receive] and
       sent the next round the destination is a neighbor;
     - an unacked message is retransmitted once its per-message timeout
-      (initially [rto] rounds) expires and the destination is again a
-      neighbor; each transmission multiplies the timeout by [backoff]
-      (capped at [max_rto]) so a dead path backs off instead of
-      flooding;
+      expires and the destination is again a neighbor.  The timeout is
+      fixed: 2 rounds at first (one for delivery plus one for the ack),
+      doubled by each transmission, capped at 64 rounds, so a dead
+      path backs off instead of flooding;
     - receivers deduplicate on [(sender, seq)], so the inner protocol
       sees each inner message {e exactly once} per incarnation however
       often the wire duplicated or the wrapper retransmitted it;
@@ -50,18 +50,8 @@ module Make (P : Engine.Runner_unicast.PROTOCOL) : sig
        with type state = state
         and type msg = msg)
 
-  val wrap :
-    ?rto:int ->
-    ?backoff:float ->
-    ?max_rto:int ->
-    P.state array ->
-    state array
-  (** Wrap the inner initial states.  [rto] (default 2 rounds — one
-      round for delivery plus one for the ack) is the initial
-      retransmit timeout, [backoff] (default 2.) the per-transmission
-      multiplier, [max_rto] (default 64) the timeout cap.
-      @raise Invalid_argument if [rto < 1], [backoff < 1.], or
-      [max_rto < rto]. *)
+  val wrap : P.state array -> state array
+  (** Wrap the inner initial states. *)
 
   val inner : state -> P.state
   (** The wrapped protocol state (stop predicates and assertions look

@@ -11,7 +11,7 @@ let unicast_adversary ~n = function
       Adversary.Request_cutter.adversary ~seed ~n ~cut_prob
 
 let single_source ~instance ~env ?(engine = Engine.Soa.default_engine)
-    ?max_rounds ?stall_after ?cancel ?config ?faults ?obs ?prof ?on_graph () =
+    ?max_rounds ?stall_after ?cancel ?config ?faults ?obs ?prof () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
   let max_rounds =
@@ -19,7 +19,7 @@ let single_source ~instance ~env ?(engine = Engine.Soa.default_engine)
   in
   let states = Single_source.init ?config ~instance () in
   E.Unicast.run Single_source.protocol
-    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ?on_graph ?stall_after ?cancel ())
+    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ?stall_after ?cancel ())
     ~target_progress:(n * k) ~states
     ~adversary:(unicast_adversary ~n env)
     ~max_rounds
@@ -27,7 +27,7 @@ let single_source ~instance ~env ?(engine = Engine.Soa.default_engine)
     ()
 
 let multi_source ~instance ~env ?(engine = Engine.Soa.default_engine) ?max_rounds
-    ?stall_after ?cancel ?source_order ?seed ?faults ?obs ?prof ?on_graph () =
+    ?stall_after ?cancel ?source_order ?seed ?faults ?obs ?prof () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
   let max_rounds =
@@ -35,7 +35,7 @@ let multi_source ~instance ~env ?(engine = Engine.Soa.default_engine) ?max_round
   in
   let states = Multi_source.init ?source_order ?seed ~instance () in
   E.Unicast.run Multi_source.protocol
-    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ?on_graph ?stall_after ?cancel ())
+    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ?stall_after ?cancel ())
     ~target_progress:(n * k) ~states
     ~adversary:(unicast_adversary ~n env)
     ~max_rounds
@@ -106,24 +106,23 @@ let run_reliable ~engine protocol ~inner ~resent ~complete ~instance ~env
   (result, Array.map inner states, !total)
 
 let reliable_single_source ~instance ~env ?(engine = Engine.Soa.default_engine)
-    ?max_rounds ?config ?rto ?backoff ?faults ?obs ?prof () =
+    ?max_rounds ?faults ?obs ?prof () =
   run_reliable ~engine Reliable_single.protocol ~inner:Reliable_single.inner
     ~resent:Reliable_single.resent
     ~complete:Single_source.all_complete ~instance ~env ?max_rounds ?faults
     ?obs ?prof
-    (Reliable_single.wrap ?rto ?backoff (Single_source.init ?config ~instance ()))
+    (Reliable_single.wrap (Single_source.init ~instance ()))
 
 let reliable_multi_source ~instance ~env ?(engine = Engine.Soa.default_engine)
-    ?max_rounds ?source_order ?seed ?rto ?backoff ?faults ?obs ?prof () =
+    ?max_rounds ?faults ?obs ?prof () =
   run_reliable ~engine Reliable_multi.protocol ~inner:Reliable_multi.inner
     ~resent:Reliable_multi.resent
     ~complete:Multi_source.all_complete ~instance ~env ?max_rounds ?faults
     ?obs ?prof
-    (Reliable_multi.wrap ?rto ?backoff
-       (Multi_source.init ?source_order ?seed ~instance ()))
+    (Reliable_multi.wrap (Multi_source.init ~instance ()))
 
 let flooding ~instance ~schedule ?(engine = Engine.Soa.default_engine) ?phase_len
-    ?max_rounds ?stall_after ?cancel ?faults ?obs ?prof ?on_graph () =
+    ?max_rounds ?stall_after ?cancel ?faults ?obs ?prof () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
   let max_rounds =
@@ -131,7 +130,7 @@ let flooding ~instance ~schedule ?(engine = Engine.Soa.default_engine) ?phase_le
   in
   let states = Flooding.init ~instance ?phase_len () in
   E.Broadcast.run Flooding.protocol
-    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ?on_graph ?stall_after ?cancel ())
+    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ?stall_after ?cancel ())
     ~target_progress:(n * k) ~states
     ~adversary:(Adversary.Schedule.broadcast schedule)
     ~max_rounds
@@ -170,7 +169,7 @@ let flooding_vs_lower_bound ~instance ~seed ?(engine = Engine.Soa.default_engine
   (result, states, lb)
 
 let greedy_vs_lower_bound ~instance ~policy ~seed
-    ?(engine = Engine.Soa.default_engine) ?max_rounds ?obs ?prof () =
+    ?(engine = Engine.Soa.default_engine) ?max_rounds () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
   let max_rounds =
@@ -185,8 +184,7 @@ let greedy_vs_lower_bound ~instance ~policy ~seed
   in
   let states = Greedy_bcast.init ~instance ~policy ~seed () in
   let result, states =
-    E.Broadcast.run Greedy_bcast.protocol
-      ~ctx:(Engine.Ctx.make ?obs ?prof ()) ~states
+    E.Broadcast.run Greedy_bcast.protocol ~states
       ~adversary
       ~max_rounds
       ~stop:(Greedy_bcast.all_complete ~k)
@@ -194,48 +192,36 @@ let greedy_vs_lower_bound ~instance ~policy ~seed
   in
   (result, states, lb)
 
-let random_push ~instance ~env ~seed ?(engine = Engine.Soa.default_engine)
-    ?max_rounds ?faults ?obs ?prof () =
+let random_push ~instance ~env ~seed ?(engine = Engine.Soa.default_engine) () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
-  let max_rounds =
-    Option.value max_rounds ~default:(4 * default_unicast_cap ~n ~k)
-  in
   let states = Random_push.init ~instance ~seed in
   E.Unicast.run Random_push.protocol
-    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
     ~target_progress:(n * k) ~states
     ~adversary:(unicast_adversary ~n env)
-    ~max_rounds
+    ~max_rounds:(4 * default_unicast_cap ~n ~k)
     ~stop:(Random_push.all_complete ~k)
     ()
 
-let leader_election ~n ~env ?(engine = Engine.Soa.default_engine) ?max_rounds
-    ?faults ?obs ?prof () =
+let leader_election ~n ~env ?(engine = Engine.Soa.default_engine) () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
-  let max_rounds = Option.value max_rounds ~default:((8 * n * n) + 64) in
   let states = Leader_election.init ~n in
   E.Unicast.run Leader_election.protocol
-    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
     ~target_progress:n ~states
     ~adversary:(unicast_adversary ~n env)
-    ~max_rounds
+    ~max_rounds:((8 * n * n) + 64)
     ~stop:(Leader_election.elected ~n)
     ()
 
 let coded_broadcast ~instance ~schedule ~seed
-    ?(engine = Engine.Soa.default_engine) ?max_rounds ?faults ?obs ?prof () =
+    ?(engine = Engine.Soa.default_engine) () =
   let module E = (val engine : Engine.Engine_sig.ENGINE) in
   let n = Instance.n instance and k = Instance.k instance in
-  let max_rounds =
-    Option.value max_rounds ~default:(default_broadcast_cap ~n ~k)
-  in
   let states = Coded_bcast.init ~instance ~seed in
   E.Broadcast.run Coded_bcast.protocol
-    ~ctx:(Engine.Ctx.make ?obs ?faults ?prof ())
     ~target_progress:(n * k) ~states
     ~adversary:(Adversary.Schedule.broadcast schedule)
-    ~max_rounds
+    ~max_rounds:(default_broadcast_cap ~n ~k)
     ~stop:(Coded_bcast.all_decoded ~k)
     ()
 

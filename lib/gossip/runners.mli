@@ -14,25 +14,33 @@
     the pseudocode-faithful baseline the differential tests check
     against.  Reports are identical on every engine.
 
-    Each runner takes the run-context settings it supports as
-    labelled arguments and builds one {!Engine.Ctx.t} from them;
-    {!Engine.Ctx} documents every setting and its zero-cost default.
-    Every runner takes [?obs] (trace sink) and [?prof] (span
-    profiler).  Runners on the schedule-driven engines also take
-    [?faults], and declare their full-dissemination progress target to
-    the engine, so capped runs come back as [Partial] with a coverage
-    fraction instead of a bare failure bit.  The lower-bound runners
-    ({!flooding_vs_lower_bound}, {!greedy_vs_lower_bound}) model a
-    worst-case {e adversary}, not a faulty {e environment}, and take
-    no fault plan.
+    Each runner takes, as labelled arguments, only the run-context
+    settings some caller sets, and builds one {!Engine.Ctx.t} from
+    them; {!Engine.Ctx} documents every setting and its zero-cost
+    default.  Which runner takes which:
 
-    The workhorse runners ({!single_source}, {!multi_source},
-    {!flooding}) additionally take [?on_graph] (so {!Scenario.Record}
-    can capture the realized round-graph sequence of any run, adaptive
-    environments included), [?stall_after] (which {!Scenario.Runner}
-    arms on looped-trace environments), and [?cancel] (the serve
-    scheduler's round-boundary cancellation), which {!oblivious_rw}
-    and {!flooding_vs_lower_bound} take too. *)
+    - [?obs] (trace sink) and [?prof] (span profiler): the three
+      workhorse runners ({!single_source}, {!multi_source},
+      {!flooding}), the two reliable runners, {!flooding_vs_lower_bound}
+      and {!oblivious_rw}.
+    - [?faults]: the workhorse and reliable runners.  The lower-bound
+      runners model a worst-case {e adversary}, not a faulty
+      {e environment}, and take no fault plan.
+    - [?stall_after] (which {!Scenario.Runner} arms on looped-trace
+      environments): the workhorse runners.
+    - [?cancel] (the serve scheduler's round-boundary cancellation):
+      the workhorse runners, {!flooding_vs_lower_bound} and
+      {!oblivious_rw}.
+    - [?max_rounds]: every runner but {!random_push},
+      {!leader_election} and {!coded_broadcast}, which run to fixed
+      caps, and {!oblivious_rw}, which takes [?phase1_cap] instead.
+
+    {!greedy_vs_lower_bound}, {!random_push}, {!leader_election} and
+    {!coded_broadcast} run on the default context.  The recorder hook
+    [on_graph] is set on {!Engine.Ctx.make} directly.  Every runner
+    but the two lower-bound ones and {!oblivious_rw} declares its
+    progress target to the engine, so capped runs come back as [Partial] with a coverage
+    fraction instead of a bare failure bit. *)
 
 type unicast_env =
   | Oblivious of Adversary.Schedule.t
@@ -58,7 +66,6 @@ val single_source :
   ?faults:Faults.Plan.t ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
-  ?on_graph:(round:int -> Dynet.Graph.t -> unit) ->
   unit ->
   Engine.Run_result.t * Single_source.state array
 (** Algorithm 1 ([config] defaults to the paper's behaviour; the other
@@ -77,7 +84,6 @@ val multi_source :
   ?faults:Faults.Plan.t ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
-  ?on_graph:(round:int -> Dynet.Graph.t -> unit) ->
   unit ->
   Engine.Run_result.t * Multi_source.state array
 (** [source_order] defaults to the paper's min-source rule; the random
@@ -88,15 +94,13 @@ val reliable_single_source :
   env:unicast_env ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?max_rounds:int ->
-  ?config:Single_source.config ->
-  ?rto:int ->
-  ?backoff:float ->
   ?faults:Faults.Plan.t ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
   unit ->
   Engine.Run_result.t * Single_source.state array * int
-(** Algorithm 1 wrapped in {!Reliable.Make}: completes under message
+(** Algorithm 1 (paper configuration) wrapped in {!Reliable.Make}:
+    completes under message
     loss / duplication / delay that the bare protocol does not
     survive.  Returns the {e inner} protocol states and the total
     retransmission count (also folded into the result's fault counts
@@ -113,16 +117,13 @@ val reliable_multi_source :
   env:unicast_env ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?max_rounds:int ->
-  ?source_order:Multi_source.source_order ->
-  ?seed:int ->
-  ?rto:int ->
-  ?backoff:float ->
   ?faults:Faults.Plan.t ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
   unit ->
   Engine.Run_result.t * Multi_source.state array * int
-(** Multi-Source-Unicast wrapped in {!Reliable.Make}; see
+(** Multi-Source-Unicast (min-source order) wrapped in
+    {!Reliable.Make}; see
     {!reliable_single_source}. *)
 
 val flooding :
@@ -136,7 +137,6 @@ val flooding :
   ?faults:Faults.Plan.t ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
-  ?on_graph:(round:int -> Dynet.Graph.t -> unit) ->
   unit ->
   Engine.Run_result.t * Flooding.state array
 (** Phased flooding against an oblivious schedule. *)
@@ -161,8 +161,6 @@ val greedy_vs_lower_bound :
   seed:int ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?max_rounds:int ->
-  ?obs:Obs.Sink.t ->
-  ?prof:Obs.Span.t ->
   unit ->
   Engine.Run_result.t * Greedy_bcast.state array * Adversary.Broadcast_lb.t
 (** An unstructured broadcast heuristic against the same adversary.
@@ -174,42 +172,32 @@ val random_push :
   env:unicast_env ->
   seed:int ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->
-  ?max_rounds:int ->
-  ?faults:Faults.Plan.t ->
-  ?obs:Obs.Sink.t ->
-  ?prof:Obs.Span.t ->
   unit ->
   Engine.Run_result.t * Random_push.state array
 (** The unstructured push baseline (ablation: what the
-    request/response structure of Algorithm 1 buys). *)
+    request/response structure of Algorithm 1 buys), capped at four
+    times {!default_unicast_cap}. *)
 
 val leader_election :
   n:int ->
   env:unicast_env ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->
-  ?max_rounds:int ->
-  ?faults:Faults.Plan.t ->
-  ?obs:Obs.Sink.t ->
-  ?prof:Obs.Span.t ->
   unit ->
   Engine.Run_result.t * Leader_election.state array
 (** Max-id leader election under the adversary-competitive lens (the
     paper's Section-4 direction); stops when everyone agrees on the
-    leader. *)
+    leader, or at the [8n² + 64]-round cap. *)
 
 val coded_broadcast :
   instance:Instance.t ->
   schedule:Adversary.Schedule.t ->
   seed:int ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->
-  ?max_rounds:int ->
-  ?faults:Faults.Plan.t ->
-  ?obs:Obs.Sink.t ->
-  ?prof:Obs.Span.t ->
   unit ->
   Engine.Run_result.t * Coded_bcast.state array
 (** Network-coding gossip (not token-forwarding; see {!Coded_bcast}).
-    Stops when every node has decoded all k tokens. *)
+    Stops when every node has decoded all k tokens, or at
+    {!default_broadcast_cap}. *)
 
 val oblivious_rw :
   instance:Instance.t ->
@@ -217,10 +205,8 @@ val oblivious_rw :
   seed:int ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->
   ?const_f:float ->
-  ?const_gamma:float ->
   ?force_rw:bool ->
   ?phase1_cap:int ->
-  ?phase2_cap:int ->
   ?obs:Obs.Sink.t ->
   ?prof:Obs.Span.t ->
   ?cancel:(unit -> bool) ->

@@ -3,18 +3,14 @@
    executables) so all run output flows through [Sink] or through
    here: [out] is the stdout results channel (tables, JSON reports),
    [error]/[note] the stderr diagnostics.  Routing them through one
-   exit point keeps them greppable and mirrors them into an active
-   sink as [Diag] events when one is around. *)
+   exit point keeps them greppable. *)
 
-let emit ?sink ~level ~chan msg =
-  (match sink with
-  | Some s when not (Sink.is_null s) -> Sink.emit s (Trace.Diag { level; msg })
-  | _ -> ());
+let emit chan msg =
   output_string chan msg;
   output_char chan '\n';
   flush chan
 
-let out ?sink msg = emit ?sink ~level:"out" ~chan:stdout msg
-let error ?sink msg = emit ?sink ~level:"error" ~chan:stderr msg
-let note ?sink msg = emit ?sink ~level:"note" ~chan:stderr msg
-let lines ?sink msgs = List.iter (note ?sink) msgs
+let out msg = emit stdout msg
+let error msg = emit stderr msg
+let note msg = emit stderr msg
+let lines msgs = List.iter note msgs

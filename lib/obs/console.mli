@@ -2,22 +2,18 @@
 
     Libraries never print (dynlint's direct-print rule); executables
     route output through here instead of raw [print_*]/[prerr_*], so
-    every line has one exit point and is mirrored into the active
-    {!Sink} as a {!Trace.Diag} event when one is passed.  Results go
-    to stdout via {!out}; diagnostics go to stderr via {!error} and
-    {!note}. *)
+    every line has one exit point.  Results go to stdout via {!out};
+    diagnostics go to stderr via {!error} and {!note}. *)
 
-val out : ?sink:Sink.t -> string -> unit
-(** Write one line to stdout, flushed; mirrored as a [Diag] event with
-    level ["out"].  This is the results channel — tables, JSON
-    reports, CSV rows. *)
+val out : string -> unit
+(** Write one line to stdout, flushed.  This is the results channel —
+    tables, JSON reports, CSV rows. *)
 
-val error : ?sink:Sink.t -> string -> unit
-(** Write one line to stderr, flushed; mirrored as a [Diag] event with
-    level ["error"]. *)
+val error : string -> unit
+(** Write one line to stderr, flushed. *)
 
-val note : ?sink:Sink.t -> string -> unit
-(** Same, with level ["note"] (usage text, progress remarks). *)
+val note : string -> unit
+(** Same as {!error}, for usage text and progress remarks. *)
 
-val lines : ?sink:Sink.t -> string list -> unit
+val lines : string list -> unit
 (** [note] each line in order. *)

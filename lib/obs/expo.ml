@@ -28,7 +28,8 @@ let number v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.12g" v
 
-let to_buffer ?(namespace = "") buf m =
+let to_string ?(namespace = "") m =
+  let buf = Buffer.create 1024 in
   let prefix =
     if String.equal namespace "" then "" else sanitize namespace ^ "_"
   in
@@ -57,15 +58,8 @@ let to_buffer ?(namespace = "") buf m =
           line "%s{quantile=\"0.99\"} %s\n" p (number s.Metrics.p99);
           line "%s_sum %s\n" p (number s.Metrics.sum);
           line "%s_count %d\n" p s.Metrics.count)
-    (Metrics.histogram_names m)
-
-let to_string ?namespace m =
-  let buf = Buffer.create 1024 in
-  to_buffer ?namespace buf m;
+    (Metrics.histogram_names m);
   Buffer.contents buf
-
-let write ?namespace oc m =
-  output_string oc (to_string ?namespace m)
 
 let http_response ?namespace m =
   let body = to_string ?namespace m in

@@ -1,9 +1,9 @@
 (** Prometheus text exposition for a {!Metrics} registry.
 
     Renders the registry in the Prometheus text format (version
-    0.0.4), the groundwork for the eventual serve daemon's scrape
-    endpoint — and immediately useful for eyeballing a run's metrics
-    with standard tooling:
+    0.0.4): the body of the serve daemon's [GET /metrics] endpoint
+    ({!Serve.Server}), and a way to eyeball a run's metrics with
+    standard tooling:
 
     - counters become [<name>_total] with a [# TYPE .. counter] line;
     - gauges are emitted as-is;
@@ -19,12 +19,7 @@
     [<namespace>_].  Output order is deterministic: counters, gauges,
     then summaries, each sorted by name. *)
 
-val to_buffer : ?namespace:string -> Buffer.t -> Metrics.t -> unit
-
 val to_string : ?namespace:string -> Metrics.t -> string
-
-val write : ?namespace:string -> out_channel -> Metrics.t -> unit
-(** Write the exposition to a channel.  Does not flush. *)
 
 val http_response : ?namespace:string -> Metrics.t -> string
 (** The exposition wrapped as one complete HTTP/1.0 [200 OK] response

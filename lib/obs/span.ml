@@ -56,13 +56,13 @@ let null = Null
 let is_null = function Null -> true | Active _ -> false
 let default_limit = 500_000
 
-let create ?(limit = default_limit) ?(lane = "main") () =
+let create ?(limit = default_limit) () =
   Active
     {
       epoch = Unix.gettimeofday ();
       limit;
       tid = 1;
-      lane;
+      lane = "main";
       spans = [||];
       len = 0;
       stack = [];

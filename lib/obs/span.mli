@@ -41,10 +41,10 @@ val null : t
 
 val is_null : t -> bool
 
-val create : ?limit:int -> ?lane:string -> unit -> t
-(** A fresh active profiler whose epoch is the call instant.  [limit]
-    bounds stored spans per lane (default 500_000); [lane] names the
-    main lane in exports (default ["main"]). *)
+val create : ?limit:int -> unit -> t
+(** A fresh active profiler whose epoch is the call instant, exporting
+    its own spans as lane ["main"].  [limit] bounds stored spans per
+    lane (default 500_000). *)
 
 val enter : t -> ?cat:string -> string -> unit
 (** Open a span as a child of the innermost open span (or as a root).

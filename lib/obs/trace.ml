@@ -12,7 +12,6 @@ type event =
       cls : string option;
     }
   | Run_end of { rounds : int; completed : bool; messages : int }
-  | Diag of { level : string; msg : string }
 
 let to_json = function
   | Round_start { round } ->
@@ -53,9 +52,5 @@ let to_json = function
       Json.Obj
         [ ("ev", Json.String "run_end"); ("rounds", Json.Int rounds);
           ("completed", Json.Bool completed); ("messages", Json.Int messages) ]
-  | Diag { level; msg } ->
-      Json.Obj
-        [ ("ev", Json.String "diag"); ("level", Json.String level);
-          ("msg", Json.String msg) ]
 
 let pp ppf ev = Format.pp_print_string ppf (Json.to_string (to_json ev))

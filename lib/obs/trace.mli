@@ -47,10 +47,6 @@ type event =
       cls : string option;
     }
   | Run_end of { rounds : int; completed : bool; messages : int }
-  | Diag of { level : string; msg : string }
-      (** Out-of-band diagnostics (usage errors, abort notices) routed
-          through {!Console} so they land in the machine-readable
-          stream alongside the run they interrupted. *)
 
 val to_json : event -> Json.t
 (** One flat object per event, discriminated by an ["ev"] field; [Send]

@@ -25,7 +25,7 @@ val create : n:int -> ?seed:int -> ?provenance:string -> unit -> t
 val observe : t -> round:int -> Dynet.Graph.t -> unit
 (** Record round [round]'s graph.  Rounds must arrive in order
     [1, 2, ...] with no gaps.  Shaped for the [on_graph] setting of
-    {!Engine.Ctx} and the runners: [~on_graph:(Record.observe recorder)].
+    the run context: [Engine.Ctx.make ~on_graph:(Record.observe recorder)].
     @raise Invalid_argument on out-of-order rounds or a node-count
     mismatch. *)
 

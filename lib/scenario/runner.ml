@@ -213,13 +213,13 @@ let run_repeat ?prof ?engine ?obs ?cancel prepared ~seed =
     (execute ?engine ?obs ?cancel ?prof ~trace:prepared.trace ~n:prepared.n
        ~seed prepared.spec)
 
-let run_prepared ?jobs ?prof ?engine ?cancel prepared =
+let run_prepared ?jobs ?prof ?engine prepared =
   Analysis.Sweep.map_span ?jobs ?prof
     ~name:("scenario/" ^ prepared.spec.Spec.name)
-    (fun ~prof seed -> run_repeat ~prof ?engine ?cancel prepared ~seed)
+    (fun ~prof seed -> run_repeat ~prof ?engine prepared ~seed)
     prepared.seeds
 
-let run ?jobs ?base_dir ?prof ?engine ?cancel (spec : Spec.t) =
+let run ?jobs ?base_dir ?prof ?engine (spec : Spec.t) =
   match prepare ?base_dir spec with
   | Error e -> Error e
-  | Ok prepared -> Ok (run_prepared ?jobs ?prof ?engine ?cancel prepared)
+  | Ok prepared -> Ok (run_prepared ?jobs ?prof ?engine prepared)

@@ -140,19 +140,18 @@ val run_prepared :
   ?jobs:int ->
   ?prof:Obs.Span.t ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->
-  ?cancel:(unit -> bool) ->
   prepared ->
   Obs.Report.t array
 (** Every repeat of a prepared spec through one
     {!Analysis.Sweep.map_span} sweep named [scenario/<name>], in
-    repeat order — the second half of [run]. *)
+    repeat order — the second half of [run].  It takes no cancel poll:
+    the serve daemon cancels repeat by repeat through {!run_repeat}. *)
 
 val run :
   ?jobs:int ->
   ?base_dir:string ->
   ?prof:Obs.Span.t ->
   ?engine:(module Engine.Engine_sig.ENGINE) ->
-  ?cancel:(unit -> bool) ->
   Spec.t ->
   (Obs.Report.t array, string) result
 (** [prepare] then [run_prepared]: execute every repeat and return the
@@ -165,8 +164,6 @@ val run :
     {!Analysis.Sweep.map_span} sweep named [scenario/<name>]: each
     repeat is a [point] span, and the engine round/phase spans of the
     repeat nest beneath it in the lane of the domain that executed it.
-    [?cancel] (default: off) is polled at round boundaries; cancelled
-    repeats report a [Cancelled] outcome with their partial coverage.
     [Error] covers environment problems surfaced at materialization
     time (unreadable or invalid trace, node-count mismatch); protocol
     or adversary violations during a run propagate as the engines'

@@ -169,8 +169,7 @@ let test_coded_on_path () =
   let instance = Gossip.Instance.one_per_node ~n in
   let schedule = Adversary.Oblivious.static (Dynet.Graph_gen.path ~n) in
   let result, _ =
-    Gossip.Runners.coded_broadcast ~instance ~schedule ~seed:8
-      ~max_rounds:(20 * n) ()
+    Gossip.Runners.coded_broadcast ~instance ~schedule ~seed:8 ()
   in
   check Alcotest.bool "completed" true result.Engine.Run_result.completed;
   check Alcotest.bool "linear-ish rounds" true

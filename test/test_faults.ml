@@ -294,22 +294,6 @@ let test_partial_coverage () =
 
 (* {2 The Reliable wrapper} *)
 
-module Reliable_single = Gossip.Reliable.Make ((val Gossip.Single_source.protocol))
-
-let test_reliable_wrap_validation () =
-  let states = Gossip.Single_source.init
-      ~instance:(Gossip.Instance.single_source ~n:4 ~k:2 ~source:0) ()
-  in
-  let module R = Reliable_single in
-  let invalid name f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
-  in
-  invalid "rto < 1" (fun () -> R.wrap ~rto:0 states);
-  invalid "backoff < 1" (fun () -> R.wrap ~backoff:0.5 states);
-  invalid "max_rto < rto" (fun () -> R.wrap ~rto:8 ~max_rto:4 states)
-
 let test_reliable_clean_matches_bare_rounds () =
   (* With no faults, acks ride along but the inner protocol sees the
      exact same deliveries: same rounds to completion as the bare run. *)
@@ -400,8 +384,6 @@ let suite =
       test_crashed_node_sends_nothing;
     Alcotest.test_case "all crashed aborts" `Quick test_all_crashed_aborts;
     Alcotest.test_case "partial coverage" `Quick test_partial_coverage;
-    Alcotest.test_case "reliable wrap validation" `Quick
-      test_reliable_wrap_validation;
     Alcotest.test_case "reliable clean = bare rounds" `Quick
       test_reliable_clean_matches_bare_rounds;
     Alcotest.test_case "reliable completes under loss" `Quick

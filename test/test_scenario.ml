@@ -236,24 +236,42 @@ let test_replay_unvalidated_deltas () =
 (* {2 The engine recorder hook} *)
 
 let test_on_graph_records_realized_schedule () =
-  let n = 8 in
-  let sched = Adversary.Oblivious.rewiring ~seed:4 ~n ~extra:n ~rate:0.3 in
-  let recorder = Scenario.Record.create ~n () in
-  let instance = Gossip.Instance.single_source ~n ~k:6 ~source:0 in
-  let result, _ =
-    Gossip.Runners.single_source ~instance
-      ~env:(Gossip.Runners.Oblivious sched)
-      ~on_graph:(Scenario.Record.observe recorder)
-      ()
+  let n = 8 and k = 6 in
+  let committed () =
+    Adversary.Oblivious.rewiring ~seed:4 ~n ~extra:n ~rate:0.3
   in
-  let rounds = Scenario.Record.recorded_rounds recorder in
-  check Alcotest.int "one observation per executed round"
-    result.Engine.Run_result.rounds rounds;
-  let replayed = Scenario.Replay.schedule (Scenario.Record.to_trace recorder) in
-  check Alcotest.bool "recorded rounds replay the committed schedule" true
-    (graphs_equal
-       (Adversary.Oblivious.rewiring ~seed:4 ~n ~extra:n ~rate:0.3)
-       replayed ~rounds)
+  let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
+  let record engine =
+    let module E = (val engine : Engine.Engine_sig.ENGINE) in
+    let recorder = Scenario.Record.create ~n () in
+    let result, _ =
+      E.Unicast.run Gossip.Single_source.protocol
+        ~ctx:(Engine.Ctx.make ~on_graph:(Scenario.Record.observe recorder) ())
+        ~states:(Gossip.Single_source.init ~instance ())
+        ~adversary:(Adversary.Schedule.unicast (committed ()))
+        ~max_rounds:(Gossip.Runners.default_unicast_cap ~n ~k)
+        ~stop:(Gossip.Single_source.all_complete ~k)
+        ()
+    in
+    let rounds = Scenario.Record.recorded_rounds recorder in
+    check Alcotest.int
+      (E.name ^ ": one observation per executed round")
+      result.Engine.Run_result.rounds rounds;
+    let trace = Scenario.Record.to_trace recorder in
+    check Alcotest.bool
+      (E.name ^ ": recorded rounds replay the committed schedule")
+      true
+      (graphs_equal (committed ()) (Scenario.Replay.schedule trace) ~rounds);
+    Scenario.Trace_io.to_string trace
+  in
+  let reference = record Engine.Reference.engine in
+  List.iter
+    (fun engine ->
+      let module E = (val engine : Engine.Engine_sig.ENGINE) in
+      check Alcotest.string
+        (E.name ^ ": recording is byte-identical to reference's")
+        reference (record engine))
+    [ Engine.Soa.engine (); Engine.Soa.engine ~shards:2 () ]
 
 (* {2 Record -> replay report identity (the golden guarantee)} *)
 

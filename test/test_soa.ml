@@ -22,11 +22,9 @@ let soa_engines =
 
 let test_ranges_geometry () =
   List.iter
-    (fun (n, shards, align) ->
-      let label fmt =
-        Printf.sprintf ("n=%d shards=%d align=%d: " ^^ fmt) n shards align
-      in
-      let spans = Engine.Shard_pool.ranges ~n ~shards ~align () in
+    (fun (n, shards) ->
+      let label fmt = Printf.sprintf ("n=%d shards=%d: " ^^ fmt) n shards in
+      let spans = Engine.Shard_pool.ranges ~n ~shards in
       check Alcotest.int (label "one span per shard") shards
         (Array.length spans);
       let pos = ref 0 in
@@ -35,21 +33,14 @@ let test_ranges_geometry () =
           check Alcotest.int (label "spans are contiguous") !pos lo;
           check Alcotest.bool (label "span is ordered") true (lo <= hi);
           check Alcotest.bool (label "span is clamped to n") true (hi <= n);
-          if hi < n then
-            check Alcotest.int (label "interior boundary is aligned") 0
-              (hi mod align);
           pos := hi)
         spans;
       check Alcotest.int (label "spans cover [0, n)") n !pos)
-    [
-      (10, 1, 1); (10, 3, 1); (7, 4, 1); (0, 3, 1); (1, 8, 1);
-      (100, 4, Dynet.Bitset.bpw); (5, 8, Dynet.Bitset.bpw);
-      (1000, 7, Dynet.Bitset.bpw); (124, 2, Dynet.Bitset.bpw);
-    ]
+    [ (10, 1); (10, 3); (7, 4); (0, 3); (1, 8) ]
 
 let test_pool_owns_every_index () =
   let n = 103 in
-  let spans = Engine.Shard_pool.ranges ~n ~shards:4 () in
+  let spans = Engine.Shard_pool.ranges ~n ~shards:4 in
   let owner = Array.make n (-1) in
   let passes = Array.make 4 0 in
   Engine.Shard_pool.with_pool ~spans (fun pool ->
@@ -78,7 +69,7 @@ let test_pool_owns_every_index () =
     passes
 
 let test_pool_lowest_failure_wins () =
-  let spans = Engine.Shard_pool.ranges ~n:40 ~shards:4 () in
+  let spans = Engine.Shard_pool.ranges ~n:40 ~shards:4 in
   match
     Engine.Shard_pool.with_pool ~spans (fun pool ->
         Engine.Shard_pool.run pool (fun ~shard ~lo:_ ~hi:_ ->
@@ -712,7 +703,7 @@ let test_push_path_allocation_bounded () =
 
 let suite =
   [
-    Alcotest.test_case "ranges: contiguous, aligned, clamped" `Quick
+    Alcotest.test_case "ranges: contiguous, clamped" `Quick
       test_ranges_geometry;
     Alcotest.test_case "pool: every index owned, barrier rearms" `Quick
       test_pool_owns_every_index;
