@@ -838,7 +838,7 @@ let scenario_record_cmd =
         in
         match Scenario.Trace_io.save out trace with
         | Ok () ->
-            Obs.Console.note
+            Obs.Console.error
               (Printf.sprintf "recorded %d rounds of %s (n=%d, seed=%d) to %s"
                  rounds
                  (Scenario.Spec.env_family spec.Scenario.Spec.env)
@@ -973,7 +973,7 @@ let scenario_validate_cmd =
             match Scenario.Spec.load path with
             | Error errs -> problem path errs
             | Ok spec ->
-                Obs.Console.note
+                Obs.Console.error
                   (Printf.sprintf "%s: valid scenario spec (%s, %s env%s)"
                      path
                      (Scenario.Spec.algorithm_name spec.Scenario.Spec.algorithm)
@@ -999,7 +999,7 @@ let scenario_validate_cmd =
                               r;
                           ]
                     | None ->
-                        Obs.Console.note
+                        Obs.Console.error
                           (Printf.sprintf
                              "%s: valid trace (n=%d, %d rounds, TC=%d, max \
                               %d edges/round)"
@@ -1109,7 +1109,7 @@ let fuzz_cmd =
                        saved) );
               ]))
     else begin
-      Obs.Console.note
+      Obs.Console.error
         (Printf.sprintf "fuzz: %d cases, seed %d: %d mismatch(es)" runs seed
            (List.length mismatches));
       List.iter2
@@ -1247,16 +1247,16 @@ let serve_cmd =
     install_signal Sys.sigterm graceful;
     (match socket with
     | Some path ->
-        Obs.Console.note
+        Obs.Console.error
           (Printf.sprintf "serve: rpc on %s (%d worker(s), queue cap %d)"
              path workers queue_cap)
     | None -> ());
     (match listen with
-    | Some (h, p) -> Obs.Console.note (Printf.sprintf "serve: rpc on %s:%d" h p)
+    | Some (h, p) -> Obs.Console.error (Printf.sprintf "serve: rpc on %s:%d" h p)
     | None -> ());
     (match metrics with
     | Some (h, p) ->
-        Obs.Console.note
+        Obs.Console.error
           (Printf.sprintf "serve: metrics on http://%s:%d/metrics" h p)
     | None -> ());
     match
@@ -1364,14 +1364,14 @@ let submit_cmd =
     io_guard @@ fun () ->
     if shutdown_flag then begin
       Serve.Client.shutdown c;
-      Obs.Console.note "daemon is draining"
+      Obs.Console.error "daemon is draining"
     end
     else
       match cancel_id with
       | Some jid -> (
           match Serve.Client.cancel c ~job:jid with
           | Ok was ->
-              Obs.Console.note
+              Obs.Console.error
                 (Printf.sprintf "job %d cancelled (was %s)" jid was)
           | Error reason ->
               Obs.Console.error ("error: " ^ reason);
@@ -1385,7 +1385,7 @@ let submit_cmd =
                   (Printf.sprintf "%d\t%s\t%s\t%d" v.Serve.Rpc.job
                      v.Serve.Rpc.name v.Serve.Rpc.state v.Serve.Rpc.reports))
               jobs;
-            Obs.Console.note
+            Obs.Console.error
               (Printf.sprintf "queued %d, running %d" depth running)
           end
           else begin
@@ -1428,7 +1428,7 @@ let submit_cmd =
                 in
                 match
                   Serve.Client.submit_await c sub
-                    ~on_event:(fun line -> Obs.Console.note line)
+                    ~on_event:(fun line -> Obs.Console.error line)
                     ~on_report:(fun _ line -> Obs.Console.out line)
                 with
                 | Error reason ->
@@ -1439,7 +1439,7 @@ let submit_cmd =
                     match fin.Serve.Client.outcome with
                     | "completed" -> ()
                     | "cancelled" ->
-                        Obs.Console.note
+                        Obs.Console.error
                           (Printf.sprintf
                              "%s: job %d cancelled after %d report(s)" path
                              fin.Serve.Client.job fin.Serve.Client.reports);

@@ -81,6 +81,7 @@ let edge_markovian ~seed ~n ~p_up ~p_down =
          cursor over [prev]'s keys answers presence and the kept keys
          come out sorted. *)
       let prev_keys = Graph.edges prev in
+      let up = Rng.threshold p_up and down = Rng.threshold p_down in
       let edges = Edge_table.create ~n () in
       let c = ref 0 in
       for u = 0 to n - 1 do
@@ -91,8 +92,7 @@ let edge_markovian ~seed ~n ~p_up ~p_down =
           in
           if present then incr c;
           let next =
-            if present then not (Rng.bernoulli rng p_down)
-            else Rng.bernoulli rng p_up
+            if present then not (Rng.below rng down) else Rng.below rng up
           in
           if next then Edge_table.add_pair edges u v
         done

@@ -7,11 +7,12 @@ open Ops
    per-edge loop walks contiguous memory with no per-node array loads
    and no per-round allocation on stable rounds.
 
-   The rebuild gate is delta-driven: [Stability] hands back the same
-   physical graph on stable rounds, [Graph.delta_counts]' merge walk
-   covers adversaries that rebuilt an identical edge set, and only a
-   round whose delta is non-empty pays the O(n + m) repack (into
-   buffers reused across rounds, grown geometrically). *)
+   The rebuild gate is the caller's: the engine already knows from its
+   topological-change accounting whether the round's edge set differs
+   from the last one, so the CSR takes that answer instead of walking
+   the keys again.  Only a round whose edge set changed (and the first
+   update) pays the O(n + m) repack, into buffers reused across
+   rounds, grown geometrically. *)
 
 type t = {
   n : int;
@@ -20,62 +21,46 @@ type t = {
   mutable neighbors : int array;
   mutable m2 : int;
   (* directed entry count currently packed = 2 * edges *)
-  mutable last : Graph.t option;
   mutable rebuilds : int;
 }
 
 let create ~n =
   if n < 0 then invalid_arg "Csr.create: negative n";
-  {
-    n;
-    offsets = Array.make (n + 1) 0;
-    neighbors = [||];
-    m2 = 0;
-    last = None;
-    rebuilds = 0;
-  }
+  { n; offsets = Array.make (n + 1) 0; neighbors = [||]; m2 = 0; rebuilds = 0 }
 
 let n t = t.n
 let entries t = t.m2
 let rebuilds t = t.rebuilds
 
+(* Rows are short (the mean degree), so a plain copy loop beats one
+   [caml_array_blit] call per row. *)
 let rebuild t g =
   let m2 = 2 * Graph.edge_count g in
   if Array.length t.neighbors < m2 then
     t.neighbors <- Array.make (max m2 (2 * Array.length t.neighbors)) 0;
+  let dst = t.neighbors in
   let off = ref 0 in
   for v = 0 to t.n - 1 do
     t.offsets.(v) <- !off;
     let row = Graph.neighbors g v in
-    let d = Array.length row in
-    Array.blit row 0 t.neighbors !off d;
-    off := !off + d
+    let o = !off in
+    for i = 0 to Array.length row - 1 do
+      dst.(o + i) <- row.(i)
+    done;
+    off := o + Array.length row
   done;
   t.offsets.(t.n) <- !off;
   t.m2 <- m2;
   t.rebuilds <- t.rebuilds + 1
 
-let update t g =
+let update t g ~changed =
   if Graph.n g <> t.n then
     invalid_arg
       (Printf.sprintf "Csr.update: graph has n = %d, csr has n = %d"
          (Graph.n g) t.n);
-  let changed =
-    match t.last with
-    | None -> true
-    | Some prev ->
-        (not (prev == g))
-        &&
-        let inserted, removed = Graph.delta_counts ~prev ~cur:g in
-        inserted <> 0 || removed <> 0
-  in
-  if changed then rebuild t g;
-  (* Re-wrap only when the graph is actually new: the stable-round
-     path must not allocate, and [Some g] is a fresh block. *)
-  (match t.last with
-  | Some prev when prev == g -> ()
-  | Some _ | None -> t.last <- Some g);
-  changed
+  let repack = changed || t.rebuilds = 0 in
+  if repack then rebuild t g;
+  repack
 
 let row_start t v = t.offsets.(v) [@@dynlint.hot]
 let row_stop t v = t.offsets.(v + 1) [@@dynlint.hot]

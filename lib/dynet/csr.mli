@@ -3,19 +3,24 @@
     The mega-scale engine walks every edge of the round graph each
     round; this flattens {!Graph}'s per-node rows into one contiguous
     [offsets]/[neighbors] pair, reusing the buffers across rounds.
-    {!update} is delta-gated: the same physical graph (what
-    {!Stability} returns on stable rounds) and structurally unchanged
-    edge sets (an empty {!Graph.delta_counts} walk) skip the repack
-    entirely, so only rounds with real churn pay O(n + m). *)
+    {!update} is gated by the caller: the engine's topological-change
+    accounting already walks each round's keys against the last
+    round's, and passes its verdict in, so a round with an unchanged
+    edge set (the same physical graph, or a rebuilt identical one)
+    skips the repack without a second walk, and only rounds with real
+    churn pay O(n + m). *)
 
 type t
 
 val create : n:int -> t
 
-val update : t -> Graph.t -> bool
+val update : t -> Graph.t -> changed:bool -> bool
 (** Point the CSR at a round graph; [true] iff a repack happened.
-    Allocation-free on the no-repack path, and a repack itself only
-    allocates when the edge count outgrew the reused buffer.
+    [changed] must be [true] unless the graph has the same edge set as
+    the one passed to the previous [update]; the first [update]
+    repacks whatever it is told.  Allocation-free on the no-repack
+    path, and a repack itself only allocates when the edge count
+    outgrew the reused buffer.
     @raise Invalid_argument if the graph's node count differs. *)
 
 val n : t -> int

@@ -142,8 +142,30 @@ let components t =
   iter_pairs (fun u v -> ignore (Union_find.union uf u v)) t;
   uf
 
-let component_count t = Union_find.count (components t)
-let is_connected t = t.n <= 1 || component_count t = 1
+(* An iterative DFS from node 0 over the adjacency rows: one byte per
+   node marks it reached, and each node enters the stack once.  The
+   walk stops as soon as every node is reached, which on a dense round
+   is after a few rows. *)
+let is_connected t =
+  t.n <= 1
+  ||
+  let seen = Bytes.make t.n '\000' and stack = Array.make t.n 0 in
+  Bytes.set seen 0 '\001';
+  let sp = ref 1 and reached = ref 1 in
+  while !sp > 0 && !reached < t.n do
+    decr sp;
+    let row = t.adj.(stack.(!sp)) in
+    for i = 0 to Array.length row - 1 do
+      let w = row.(i) in
+      if Char.equal (Bytes.get seen w) '\000' then begin
+        Bytes.set seen w '\001';
+        stack.(!sp) <- w;
+        incr sp;
+        incr reached
+      end
+    done
+  done;
+  !reached = t.n
 
 let eccentricity t v =
   if not (is_connected t) then

@@ -72,10 +72,11 @@ val distances : t -> Node_id.t -> int array
 val components : t -> Union_find.t
 (** Union-find structure of the graph's connected components. *)
 
-val component_count : t -> int
 val is_connected : t -> bool
 (** [true] iff the graph has exactly one connected component.  The
-    empty node set and the single node are connected. *)
+    empty node set and the single node are connected.  One depth-first
+    walk over the adjacency rows: O(n + m), allocating an n-byte
+    seen-set and an n-slot stack, with no division per key. *)
 
 val eccentricity : t -> Node_id.t -> int
 (** Max finite distance from the node.
@@ -87,7 +88,7 @@ val diameter : t -> int
 
 val connect_components : t -> int array
 (** The ascending keys of a minimal set of extra edges
-    ([component_count - 1] of them, chaining component representatives
+    (one fewer than the components, chaining component representatives
     in increasing order) whose addition makes the graph connected.
     Empty if already connected. *)
 

@@ -120,7 +120,10 @@ let random_tree rng ~n =
 (* The Bernoulli loop visits pairs in ascending key order, so its keys
    need no sort; the sorted tree keys are merged in afterwards, dropping
    a tree edge the loop drew too.  The buffer starts at the expected
-   edge count plus slack and doubles if a round overshoots it. *)
+   edge count plus slack and doubles if a round overshoots it.  Each
+   row reserves room for all its pairs up front, so the loop writes
+   every candidate key and advances the length by the draw's outcome:
+   the only branches left are the draw's own. *)
 let random_connected rng ~n ~p =
   if n <= 1 then Graph.empty ~n
   else begin
@@ -136,17 +139,18 @@ let random_connected rng ~n ~p =
       ref (Array.make (n + int_of_float (expected +. (4. *. sqrt expected))) 0)
     in
     let len = ref 0 in
+    let th = Rng.threshold p in
     for i = 0 to n - 1 do
+      let row = n - 1 - i in
+      if !len + row > Array.length !drawn then begin
+        let bigger = Array.make (max (2 * !len) (!len + row)) 0 in
+        Array.blit !drawn 0 bigger 0 !len;
+        drawn := bigger
+      end;
+      let buf = !drawn and base = i * n in
       for j = i + 1 to n - 1 do
-        if Rng.bernoulli rng p then begin
-          if !len = Array.length !drawn then begin
-            let bigger = Array.make (2 * !len) 0 in
-            Array.blit !drawn 0 bigger 0 !len;
-            drawn := bigger
-          end;
-          !drawn.(!len) <- (i * n) + j;
-          incr len
-        end
+        buf.(!len) <- base + j;
+        len := !len + Bool.to_int (Rng.below rng th)
       done
     done;
     Graph.make ~n

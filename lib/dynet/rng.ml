@@ -12,17 +12,29 @@ let int t bound = Random.State.int t bound
 let float t bound = Random.State.float t bound
 let bool t = Random.State.bool t
 
-(* [Random.State.float t 1. < p], computed inline: the stdlib's
-   [rawfloat] (53 high bits of one [bits64] draw, redrawn when they are
-   all zero) times 1., without the boxed float that crossing the module
-   boundary costs on every draw. *)
-let rec unit_float_below t p =
-  let bits = Int64.shift_right_logical (Random.State.bits64 t) 11 in
-  if Int64.equal bits 0L then unit_float_below t p
-  else Int64.to_float bits *. 0x1.p-53 < p
+(* [Random.State.float t 1. < p] without the float.  The stdlib's
+   [rawfloat] is [b * 2^-53] for the 53 high bits [b] of one [bits64]
+   draw, redrawn while [b] is zero.  For p in (0, 1) both sides of
+   [b * 2^-53 < p] scale exactly by 2^53, so the test is
+   [b < ceil (p * 2^53)] on integers.  The ends of the range draw
+   nothing, encoded as the thresholds 0 (never) and 2^53 (always); a
+   nan p draws and never holds, which threshold 1 gives ([b >= 1]). *)
+let always = 1 lsl 53
 
-let bernoulli t p =
-  if p <= 0. then false else if p >= 1. then true else unit_float_below t p
+let threshold p =
+  if p >= 1. then always
+  else if p > 0. then int_of_float (Float.ceil (p *. 0x1p53))
+  else if p <= 0. then 0
+  else 1
+
+let rec draw53 t =
+  let b = Int64.to_int (Int64.shift_right_logical (Random.State.bits64 t) 11) in
+  if b = 0 then draw53 t else b
+
+let below t th =
+  if th <= 0 then false else if th >= always then true else draw53 t < th
+
+let bernoulli t p = below t (threshold p)
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";

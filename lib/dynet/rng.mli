@@ -27,7 +27,22 @@ val float : t -> float -> float
 val bool : t -> bool
 
 val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [min 1 (max 0 p)]. *)
+(** [bernoulli t p] is [true] with probability [min 1 (max 0 p)]:
+    [below t (threshold p)]. *)
+
+val threshold : float -> int
+(** The integer form of a Bernoulli parameter, to hoist out of a loop
+    of draws at one [p].  For p in (0, 1) it is [ceil (p * 2^53)], and
+    [below t (threshold p)] is exactly [Random.State.float t 1. < p]
+    on the same draw: the stdlib's unit float is [b * 2^-53] for a
+    53-bit [b >= 1], and scaling both sides by 2^53 is exact.  [p <= 0]
+    gives 0 and [p >= 1] gives 2^53, and neither draws; a nan [p]
+    gives 1, which draws and never holds, as [x < nan] does. *)
+
+val below : t -> int -> bool
+(** [below t th] for [th = threshold p] is one Bernoulli([p]) draw:
+    the same outcome and the same stream advance as the stdlib's
+    [Random.State.float t 1. < p], without a float. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.

@@ -40,6 +40,7 @@ end
    allocation-free steady state depends on it. *)
 type run = {
   ctx : t;
+  n : int;
   ledger : Ledger.t;
   max_rounds : int;
   target : int option;
@@ -59,9 +60,11 @@ type run = {
   mutable completed : bool;
   mutable cancelled : bool;
   mutable aborted : string option;
+  mutable last_valid : Dynet.Graph.t;
+      (* the last graph [commit_graph] validated *)
 }
 
-let start ctx ~ledger ~max_rounds ~target ~progress:measure ~stop =
+let start ctx ~n ~ledger ~max_rounds ~target ~progress:measure ~stop =
   let tracing = not (Obs.Sink.is_null ctx.obs) in
   let progress = measure () in
   Ledger.note_progress ledger progress;
@@ -70,6 +73,7 @@ let start ctx ~ledger ~max_rounds ~target ~progress:measure ~stop =
       (Obs.Trace.Progress { round = 0; progress; learnings = 0 });
   {
     ctx;
+    n;
     ledger;
     max_rounds;
     target;
@@ -89,6 +93,9 @@ let start ctx ~ledger ~max_rounds ~target ~progress:measure ~stop =
     completed = stop ();
     cancelled = false;
     aborted = None;
+    (* A fresh sentinel no adversary can hand back, so round 1 is
+       always checked. *)
+    last_valid = Dynet.Graph.empty ~n;
   }
 
 (* Latched: once the caller's poll returns true the run is cancelled
@@ -137,20 +144,26 @@ let phase r name =
     r.in_phase <- true
   end
 
+(* A graph physically equal to the last one validated (what Stability
+   and a held replay return on stable rounds) cannot have changed its
+   node count or connectivity, so only a new graph pays the O(n + m)
+   check. *)
 let commit_graph r ~prev g =
+  if g != r.last_valid then begin
+    Engine_error.check_graph ~round:r.round ~n:r.n g;
+    r.last_valid <- g
+  end;
   (match r.ctx.on_graph with None -> () | Some f -> f ~round:r.round g);
   let ledger = r.ledger in
   let tc0 = Ledger.tc ledger and rm0 = Ledger.removals ledger in
   Ledger.note_graph_change ledger ~prev ~cur:g;
+  let added = Ledger.tc ledger - tc0
+  and removed = Ledger.removals ledger - rm0 in
   if r.tracing then
     Obs.Sink.emit r.ctx.obs
-      (Obs.Trace.Graph_change
-         {
-           round = r.round;
-           added = Ledger.tc ledger - tc0;
-           removed = Ledger.removals ledger - rm0;
-         });
-  Ledger.note_round ledger
+      (Obs.Trace.Graph_change { round = r.round; added; removed });
+  Ledger.note_round ledger;
+  added <> 0 || removed <> 0
 
 let round_done r =
   end_phase r;

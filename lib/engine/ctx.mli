@@ -99,13 +99,14 @@ type run
 
 val start :
   t ->
+  n:int ->
   ledger:Ledger.t ->
   max_rounds:int ->
   target:int option ->
   progress:(unit -> int) ->
   stop:(unit -> bool) ->
   run
-(** Begin a run.  [progress] measures the global progress sum and
+(** Begin a run over [n] nodes.  [progress] measures the global progress sum and
     [stop] evaluates the stop predicate, each on the engine's current
     states; both are sampled here (notes the initial progress in
     [ledger], emits the round-0 [Progress] event, then checks [stop]
@@ -129,10 +130,16 @@ val phase : run -> string -> unit
     profiling.  The round's last phase span closes at {!round_done} (or
     at {!next} for an aborted round). *)
 
-val commit_graph : run -> prev:Dynet.Graph.t -> Dynet.Graph.t -> unit
-(** Commit the validated round graph: the [on_graph] hook, topological
-    change accounting against [prev], the [Graph_change] event, and
-    the ledger's round count. *)
+val commit_graph : run -> prev:Dynet.Graph.t -> Dynet.Graph.t -> bool
+(** Commit the adversary's round graph: validate it
+    ({!Engine_error.check_graph}), then the [on_graph] hook,
+    topological change accounting against [prev], the [Graph_change]
+    event, and the ledger's round count.  A graph physically equal to
+    the last one this run validated is not checked again; the first
+    round's graph always is.  Returns [true] iff the edge set differs
+    from [prev]'s, read off the ledger's own merge walk.
+    @raise Engine_error.Adversary_violation on a graph with the wrong
+    node count or a disconnected one. *)
 
 val round_done : run -> unit
 (** Close an executed round: leaves the open phase span, notes the

@@ -9,11 +9,12 @@ open Dynet.Ops
    - {b plane kernel} (broadcast, protocol advertises
      [Runner_broadcast.plane_spec], no faults): token masks live in
      one contiguous Bigarray word plane ([Dynet.Plane], node-major),
-     adjacency in a delta-gated CSR ([Dynet.Csr]), and a round is two
-     sharded passes over flat memory with no intents array, no inbox
-     lists, and no per-round state records — allocation only happens
-     when a node actually learns a token (to keep [states] live for
-     [stop] and adaptive adversaries).
+     adjacency in a CSR ([Dynet.Csr]) repacked only when the ledger's
+     topological-change walk in [Ctx.commit_graph] finds the edge set
+     changed, and a round is two sharded passes over flat memory with
+     no intents array, no inbox lists, and no per-round state records
+     — allocation only happens when a node actually learns a token (to
+     keep [states] live for [stop] and adaptive adversaries).
    - {b sharded unicast}: every unicast run, faulty or not, runs the
      shared production loop [Runner_unicast.run_sharded] over this
      engine's shard spans — [P.send]/[P.receive] fan out across the
@@ -23,6 +24,9 @@ open Dynet.Ops
    - {b generic broadcast}: fault-injected broadcast runs, and
      broadcast protocols without the plane capability, run the
      sequential [Runner_broadcast.run].
+
+   All three validate a round graph in [Ctx.commit_graph], which skips
+   a graph physically equal to the last one it checked.
 
    Determinism: each worker owns a contiguous node range and writes
    only its own plane rows and array slots; every cross-shard
@@ -94,21 +98,8 @@ let run_plane (type s m)
   let cur_phase = ref 0 in
   let b = ref 0 in
   let prev = ref (Option.value init_prev ~default:(Dynet.Graph.empty ~n)) in
-  (* Validity gate, delta-gated like the CSR: a graph physically equal
-     to the last validated one (what Stability returns on stable
-     rounds) cannot have changed its node count or connectivity, so
-     stable rounds skip the O(n + m) union-find walk — and its
-     allocation.  Seeded with a fresh sentinel no adversary graph can
-     alias. *)
-  let last_valid = ref (Dynet.Graph.empty ~n) in
-  let validate ~round g =
-    if g != !last_valid then begin
-      Engine_error.check_graph ~round ~n g;
-      last_valid := g
-    end
-  in
   let run =
-    Ctx.start ctx ~ledger ~max_rounds ~target:target_progress
+    Ctx.start ctx ~n ~ledger ~max_rounds ~target:target_progress
       ~progress:(fun () -> !total_known)
       ~stop:(fun () -> stop states)
   in
@@ -255,8 +246,7 @@ let run_plane (type s m)
     Ctx.phase run "adversary";
     let g = adversary ~round:r ~prev:!prev ~states ~intents in
     Ctx.phase run "graph";
-    validate ~round:r g;
-    Ctx.commit_graph run ~prev:!prev g;
+    let changed = Ctx.commit_graph run ~prev:!prev g in
     Ctx.phase run "send";
     if !b > 0 then Ledger.record ledger phase_cls.(p) !b;
     if checking then Delivery.sent dl !b;
@@ -269,7 +259,7 @@ let run_plane (type s m)
       done
     end;
     Ctx.phase run "deliver";
-    ignore (Dynet.Csr.update csr g : bool);
+    ignore (Dynet.Csr.update csr g ~changed : bool);
     Ctx.phase run "receive";
     (* Conservation checking needs the pull path (it counts every
        delivered copy per receiver); otherwise pick by density — pull

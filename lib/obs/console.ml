@@ -2,7 +2,7 @@
    rule bans ad-hoc [print_*]/[prerr_*] everywhere (libraries AND
    executables) so all run output flows through [Sink] or through
    here: [out] is the stdout results channel (tables, JSON reports),
-   [error]/[note] the stderr diagnostics.  Routing them through one
+   [error] the stderr diagnostics.  Routing them through one
    exit point keeps them greppable. *)
 
 let emit chan msg =
@@ -12,5 +12,4 @@ let emit chan msg =
 
 let out msg = emit stdout msg
 let error msg = emit stderr msg
-let note msg = emit stderr msg
-let lines msgs = List.iter note msgs
+let lines msgs = List.iter error msgs

@@ -3,7 +3,8 @@
     Libraries never print (dynlint's direct-print rule); executables
     route output through here instead of raw [print_*]/[prerr_*], so
     every line has one exit point.  Results go to stdout via {!out};
-    diagnostics go to stderr via {!error} and {!note}. *)
+    diagnostics, usage text and progress remarks go to stderr via
+    {!error}. *)
 
 val out : string -> unit
 (** Write one line to stdout, flushed.  This is the results channel —
@@ -12,8 +13,5 @@ val out : string -> unit
 val error : string -> unit
 (** Write one line to stderr, flushed. *)
 
-val note : string -> unit
-(** Same as {!error}, for usage text and progress remarks. *)
-
 val lines : string list -> unit
-(** [note] each line in order. *)
+(** [error] each line in order. *)

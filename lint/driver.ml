@@ -26,8 +26,7 @@ let default_config =
     print_allowed = [ "lib/obs/" ];
     physeq_allowed =
       [
-      "lib/dynet/graph.ml"; "lib/dynet/stability.ml"; "lib/dynet/csr.ml";
-      "lib/engine/soa.ml";
+      "lib/dynet/graph.ml"; "lib/dynet/stability.ml"; "lib/engine/ctx.ml";
     ];
     mli_required = [ "lib/" ];
     unsafe_audited = [ "lib/dynet/"; "lib/engine/" ];

@@ -150,7 +150,7 @@ let test_graph_components () =
   let g =
     of_pairs ~n:6 [ (0, 1); (2, 3) ]
   in
-  check Alcotest.int "components" 4 (Graph.component_count g);
+  check Alcotest.int "components" 4 (Union_find.count (Graph.components g));
   check Alcotest.bool "not connected" false (Graph.is_connected g);
   let extra = Graph.connect_components g in
   check Alcotest.int "minimum connectors" 3 (Array.length extra);
@@ -200,12 +200,13 @@ let test_specific_shapes () =
   check Alcotest.int "tree edges" 15
     (Graph.edge_count (Graph_gen.random_tree (Rng.make ~seed:1) ~n:16));
   check Alcotest.int "barbell bridge" 2
-    (Graph.component_count
-       (Graph.make ~n:10
-          (Array.of_list
-             (List.filter
-                (fun key -> key <> Edge_table.key ~n:10 4 5)
-                (Array.to_list (Graph.edges (Graph_gen.barbell ~n:10)))))))
+    (Union_find.count
+       (Graph.components
+          (Graph.make ~n:10
+             (Array.of_list
+                (List.filter
+                   (fun key -> key <> Edge_table.key ~n:10 4 5)
+                   (Array.to_list (Graph.edges (Graph_gen.barbell ~n:10))))))))
 
 let test_grid_and_hypercube_shapes () =
   (* 3x3 grid: 12 edges, diameter 4. *)
@@ -445,6 +446,76 @@ let prop_rng_bernoulli_extremes =
       let rng = Rng.make ~seed in
       (not (Rng.bernoulli rng 0.)) && Rng.bernoulli rng 1.)
 
+(* The integer threshold against the float predicate, on the same
+   53-bit draw [b >= 1]: [b * 2^-53 < p] iff [b < threshold p].  The
+   p's include both ends, the smallest positive float, the largest
+   float below 1, and a p whose p * 2^53 is a whole number (the only
+   case where ceil is not a strict round-up). *)
+let prop_rng_threshold_exact =
+  let fixed_ps =
+    [ 0.; 1.; 0.5; 0.25; Float.min_float *. 0x1p-52; 1. -. 0x1p-53;
+      3. *. 0x1p-53; 0.1 ]
+  in
+  QCheck.Test.make ~name:"rng: threshold predicate ≡ float predicate"
+    ~count:500
+    QCheck.(
+      triple
+        (oneof [ oneofl fixed_ps; float_bound_inclusive 1. ])
+        (int_range 1 ((1 lsl 53) - 1))
+        (oneofl [ 1; 2; 3; (1 lsl 53) - 1 ]))
+    (fun (p, b, edge) ->
+      let th = Rng.threshold p in
+      let agrees b =
+        Bool.equal (b < th) (Float.of_int b *. 0x1p-53 < p)
+      in
+      (* [b] is a random draw; [edge] and [th] ± 1 probe the boundary. *)
+      agrees b && agrees edge
+      && (th <= 1 || agrees (th - 1))
+      && (th < 1 || th >= 1 lsl 53 || agrees th))
+
+(* The float body [Rng.bernoulli] had before its threshold form, as
+   the oracle: [Random.State.float t 1.] is the stdlib's [rawfloat]
+   times 1., so this is the same draw compared as a float. *)
+let float_bernoulli rng p =
+  if p <= 0. then false else if p >= 1. then true else Rng.float rng 1. < p
+
+let prop_rng_bernoulli_matches_float_body =
+  QCheck.Test.make ~name:"rng: bernoulli ≡ the float body, streams in step"
+    ~count:200
+    QCheck.(
+      pair int
+        (list_of_size (Gen.int_range 1 50)
+           (oneof
+              [
+                oneofl [ 0.; 1.; -0.5; 2.; 0.25; Float.nan; 1. -. 0x1p-53 ];
+                float_bound_inclusive 1.;
+              ])))
+    (fun (seed, ps) ->
+      let a = Rng.make ~seed and b = Rng.make ~seed in
+      List.for_all (fun p -> Bool.equal (Rng.bernoulli a p) (float_bernoulli b p)) ps
+      && Rng.int a 1_000_000 = Rng.int b 1_000_000)
+
+(* DFS connectivity against the union-find component count, on random
+   key subsets: n = 0, 1 and 2, empty graphs, and graphs whose last
+   node is isolated are all in range. *)
+let prop_is_connected_matches_components =
+  QCheck.Test.make ~name:"graph: is_connected ≡ one union-find component"
+    ~count:500
+    QCheck.(triple (int_bound 64) (oneofl [ 0.; 0.02; 0.1; 0.3; 1. ]) int)
+    (fun (n, p, seed) ->
+      let rng = Rng.make ~seed in
+      let isolate_last = Rng.bool rng in
+      let keys = ref [] in
+      for u = n - 1 downto 0 do
+        for v = n - 1 downto u + 1 do
+          if Rng.bernoulli rng p && not (isolate_last && v = n - 1) then
+            keys := ((u * n) + v) :: !keys
+        done
+      done;
+      let g = Graph.make ~n (Array.of_list !keys) in
+      Bool.equal (Graph.is_connected g)
+        (n <= 1 || Union_find.count (Graph.components g) = 1))
+
 let suite =
   [
     ("node_id basics", `Quick, test_node_id_basics);
@@ -491,4 +562,7 @@ let suite =
     ("rng bernoulli allocation-free", `Quick,
      test_rng_bernoulli_allocation_free);
     qcheck prop_rng_bernoulli_extremes;
+    qcheck prop_rng_threshold_exact;
+    qcheck prop_rng_bernoulli_matches_float_body;
+    qcheck prop_is_connected_matches_components;
   ]

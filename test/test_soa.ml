@@ -91,7 +91,8 @@ let test_csr_matches_graph () =
   let rng = Dynet.Rng.make ~seed:11 in
   let g = Dynet.Graph_gen.random_connected rng ~n ~p:0.2 in
   let csr = Dynet.Csr.create ~n in
-  check Alcotest.bool "first update repacks" true (Dynet.Csr.update csr g);
+  check Alcotest.bool "first update repacks" true
+    (Dynet.Csr.update csr g ~changed:true);
   check Alcotest.int "entries = 2 x edges"
     (2 * Dynet.Graph.edge_count g)
     (Dynet.Csr.entries csr);
@@ -108,27 +109,47 @@ let test_csr_matches_graph () =
       (Dynet.Graph.degree g v) (Dynet.Csr.degree csr v)
   done
 
+(* The gate is the caller's verdict: the engine passes the ledger's
+   "edge set changed" answer, and the CSR repacks on it alone (the first
+   update always packs). *)
 let test_csr_delta_gated () =
   let n = 16 in
   let g = Dynet.Graph_gen.cycle ~n in
   let csr = Dynet.Csr.create ~n in
-  check Alcotest.bool "initial repack" true (Dynet.Csr.update csr g);
+  check Alcotest.bool "first update packs even when told unchanged" true
+    (Dynet.Csr.update csr g ~changed:false);
   check Alcotest.int "one rebuild" 1 (Dynet.Csr.rebuilds csr);
-  (* Same physical graph — the Stability fast path. *)
-  check Alcotest.bool "same physical graph served for free" false
-    (Dynet.Csr.update csr g);
-  (* Structurally identical but physically fresh graph — the
-     delta-counts gate. *)
+  check Alcotest.bool "unchanged round served for free" false
+    (Dynet.Csr.update csr g ~changed:false);
+  (* Structurally identical but physically fresh: the caller's walk
+     found no change, so the rows already packed are still right. *)
   let g' = Dynet.Graph.make ~n (Array.copy (Dynet.Graph.edges g)) in
-  check Alcotest.bool "structurally unchanged graph served for free" false
-    (Dynet.Csr.update csr g');
+  check Alcotest.bool "rebuilt identical graph served for free" false
+    (Dynet.Csr.update csr g' ~changed:false);
   check Alcotest.int "still one rebuild" 1 (Dynet.Csr.rebuilds csr);
-  (* Real churn repacks and the rows follow. *)
+  (* Real churn repacks and the rows follow, growing the buffer and
+     then shrinking back into it. *)
   let h = Dynet.Graph_gen.star ~n in
-  check Alcotest.bool "churn repacks" true (Dynet.Csr.update csr h);
+  check Alcotest.bool "churn repacks" true (Dynet.Csr.update csr h ~changed:true);
   check Alcotest.int "two rebuilds" 2 (Dynet.Csr.rebuilds csr);
   check Alcotest.int "hub degree after repack" (n - 1)
-    (Dynet.Csr.degree csr 0)
+    (Dynet.Csr.degree csr 0);
+  List.iter
+    (fun (name, g) ->
+      check Alcotest.bool (name ^ " repacks") true
+        (Dynet.Csr.update csr g ~changed:true);
+      check Alcotest.int (name ^ ": entries = 2 x edges")
+        (2 * Dynet.Graph.edge_count g)
+        (Dynet.Csr.entries csr);
+      for v = 0 to n - 1 do
+        check
+          Alcotest.(list int)
+          (Printf.sprintf "%s: node %d row" name v)
+          (Array.to_list (Dynet.Graph.neighbors g v))
+          (sorted_row csr v)
+      done)
+    [ ("clique", Dynet.Graph_gen.clique ~n); ("path", Dynet.Graph_gen.path ~n) ];
+  check Alcotest.int "four rebuilds" 4 (Dynet.Csr.rebuilds csr)
 
 (* {2 Plane copy-on-write fences} *)
 
@@ -251,6 +272,97 @@ let test_planeless_flooding_identical () =
                (flood engine (module Planeless_flooding) (schedule ()))))
         (List.filteri (fun i _ -> i < 2) soa_engines))
     (Adversary.Oblivious.all_named ~n ~seed:6)
+
+(* {2 The round-graph gate}
+
+   [Ctx.commit_graph] validates a graph only when it is not the one it
+   validated last, and the plane kernel repacks its CSR only on the
+   ledger's "edge set changed" verdict.  The adversary below cycles
+   through every case those gates tell apart: a churned graph, the
+   previous graph handed back physically, a fresh copy of its edge
+   set, and a churned tree. *)
+let mixed_adversary ~n ~round ~prev ~states:_ ~intents:_ =
+  match round mod 4 with
+  | 1 ->
+      Dynet.Graph_gen.random_connected (Dynet.Rng.make ~seed:round) ~n
+        ~p:0.08
+  | 2 -> prev
+  | 3 -> Dynet.Graph.make ~n (Array.copy (Dynet.Graph.edges prev))
+  | _ -> Dynet.Graph_gen.random_tree (Dynet.Rng.make ~seed:round) ~n
+
+let test_plane_gate_identical () =
+  let n = 40 in
+  let flood engine ~instance ?init_prev () =
+    let module E = (val engine : Engine.Engine_sig.ENGINE) in
+    let k = Gossip.Instance.k instance in
+    let r, _ =
+      E.Broadcast.run Gossip.Flooding.protocol ?init_prev
+        ~target_progress:(n * k)
+        ~states:(Gossip.Flooding.init ~instance ())
+        ~adversary:(mixed_adversary ~n) ~max_rounds:(n * k)
+        ~stop:(Gossip.Flooding.all_complete ~k)
+        ()
+    in
+    r
+  in
+  (* With [init_prev] equal to round 1's edge set the first round is
+     unchanged, and the CSR must still pack it. *)
+  let round1 =
+    mixed_adversary ~n ~round:1 ~prev:(Dynet.Graph.empty ~n) ~states:[||]
+      ~intents:[||]
+  in
+  List.iter
+    (fun (iname, instance, init_prev) ->
+      let baseline = flood Engine.Reference.engine ~instance ?init_prev () in
+      List.iter
+        (fun (ename, engine) ->
+          check Alcotest.string
+            (Printf.sprintf "%s under %s matches reference" iname ename)
+            (report baseline)
+            (report (flood engine ~instance ?init_prev ())))
+        soa_engines)
+    [
+      ("single source", Gossip.Instance.single_source ~n ~k:6 ~source:0, None);
+      ("one per node", Gossip.Instance.one_per_node ~n, None);
+      ( "single source from round 1's edges",
+        Gossip.Instance.single_source ~n ~k:6 ~source:0,
+        Some (Dynet.Graph.make ~n (Array.copy (Dynet.Graph.edges round1))) );
+    ]
+
+(* A graph that breaks the model after a run of physically stable
+   rounds is refused by every production loop: the gate skips only
+   the graph it validated, never the next one. *)
+let test_disconnected_after_stable_refused () =
+  let n = 12 and k = 4 in
+  let ring = Dynet.Graph_gen.cycle ~n in
+  let split = Dynet.Graph.make ~n [| 1 |] in
+  let graph_at round = if round <= 4 then ring else split in
+  let refused label f =
+    Alcotest.check_raises label
+      (Engine.Engine_error.Adversary_violation "round 5: disconnected graph")
+      (fun () -> ignore (f ()))
+  in
+  let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
+  let adversary ~round ~prev:_ ~states:_ ~intents:_ = graph_at round in
+  let broadcast protocol engine () =
+    let module E = (val engine : Engine.Engine_sig.ENGINE) in
+    E.Broadcast.run protocol
+      ~states:(Gossip.Flooding.init ~instance ())
+      ~adversary ~max_rounds:20
+      ~stop:(fun _ -> false)
+      ()
+  in
+  List.iter
+    (fun (ename, engine) ->
+      refused (ename ^ ": plane kernel")
+        (broadcast Gossip.Flooding.protocol engine);
+      refused (ename ^ ": broadcast loop")
+        (broadcast (module Planeless_flooding) engine);
+      refused (ename ^ ": unicast loop") (fun () ->
+          Gossip.Runners.single_source ~instance
+            ~env:(Gossip.Runners.Oblivious (Adversary.Schedule.of_fun ~n graph_at))
+            ~engine ~max_rounds:20 ()))
+    (List.filteri (fun i _ -> i < 2) soa_engines)
 
 let test_unicast_identical () =
   let n = 21 in
@@ -741,4 +853,8 @@ let suite =
       `Quick test_retransmit_trace_deterministic;
     Alcotest.test_case "soa: retransmit count survives crash-restarts"
       `Quick test_retransmit_count_survives_restarts;
+    Alcotest.test_case "soa: plane kernel gates byte-identical to reference"
+      `Quick test_plane_gate_identical;
+    Alcotest.test_case "soa: disconnected graph after stable rounds refused"
+      `Quick test_disconnected_after_stable_refused;
   ]
