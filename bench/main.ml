@@ -36,10 +36,9 @@ let run_tables ~jobs ~metrics () =
   Obs.Console.out "";
   List.iter print_table
     (Analysis.Experiments.all ~jobs ~metrics ~seed ());
-  (* E17 lives in the scenario library (it exercises the importer and
-     replayer), so it joins the sequence here rather than in
-     Analysis.Experiments. *)
-  print_table (Scenario.Experiment.real_trace ~jobs ~metrics ~seed ())
+  (* The tables made of spec points live in the scenario library, which
+     sits above Analysis. *)
+  List.iter print_table (Scenario.Experiment.all ~jobs ~metrics ~seed ())
 
 (* {2 Part 2: Bechamel micro-benchmarks, one per experiment} *)
 
@@ -430,7 +429,7 @@ let write_results ~out ~shards ~bench_rows ~metrics =
 let profiled_experiments =
   [
     ("e1", fun ~jobs ~prof -> ignore (Analysis.Experiments.table1 ~jobs ~prof ~seed ()));
-    ("e4", fun ~jobs ~prof -> ignore (Analysis.Experiments.single_source ~jobs ~prof ~seed ()));
+    ("e4", fun ~jobs ~prof -> ignore (Scenario.Experiment.single_source ~jobs ~prof ~seed ()));
     ("e7", fun ~jobs ~prof -> ignore (Analysis.Experiments.rw_scaling ~jobs ~prof ~seed ()));
   ]
 

@@ -330,6 +330,15 @@ let timeline_arg =
           "After the summary, dump the per-round learning curve as CSV \
            (round,messages,learnings) for plotting.")
 
+(* A spec [Spec.validate] refuses is an invocation problem: every
+   message to stderr, exit 2. *)
+let validate_or_exit spec =
+  match Scenario.Spec.validate spec with
+  | Ok spec -> spec
+  | Error errs ->
+      List.iter (fun e -> Obs.Console.error ("error: " ^ e)) errs;
+      exit 2
+
 let print_json_report report =
   Obs.Console.out (Obs.Json.to_string (Obs.Report.to_json report))
 
@@ -398,11 +407,7 @@ let run_cmd =
       { Scenario.Spec.name; algorithm; env; sigma; n = Some n; k; s; seed;
         repeats = 1; faults = Some faults; max_rounds = None }
     in
-    (match Scenario.Spec.validate spec with
-    | Ok _ -> ()
-    | Error errs ->
-        List.iter (fun e -> Obs.Console.error ("error: " ^ e)) errs;
-        exit 2);
+    let spec = validate_or_exit spec in
     (match algorithm with
     | (Scenario.Spec.Flooding | Scenario.Spec.Oblivious_rw) when reliable ->
         bad_flag
@@ -497,18 +502,18 @@ let experiments_cmd =
           | `E1 -> Analysis.Experiments.table1 ~jobs ?metrics ~prof ~seed ()
           | `E2 -> Analysis.Experiments.lower_bound ?metrics ~seed ()
           | `E3 -> Analysis.Experiments.free_edges ?metrics ~seed ()
-          | `E4 -> Analysis.Experiments.single_source ~jobs ?metrics ~prof ~seed ()
-          | `E6 -> Analysis.Experiments.multi_source ?metrics ~seed ()
+          | `E4 -> Scenario.Experiment.single_source ~jobs ?metrics ~prof ~seed ()
+          | `E6 -> Scenario.Experiment.multi_source ?metrics ~seed ()
           | `E7 -> Analysis.Experiments.rw_scaling ~jobs ?metrics ~prof ~seed ()
           | `E8 -> Analysis.Experiments.static_baseline ?metrics ~seed ()
-          | `E9 -> Analysis.Experiments.time_vs_messages ?metrics ~seed ()
+          | `E9 -> Scenario.Experiment.time_vs_messages ?metrics ~seed ()
           | `E10 -> Analysis.Experiments.ablation ?metrics ~seed ()
           | `E11 -> Analysis.Experiments.rw_tradeoff ?metrics ~seed ()
           | `E12 -> Analysis.Experiments.coding_gap ?metrics ~seed ()
           | `E13 -> Analysis.Experiments.leader_election ?metrics ~seed ()
           | `E14 -> Analysis.Experiments.adaptivity ?metrics ~seed ()
-          | `E15 -> Analysis.Experiments.robustness_loss ?metrics ~seed ()
-          | `E16 -> Analysis.Experiments.robustness_crash ?metrics ~seed ()
+          | `E15 -> Scenario.Experiment.robustness_loss ?metrics ~seed ()
+          | `E16 -> Scenario.Experiment.robustness_crash ?metrics ~seed ()
           | `E17 -> Scenario.Experiment.real_trace ~jobs ?metrics ~seed ()
           | `E18 -> Analysis.Experiments.mega ?metrics ~prof ~seed ()
         in
@@ -564,22 +569,13 @@ let lowerbound_cmd =
   in
   Cmd.v (Cmd.info "lowerbound" ~doc) Term.(const run $ ns $ csv_arg $ seed_arg)
 
-let competitive_cmd =
-  let doc =
-    "E4/E5/E6: adversary-competitive accounting of the unicast algorithms."
-  in
-  let run csv seed =
-    print_table ~csv (Analysis.Experiments.single_source ~seed ());
-    print_table ~csv (Analysis.Experiments.multi_source ~seed ())
-  in
-  Cmd.v (Cmd.info "competitive" ~doc) Term.(const run $ csv_arg $ seed_arg)
-
 (* {2 sweep} *)
 
 let sweep_cmd =
   let doc =
-    "Sweep node counts for one protocol x environment; one table row per \
-     size (use --csv or --json for machine-readable output)."
+    "Sweep node counts for one protocol x environment: each size is a \
+     one-repeat scenario spec (name sweep, seed + n).  One table row per \
+     size, or with --json one scenario-run report per line."
   in
   let sizes_arg =
     Arg.(
@@ -594,118 +590,54 @@ let sweep_cmd =
   in
   let run protocol env sizes k_factor sigma seed csv trace json =
     let sigma = Option.value sigma ~default:(default_sigma env) in
-    Option.iter
-      (bad_flag "--sigma %d: %s" sigma)
-      (Scenario.Spec.sigma_error env ~sigma);
+    (* Each size is a one-repeat spec: flooding spreads n-gossip, the
+       multi-source protocol puts a source on every node it can, the
+       others start from node 0. *)
+    let spec_of n =
+      let k = k_factor * n in
+      let k, s =
+        match protocol with
+        | Scenario.Spec.Flooding -> (n, n)
+        | Scenario.Spec.Multi_source -> (k, min n k)
+        | Scenario.Spec.Single_source | Scenario.Spec.Oblivious_rw -> (k, 1)
+      in
+      { Scenario.Spec.name = "sweep"; algorithm = protocol; env; sigma;
+        n = Some n; k; s; seed = seed + n; repeats = 1; faults = None;
+        max_rounds = None }
+    in
+    let points = List.map (fun n -> (n, validate_or_exit (spec_of n))) sizes in
     with_trace trace @@ fun obs ->
-    let rows = ref [] in
-    let reports = ref [] in
-    let ok = ref true in
-    List.iter
-      (fun n ->
-        let k = max 1 (k_factor * n) in
-        let run_one () =
-          match (protocol, env) with
-          | ( (Scenario.Spec.Single_source | Scenario.Spec.Multi_source),
-              Scenario.Spec.Request_cutter { cut_prob } ) ->
-              let envv = Gossip.Runners.Request_cutting { seed; cut_prob } in
-              let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
-              Some
-                (match protocol with
-                | Scenario.Spec.Single_source ->
-                    fst
-                      (Gossip.Runners.single_source ~instance ~env:envv ~obs ())
-                | _ ->
-                    fst
-                      (Gossip.Runners.multi_source ~instance ~env:envv ~obs ()))
-          | _, _ -> (
-              match
-                Scenario.Runner.builtin_schedule ~env ~sigma ~n ~seed:(seed + n)
-              with
-              | None -> None
-              | Some schedule -> (
-                  match protocol with
-                  | Scenario.Spec.Flooding ->
-                      let instance = Gossip.Instance.one_per_node ~n in
-                      Some
-                        (fst
-                           (Gossip.Runners.flooding ~instance ~schedule ~obs ()))
-                  | Scenario.Spec.Single_source ->
-                      let instance =
-                        Gossip.Instance.single_source ~n ~k ~source:0
-                      in
-                      Some
-                        (fst
-                           (Gossip.Runners.single_source ~instance
-                              ~env:(Gossip.Runners.Oblivious schedule) ~obs ()))
-                  | Scenario.Spec.Multi_source ->
-                      let instance =
-                        Gossip.Instance.multi_source
-                          ~rng:(Dynet.Rng.make ~seed:(seed + n))
-                          ~n ~k ~s:(min n k)
-                      in
-                      Some
-                        (fst
-                           (Gossip.Runners.multi_source ~instance
-                              ~env:(Gossip.Runners.Oblivious schedule) ~obs ()))
-                  | Scenario.Spec.Oblivious_rw -> None))
-        in
-        match run_one () with
-        | None -> ok := false
-        | Some result ->
-            let ledger = result.Engine.Run_result.ledger in
-            let k_used =
-              match protocol with Scenario.Spec.Flooding -> n | _ -> k
-            in
-            let name =
-              Printf.sprintf "%s/%s/n=%d"
-                (Scenario.Spec.algorithm_name protocol)
-                (Scenario.Spec.env_family env) n
-            in
-            reports :=
-              Engine.Run_result.to_report ~name
-                ~extra:
-                  [
-                    ("n", Obs.Json.Int n); ("k", Obs.Json.Int k_used);
-                    ( "amortized_per_token",
-                      Obs.Json.Float (Engine.Ledger.amortized ledger ~k:k_used)
-                    );
-                  ]
-                result
-              :: !reports;
-            rows :=
-              [
-                string_of_int n;
-                string_of_int k_used;
-                (if result.Engine.Run_result.completed then "yes" else "NO");
-                string_of_int result.Engine.Run_result.rounds;
-                Analysis.Table.fint (Engine.Ledger.total ledger);
-                Analysis.Table.fint (Engine.Ledger.tc ledger);
-                Analysis.Table.ffloat (Engine.Ledger.amortized ledger ~k:k_used);
-                Analysis.Table.ffloat
-                  (Engine.Ledger.amortized_competitive ledger ~alpha:1.
-                     ~k:k_used);
-              ]
-              :: !rows)
-      sizes;
-    if not !ok then
-      `Error (false, "this protocol/environment combination cannot be swept")
-    else if json then begin
-      Obs.Console.out
-        (Obs.Json.to_string
-           (Obs.Json.List
-              (List.rev_map Obs.Report.to_json !reports)));
-      `Ok ()
-    end
-    else begin
+    let reports =
+      List.map
+        (fun (n, (spec : Scenario.Spec.t)) ->
+          match Scenario.Runner.prepare spec with
+          | Ok prepared ->
+              (n, spec.k, Scenario.Runner.run_repeat ~obs prepared ~seed:spec.seed)
+          | Error e -> bad_flag "%s" e)
+        points
+    in
+    (if json then List.iter (fun (_, _, r) -> print_json_report r) reports
+     else
       print_table ~csv
         (Analysis.Table.make ~title:"size sweep"
            ~columns:
              [ "n"; "k"; "done"; "rounds"; "messages"; "TC"; "amortized";
                "amortized (comp.)" ]
-           (List.rev !rows));
-      `Ok ()
-    end
+           (List.map
+              (fun (n, k, (r : Obs.Report.t)) ->
+                let per_token v = v /. float_of_int k in
+                [
+                  string_of_int n;
+                  string_of_int k;
+                  (if r.completed then "yes" else "NO");
+                  string_of_int r.rounds;
+                  Analysis.Table.fint r.messages;
+                  Analysis.Table.fint r.tc;
+                  Analysis.Table.ffloat (per_token (float_of_int r.messages));
+                  Analysis.Table.ffloat (per_token r.competitive_cost);
+                ])
+              reports)));
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "sweep" ~doc)
@@ -1476,7 +1408,7 @@ let main_cmd =
   let info = Cmd.info "dynspread" ~version:"1.0.0" ~doc in
   Cmd.group info
     [
-      run_cmd; experiments_cmd; table1_cmd; lowerbound_cmd; competitive_cmd;
+      run_cmd; experiments_cmd; table1_cmd; lowerbound_cmd;
       sweep_cmd; scenario_cmd; fuzz_cmd; serve_cmd; submit_cmd;
     ]
 

@@ -244,163 +244,6 @@ let free_edges ?(n = 64) ?(trials = 25) ?metrics ~seed () =
       ]
     (List.rev !rows)
 
-(* {2 E4 + E5 — single source} *)
-
-(* E4's environment grid for one node count; every entry's schedule is
-   derived from (seed, n) alone, so a point can rebuild it on whatever
-   domain it lands on. *)
-let single_source_envs ~seed ~n =
-  [
-    ( "static",
-      Gossip.Runners.Oblivious
-        (Adversary.Oblivious.static
-           (Dynet.Graph_gen.random_connected
-              (Dynet.Rng.make ~seed:(seed + n)) ~n ~p:0.15)),
-      true );
-    ( "rotator-3st",
-      Gossip.Runners.Oblivious
-        (stable (Adversary.Oblivious.tree_rotator ~seed:(seed + n + 1) ~n)),
-      true );
-    ( "rewiring-3st",
-      Gossip.Runners.Oblivious
-        (stable
-           (Adversary.Oblivious.rewiring ~seed:(seed + n + 2) ~n ~extra:n
-              ~rate:0.3)),
-      true );
-    ( "cutter-80",
-      Gossip.Runners.Request_cutting { seed = seed + n + 3; cut_prob = 0.8 },
-      false );
-  ]
-
-let single_source ?(ns = [ 16; 24; 32 ]) ?jobs ?metrics ?prof ~seed () =
-  timed ?metrics "experiment/e4-single-source" @@ fun () ->
-  let env_count = List.length (single_source_envs ~seed ~n:2) in
-  let points =
-    List.concat_map
-      (fun n ->
-        List.concat_map
-          (fun k -> List.init env_count (fun i -> (n, k, i)))
-          [ n / 2; n; 4 * n ])
-      ns
-    |> Array.of_list
-  in
-  let run_point ~prof (n, k, i) =
-    let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
-    let budget = Gossip.Bounds.single_source_budget ~n ~k in
-    let env_name, env, is_stable = List.nth (single_source_envs ~seed ~n) i in
-    let result, _ = Gossip.Runners.single_source ~instance ~env ~prof () in
-    let ledger = result.Engine.Run_result.ledger in
-    let competitive = Engine.Ledger.competitive_cost ledger ~alpha:1. in
-    let ratio = competitive /. budget in
-    let rounds_ok =
-      (not is_stable) || result.Engine.Run_result.rounds <= (2 * n * k) + (2 * n)
-    in
-    ( ratio <= 2.,
-      rounds_ok,
-      [
-        string_of_int n;
-        string_of_int k;
-        env_name;
-        Table.fint (Engine.Ledger.total ledger);
-        Table.fint (Engine.Ledger.tc ledger);
-        Table.ffloat competitive;
-        Table.fratio ratio;
-        string_of_int result.Engine.Run_result.rounds;
-        Table.ffloat (Engine.Ledger.amortized_competitive ledger ~alpha:1. ~k);
-      ] )
-  in
-  let results =
-    Sweep.map_span ?jobs ?metrics ?prof ~name:"sweep/e4-point" run_point
-      points
-  in
-  let rows = ref [] in
-  let within_budget = ref true and within_rounds = ref true in
-  Array.iter
-    (fun (budget_ok, rounds_ok, cells) ->
-      if not budget_ok then within_budget := false;
-      if not rounds_ok then within_rounds := false;
-      rows := cells :: !rows)
-    results;
-  Table.make
-    ~title:
-      "E4/E5 (Theorems 3.1/3.4): Single-Source-Unicast, 1-adversary-\
-       competitive cost vs the O(n^2 + nk) budget"
-    ~columns:
-      [ "n"; "k"; "environment"; "messages"; "TC"; "msgs - TC"; "vs budget";
-        "rounds"; "amort (comp.)" ]
-    ~notes:
-      [
-        Printf.sprintf
-          "shape check (%s): (messages - TC) <= 2 (n^2 + nk) in every \
-           environment, including the adaptive cutter"
-          (pass_fail !within_budget);
-        Printf.sprintf
-          "shape check (%s): rounds <= 2nk + 2n on every 3-edge-stable \
-           environment (Theorem 3.4)"
-          (pass_fail !within_rounds);
-        "amort (comp.) -> O(n) as k grows past n: the optimal amortized \
-         complexity of Section 3.1;";
-        "KT0 variant (Section 1.3 remark): without free neighbor-ID \
-         knowledge, add <= 2 TC hello messages - also chargeable to the \
-         adversary.";
-      ]
-    (List.rev !rows)
-
-(* {2 E6 — multi source} *)
-
-let multi_source ?(n = 24) ?(k = 96) ?(ss = [ 1; 2; 4; 8; 16; 24 ]) ?metrics
-    ~seed () =
-  timed ?metrics "experiment/e6-multi-source" @@ fun () ->
-  let rows = ref [] in
-  let within_budget = ref true in
-  List.iter
-    (fun s ->
-      let s = min s (min n k) in
-      let rng = Dynet.Rng.make ~seed:(seed + s) in
-      let instance = Gossip.Instance.multi_source ~rng ~n ~k ~s in
-      let env =
-        Gossip.Runners.Oblivious
-          (stable (Adversary.Oblivious.tree_rotator ~seed:(seed + (2 * s)) ~n))
-      in
-      let result, _ = Gossip.Runners.multi_source ~instance ~env () in
-      let ledger = result.Engine.Run_result.ledger in
-      let budget = Gossip.Bounds.multi_source_budget ~n ~k ~s in
-      let competitive = Engine.Ledger.competitive_cost ledger ~alpha:1. in
-      if competitive > 2. *. budget then within_budget := false;
-      rows :=
-        [
-          string_of_int s;
-          Table.fint (Engine.Ledger.total ledger);
-          Table.fint (Engine.Ledger.count ledger Engine.Msg_class.Completeness);
-          Table.fint (Engine.Ledger.count ledger Engine.Msg_class.Token);
-          Table.ffloat competitive;
-          Table.ffloat budget;
-          Table.fratio (competitive /. budget);
-          string_of_int result.Engine.Run_result.rounds;
-        ]
-        :: !rows)
-    ss;
-  Table.make
-    ~title:
-      (Printf.sprintf
-         "E6 (Theorems 3.5/3.6): Multi-Source-Unicast vs the O(n^2 s + nk) \
-          budget (n = %d, k = %d, 3-edge-stable rotator)"
-         n k)
-    ~columns:
-      [ "s"; "messages"; "announcements"; "tokens"; "msgs - TC"; "budget";
-        "ratio"; "rounds" ]
-    ~notes:
-      [
-        Printf.sprintf
-          "shape check (%s): competitive cost <= 2 (n^2 s + nk) at every \
-           source count"
-          (pass_fail !within_budget);
-        "announcements grow with s (each node announces completeness per \
-         source) - the n^2 s term;";
-        "token messages stay ~ nk regardless of s.";
-      ]
-    (List.rev !rows)
-
 (* {2 E7 — Theorem 3.8 scaling} *)
 
 let rw_scaling ?(n = 32) ?(ks = [ 32; 64; 128; 256; 512 ]) ?jobs ?metrics
@@ -564,68 +407,6 @@ let static_baseline ?(ns = [ 16; 32; 64 ]) ?metrics ~seed () =
           (pass_fail !amortized_optimal);
       ]
     (List.rev !rows)
-
-(* {2 E9 — time vs messages} *)
-
-let time_vs_messages ?(n = 24) ?metrics ~seed () =
-  timed ?metrics "experiment/e9-time-vs-messages" @@ fun () ->
-  let instance = Gossip.Instance.one_per_node ~n in
-  let k = n in
-  let flood_result, _ =
-    Gossip.Runners.flooding ~instance
-      ~schedule:(dense_schedule ~seed:(seed + 1) ~n)
-      ()
-  in
-  let ms_result, _ =
-    Gossip.Runners.multi_source ~instance
-      ~env:(Gossip.Runners.Oblivious (dense_schedule ~seed:(seed + 1) ~n))
-      ()
-  in
-  let rw =
-    Gossip.Runners.oblivious_rw ~instance
-      ~schedule:(dense_schedule ~seed:(seed + 1) ~n)
-      ~seed:(seed + 2) ~const_f:0.05 ~force_rw:true ()
-  in
-  let flood_msgs = Engine.Ledger.total flood_result.Engine.Run_result.ledger in
-  let ms_msgs = Engine.Ledger.total ms_result.Engine.Run_result.ledger in
-  let rows =
-    [
-      [
-        "flooding (local bcast)";
-        string_of_int flood_result.Engine.Run_result.rounds;
-        Table.fint flood_msgs;
-        Table.ffloat (float_of_int flood_msgs /. float_of_int k);
-      ];
-      [
-        "multi-source (unicast)";
-        string_of_int ms_result.Engine.Run_result.rounds;
-        Table.fint ms_msgs;
-        Table.ffloat (float_of_int ms_msgs /. float_of_int k);
-      ];
-      [
-        "algorithm 2 (unicast)";
-        string_of_int
-          (rw.Gossip.Oblivious_rw.phase1_rounds
-          + rw.Gossip.Oblivious_rw.phase2_rounds);
-        Table.fint rw.Gossip.Oblivious_rw.paper_messages;
-        Table.ffloat
-          (float_of_int rw.Gossip.Oblivious_rw.paper_messages /. float_of_int k);
-      ];
-    ]
-  in
-  Table.make
-    ~title:
-      (Printf.sprintf
-         "E9 (Section 1.2): time- vs message-efficiency on one instance \
-          (n-gossip, n = %d, same oblivious schedule)"
-         n)
-    ~columns:[ "algorithm"; "rounds"; "messages"; "amortized" ]
-    ~notes:
-      [
-        "the round-efficient strategy is not the message-efficient one: \
-         message-frugal algorithms trade silence for time.";
-      ]
-    rows
 
 (* {2 E10 — Algorithm 1 ablation} *)
 
@@ -1131,188 +912,6 @@ let adaptivity ?(n = 32) ?budget ?metrics ~seed () =
       ]
     (rows_a @ rows_b)
 
-(* {2 E15 — robustness tax: message loss} *)
-
-let outcome_cell (result : Engine.Run_result.t) =
-  match result.Engine.Run_result.outcome with
-  | Engine.Run_result.Completed -> "completed"
-  | Engine.Run_result.Partial _ as o -> (
-      match Engine.Run_result.coverage o with
-      | Some c -> Printf.sprintf "partial %.0f%%" (100. *. c)
-      | None -> "partial")
-  | Engine.Run_result.Stalled _ -> "stalled"
-  | Engine.Run_result.Cancelled _ as o -> (
-      match Engine.Run_result.coverage o with
-      | Some c -> Printf.sprintf "cancelled %.0f%%" (100. *. c)
-      | None -> "cancelled")
-  | Engine.Run_result.Aborted _ -> "aborted"
-
-let fault_count (result : Engine.Run_result.t) field =
-  match result.Engine.Run_result.fault_counts with
-  | None -> 0
-  | Some c -> (
-      match List.assoc_opt field (Faults.Counts.to_fields c) with
-      | Some v -> v
-      | None -> 0)
-
-let inflation ~baseline v =
-  if baseline = 0 then Float.nan else float_of_int v /. float_of_int baseline
-
-let robustness_loss ?metrics ~seed () =
-  timed ?metrics "experiment/e15-robustness-loss" @@ fun () ->
-  let n = 16 and k = 16 and rates = [ 0.; 0.05; 0.1; 0.2; 0.5; 0.8 ] in
-  let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
-  (* The same 3-edge-stable environment for every run: the sweep
-     varies only the fault plan, so cost deltas are the robustness
-     tax and nothing else. *)
-  let env () =
-    Gossip.Runners.Oblivious
-      (stable (Adversary.Oblivious.tree_rotator ~seed:(seed + 1) ~n))
-  in
-  let plan loss =
-    Faults.Plan.make ~loss ~seed:(seed + int_of_float (1000. *. loss)) ()
-  in
-  let baseline_msgs = ref 0 in
-  let reliable_all_complete = ref true in
-  let coverage_dominates = ref true in
-  let bare_degrades = ref false in
-  let cov (r : Engine.Run_result.t) =
-    Option.value
-      (Engine.Run_result.coverage r.Engine.Run_result.outcome)
-      ~default:0.
-  in
-  let rows = ref [] in
-  List.iter
-    (fun loss ->
-      let faults = plan loss in
-      let bare, _ =
-        Gossip.Runners.single_source ~instance ~env:(env ()) ~faults ()
-      in
-      let reliable, _, retransmits =
-        Gossip.Runners.reliable_single_source ~instance ~env:(env ()) ~faults
-          ()
-      in
-      if loss = 0. then baseline_msgs := Engine.Run_result.messages bare;
-      if loss <= 0.2 && not reliable.Engine.Run_result.completed then
-        reliable_all_complete := false;
-      if cov reliable < cov bare -. 1e-9 then coverage_dominates := false;
-      if not bare.Engine.Run_result.completed then bare_degrades := true;
-      let row variant (result : Engine.Run_result.t) retransmits =
-        [
-          Printf.sprintf "%.2f" loss;
-          variant;
-          outcome_cell result;
-          Table.fint (Engine.Run_result.messages result);
-          string_of_int result.Engine.Run_result.rounds;
-          string_of_int (fault_count result "drops");
-          string_of_int retransmits;
-          Table.fratio
-            (inflation ~baseline:!baseline_msgs
-               (Engine.Run_result.messages result));
-        ]
-      in
-      rows :=
-        row "reliable" reliable retransmits :: row "bare" bare 0 :: !rows)
-    rates;
-  Table.make
-    ~title:
-      (Printf.sprintf
-         "E15 (robustness tax): Single-Source-Unicast under message loss, \
-          bare vs Reliable wrapper (n = %d, k = %d, 3-edge-stable rotator)"
-         n k)
-    ~columns:
-      [ "loss"; "variant"; "outcome"; "messages"; "rounds"; "drops";
-        "retransmits"; "msg inflation" ]
-    ~notes:
-      [
-        Printf.sprintf
-          "shape check (%s): the wrapper completes at every loss rate <= \
-           0.2, never covers less than bare, and keeps making progress at \
-           the extreme rate where bare collapses"
-          (pass_fail
-             (!reliable_all_complete && !coverage_dominates && !bare_degrades));
-        "msg inflation = messages / clean-run bare messages: the price of \
-         masking loss is acks + retransmissions, growing with the loss rate;";
-        "bare Single-Source survives moderate loss by re-requesting (its \
-         pending-request dedup resets on topology change) but deadlocks \
-         under extreme loss - and then reports a Partial outcome with \
-         coverage, not a bare failure bit.";
-      ]
-    (List.rev !rows)
-
-(* {2 E16 — robustness tax: crash-restart} *)
-
-let robustness_crash ?metrics ~seed () =
-  timed ?metrics "experiment/e16-robustness-crash" @@ fun () ->
-  let n = 16 and k = 16 and rates = [ 0.; 0.005; 0.01; 0.02 ] in
-  let instance = Gossip.Instance.single_source ~n ~k ~source:0 in
-  let schedule () =
-    stable (Adversary.Oblivious.tree_rotator ~seed:(seed + 2) ~n)
-  in
-  let baseline_msgs = ref 0 and baseline_rounds = ref 0 in
-  let clean_completes = ref true in
-  let all_graceful = ref true in
-  let crashes_seen = ref true in
-  let rows = ref [] in
-  List.iter
-    (fun crash ->
-      let faults =
-        Faults.Plan.make ~crash
-          ~seed:(seed + 17 + int_of_float (10000. *. crash))
-          ()
-      in
-      let result, _ =
-        Gossip.Runners.flooding ~instance ~schedule:(schedule ()) ~faults ()
-      in
-      if crash = 0. then begin
-        baseline_msgs := Engine.Run_result.messages result;
-        baseline_rounds := result.Engine.Run_result.rounds;
-        if not result.Engine.Run_result.completed then clean_completes := false
-      end
-      else if fault_count result "crashes" = 0 then crashes_seen := false;
-      (match Engine.Run_result.coverage result.Engine.Run_result.outcome with
-      | Some c when c > 0. -> ()
-      | _ -> all_graceful := false);
-      rows :=
-        [
-          Printf.sprintf "%.3f" crash;
-          outcome_cell result;
-          Table.fint (Engine.Run_result.messages result);
-          string_of_int result.Engine.Run_result.rounds;
-          string_of_int (fault_count result "crashes");
-          string_of_int (fault_count result "restarts");
-          Table.fratio
-            (inflation ~baseline:!baseline_msgs
-               (Engine.Run_result.messages result));
-          Table.fratio
-            (inflation ~baseline:!baseline_rounds
-               result.Engine.Run_result.rounds);
-        ]
-        :: !rows)
-    rates;
-  Table.make
-    ~title:
-      (Printf.sprintf
-         "E16 (robustness tax): phased flooding under crash-restart with \
-          state loss (n = %d, k = %d, 3-edge-stable rotator, restart p = \
-          0.25)"
-         n k)
-    ~columns:
-      [ "crash rate"; "outcome"; "messages"; "rounds"; "crashes"; "restarts";
-        "msg inflation"; "round inflation" ]
-    ~notes:
-      [
-        Printf.sprintf
-          "shape check (%s): the clean run completes, every faulty run \
-           reports a positive coverage (no silent failure), and every \
-           positive crash rate injects crashes"
-          (pass_fail (!clean_completes && !all_graceful && !crashes_seen));
-        "a restarted node re-enters with its initial state, so flooding \
-         re-teaches it every token it forgot: crash faults buy round and \
-         message inflation rather than wrong answers.";
-      ]
-    (List.rev !rows)
-
 (* {2 E18 — mega-scale SoA engine} *)
 
 let mega ?(ns = [ 1_000; 10_000 ]) ?metrics ?prof ~seed () =
@@ -1418,17 +1017,12 @@ let all ?jobs ?metrics ~seed () =
     table1 ?jobs ?metrics ~seed ();
     lower_bound ?metrics ~seed ();
     free_edges ?metrics ~seed ();
-    single_source ?jobs ?metrics ~seed ();
-    multi_source ?metrics ~seed ();
     rw_scaling ?jobs ?metrics ~seed ();
     static_baseline ?metrics ~seed ();
-    time_vs_messages ?metrics ~seed ();
     ablation ?metrics ~seed ();
     rw_tradeoff ?metrics ~seed ();
     coding_gap ?metrics ~seed ();
     leader_election ?metrics ~seed ();
     adaptivity ?metrics ~seed ();
-    robustness_loss ?metrics ~seed ();
-    robustness_crash ?metrics ~seed ();
     mega ~ns:[ 500; 2_000 ] ?metrics ~seed ();
   ]

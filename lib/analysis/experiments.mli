@@ -1,11 +1,19 @@
-(** The paper's evaluation artifacts, regenerated.
+(** The paper's evaluation artifacts that are not {!Scenario.Spec.t}
+    points, regenerated.
 
-    One function per experiment in DESIGN.md's index (E1–E9); each runs
-    the relevant protocol × adversary sweeps and renders a {!Table.t}
+    One function per experiment in DESIGN.md's index; each runs the
+    relevant protocol × adversary sweeps and renders a {!Table.t}
     whose rows mirror what the paper states.  Absolute numbers are
     simulator-scale; the {e shape} — who wins, growth exponents,
     crossovers, bound ratios — is the reproduction target, and each
     table's notes state the shape check and whether the data passes it.
+
+    The tables here need what no spec carries: Algorithm 2's [const_f]
+    (E1, E7, E11), the greedy, coded, leader-election, random-push,
+    ablation and spanning-tree runners (E2, E3, E8, E10, E12–E14), or
+    a comparison of engines (E18).  E4, E6, E9, E15, E16 and E17 are
+    spec points run through [Scenario.Runner.execute] and live in
+    [Scenario.Experiment], which sits above this library.
 
     All experiments are deterministic in [seed].
 
@@ -15,8 +23,8 @@
     harness, the CLI's [experiments --timings] — can report where
     simulator time goes.
 
-    The grid-shaped sweeps (E1, E4, E7) additionally accept [?jobs]
-    and fan their points out over OCaml 5 domains via {!Sweep.map};
+    The grid-shaped sweeps (E1, E7) additionally accept [?jobs] and
+    fan their points out over OCaml 5 domains via {!Sweep.map};
     every point derives its RNG streams from the seed and the point
     coordinates alone and results merge in input order, so the tables
     (message counts included) are bit-identical for every [jobs]
@@ -40,17 +48,6 @@ val free_edges : ?n:int -> ?trials:int -> ?metrics:Obs.Metrics.t -> seed:int -> 
 (** E3 — Figure 1 / Lemmas 2.1–2.2: structure of the free-edge graph
     as a function of the number of broadcasting nodes. *)
 
-val single_source :
-  ?ns:int list -> ?jobs:int -> ?metrics:Obs.Metrics.t -> ?prof:Obs.Span.t ->
-  seed:int -> unit -> Table.t
-(** E4+E5 — Theorems 3.1/3.4: Single-Source-Unicast messages vs the
-    O(n² + nk) + TC budget and rounds vs the O(nk) bound, across
-    environments including the adaptive request-cutter. *)
-
-val multi_source : ?n:int -> ?k:int -> ?ss:int list -> ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
-(** E6 — Theorems 3.5/3.6: Multi-Source-Unicast vs the O(n²s + nk) +
-    TC budget as the source count grows. *)
-
 val rw_scaling :
   ?n:int -> ?ks:int list -> ?jobs:int -> ?metrics:Obs.Metrics.t ->
   ?prof:Obs.Span.t -> seed:int -> unit -> Table.t
@@ -61,11 +58,6 @@ val rw_scaling :
 val static_baseline : ?ns:int list -> ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
 (** E8 — the intro's static-network yardstick: spanning-tree
     dissemination at O(n²/k + n) amortized. *)
-
-val time_vs_messages : ?n:int -> ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
-(** E9 — the Section 1.2 contrast: on identical instances, the
-    time-optimal strategy (flooding) is not message-optimal and vice
-    versa. *)
 
 val ablation : ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
 (** E10 — ablation of Algorithm 1's design choices (n = 20, k = 40): the paper's
@@ -106,22 +98,6 @@ val adaptivity : ?n:int -> ?budget:int -> ?metrics:Obs.Metrics.t -> seed:int -> 
     progress (token learnings) each allows an unstructured broadcaster
     within a fixed round budget.  More adaptivity, less progress. *)
 
-val robustness_loss : ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
-(** E15 — beyond the paper (robustness): the message-loss tax.
-    Single-Source-Unicast (n = k = 16) on a 3-edge-stable rotator
-    under a {!Faults.Plan} loss sweep (0 to 0.8), bare vs wrapped in
-    {!Gossip.Reliable}.  The bare protocol degrades to a [Partial]
-    coverage report; the wrapper completes at every swept rate, paying
-    a message inflation (acks + retransmissions) that grows with the
-    loss rate. *)
-
-val robustness_crash : ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t
-(** E16 — beyond the paper (robustness): the crash-restart tax.
-    Phased flooding (n = k = 16) under node crash faults (rates 0 to
-    0.02) with full state loss (restart p = 0.25): restarted nodes are
-    re-taught, so crashes buy round/message inflation — and at worst a
-    graceful [Partial] or [Aborted] verdict — never wrong answers. *)
-
 val mega :
   ?ns:int list -> ?metrics:Obs.Metrics.t -> ?prof:Obs.Span.t -> seed:int ->
   unit -> Table.t
@@ -138,6 +114,6 @@ val mega :
     invocation is in EXPERIMENTS.md. *)
 
 val all : ?jobs:int -> ?metrics:Obs.Metrics.t -> seed:int -> unit -> Table.t list
-(** Every experiment at its default size, in index order ([mega] at a
-    reduced [ns] so the full sweep stays laptop-fast); [?jobs] is
-    forwarded to the sweep-parallel ones (E1, E4, E7). *)
+(** Every experiment here at its default size, in index order ([mega]
+    at a reduced [ns] so the full sweep stays laptop-fast); [?jobs] is
+    forwarded to the sweep-parallel ones (E1, E7). *)

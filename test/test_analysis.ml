@@ -69,7 +69,7 @@ let test_free_edges_small () =
   check Alcotest.bool "has rows" true (List.length (Analysis.Table.rows t) >= 4)
 
 let test_time_vs_messages_small () =
-  let t = Analysis.Experiments.time_vs_messages ~n:12 ~seed:3 () in
+  let t = Scenario.Experiment.time_vs_messages ~seed:3 () in
   check Alcotest.int "three algorithms" 3 (List.length (Analysis.Table.rows t))
 
 let test_static_baseline_small () =
@@ -78,17 +78,15 @@ let test_static_baseline_small () =
   check Alcotest.int "four k per n" 4 (List.length (Analysis.Table.rows t))
 
 let test_single_source_experiment_small () =
-  let t = Analysis.Experiments.single_source ~ns:[ 10 ] ~seed:3 () in
+  let t = Scenario.Experiment.single_source ~seed:3 () in
   check Alcotest.bool "shape checks pass" true (notes_all_pass t);
-  (* 3 k-values x 4 environments *)
-  check Alcotest.int "rows" 12 (List.length (Analysis.Table.rows t))
+  (* 3 sizes x 3 k-values x 4 environments *)
+  check Alcotest.int "rows" 36 (List.length (Analysis.Table.rows t))
 
 let test_multi_source_experiment_small () =
-  let t =
-    Analysis.Experiments.multi_source ~n:10 ~k:20 ~ss:[ 1; 4; 10 ] ~seed:3 ()
-  in
+  let t = Scenario.Experiment.multi_source ~seed:3 () in
   check Alcotest.bool "shape checks pass" true (notes_all_pass t);
-  check Alcotest.int "rows" 3 (List.length (Analysis.Table.rows t))
+  check Alcotest.int "rows" 6 (List.length (Analysis.Table.rows t))
 
 let test_lower_bound_experiment_small () =
   let t = Analysis.Experiments.lower_bound ~ns:[ 12 ] ~seed:3 () in

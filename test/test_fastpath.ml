@@ -346,7 +346,7 @@ let test_sweep_experiments_deterministic_across_jobs () =
     csv_of
       [
         Analysis.Experiments.table1 ~ns:[ 12 ] ~jobs ~seed ();
-        Analysis.Experiments.single_source ~ns:[ 10 ] ~jobs ~seed ();
+        Scenario.Experiment.single_source ~jobs ~seed ();
         Analysis.Experiments.rw_scaling ~n:10 ~ks:[ 10; 20 ] ~jobs ~seed ();
       ]
   in

@@ -107,6 +107,23 @@ let prop_multi_source_uids_partition =
       in
       uids = List.init k Fun.id)
 
+(* Every node a source is the n-gossip instance: sampling all n ids
+   returns them sorted, so each node gets exactly its own token. *)
+let prop_multi_source_all_nodes_is_one_per_node =
+  QCheck.Test.make ~name:"instance: multi_source s = k = n is one_per_node"
+    ~count:200
+    (QCheck.pair (QCheck.int_range 1 64) QCheck.small_nat)
+    (fun (n, seed) ->
+      let ms =
+        Gossip.Instance.multi_source ~rng:(Dynet.Rng.make ~seed) ~n ~k:n ~s:n
+      in
+      let opn = Gossip.Instance.one_per_node ~n in
+      Gossip.Instance.sources ms = Gossip.Instance.sources opn
+      && List.for_all
+           (fun v ->
+             Gossip.Instance.tokens_of ms v = Gossip.Instance.tokens_of opn v)
+           (List.init n Fun.id))
+
 (* {2 Payload classification} *)
 
 let test_payload_classify () =
@@ -378,6 +395,7 @@ let suite =
     ("instance multi source", `Quick, test_instance_multi_source_shape);
     ("instance validation", `Quick, test_instance_validation);
     qcheck prop_multi_source_uids_partition;
+    qcheck prop_multi_source_all_nodes_is_one_per_node;
     qcheck prop_edge_history_model;
     ("payload classification", `Quick, test_payload_classify);
     ("payload bit sizes", `Quick, test_payload_bits);
