@@ -1,4 +1,4 @@
-(** The paper's evaluation artifacts that are not {!Scenario.Spec.t}
+(** The paper's evaluation artifacts that are not [Scenario.Spec.t]
     points, regenerated.
 
     One function per experiment in DESIGN.md's index; each runs the

@@ -41,8 +41,9 @@ val stall_window : period:int -> n:int -> k:int -> int
 
 val instance_of :
   Spec.algorithm -> n:int -> k:int -> s:int -> seed:int -> Gossip.Instance.t
-(** The token placement of every run the tool makes ([dynspread run],
-    scenario repeats, fuzz cases): source 0 for [Single_source] and for
+(** The token placement of every run the tool makes ([dynspread run]
+    and [sweep], scenario repeats, the {!Experiment} tables, fuzz
+    cases): source 0 for [Single_source] and for
     [s <= 1], otherwise [min s (min n k)] sources assigned at random
     from [seed + 1]. *)
 

@@ -70,6 +70,7 @@ let test_free_edges_small () =
 
 let test_time_vs_messages_small () =
   let t = Scenario.Experiment.time_vs_messages ~seed:3 () in
+  check Alcotest.bool "shape checks pass" true (notes_all_pass t);
   check Alcotest.int "three algorithms" 3 (List.length (Analysis.Table.rows t))
 
 let test_static_baseline_small () =
