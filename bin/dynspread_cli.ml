@@ -589,6 +589,10 @@ let sweep_cmd =
       & info [ "k-factor" ] ~docv:"F" ~doc:"Tokens per size: k = F * n.")
   in
   let run protocol env sizes k_factor sigma seed csv trace json =
+    List.iter
+      (fun n -> if n < 2 then bad_flag "--sizes entry %d must be >= 2" n)
+      sizes;
+    if k_factor < 1 then bad_flag "--k-factor %d must be >= 1" k_factor;
     let sigma = Option.value sigma ~default:(default_sigma env) in
     (* Each size is a one-repeat spec: flooding spreads n-gossip, the
        multi-source protocol puts a source on every node it can, the
@@ -864,14 +868,9 @@ let scenario_validate_cmd =
      (possibly multi-line) JSON object, a trace file is NDJSON whose
      first line is the header. *)
   let schema_of path =
-    match open_in_bin path with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error msg -> Error msg
-    | ic ->
-        let content =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
+    | content ->
         let first_doc =
           match Obs.Json.of_string content with
           | Ok j -> Some j

@@ -89,14 +89,9 @@ let of_json json =
   | Some _ | None -> Error ("missing schema field (expected " ^ schema_name ^ ")")
 
 let load path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | ic -> (
-      let content =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+  | content -> (
       match Obs.Json.of_string content with
       | Error e -> Error (path ^ ": " ^ e)
       | Ok json -> (

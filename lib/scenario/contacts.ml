@@ -161,14 +161,9 @@ let import ?(bucket = 20.) ?(repair = true) ?(provenance = "import:inline")
     end
 
 let import_file ?bucket ?repair path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | ic ->
-      let content =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+  | content ->
       let provenance = "import:" ^ Filename.basename path in
       (match import ?bucket ?repair ~provenance content with
       | Ok _ as ok -> ok

@@ -32,7 +32,7 @@ let observe t ~round g =
          round t.filled)
   else begin
     t.deltas <-
-      Trace_io.delta_of_graphs ~round ~prev:t.prev ~cur:g :: t.deltas;
+      Trace_io.delta_of_graphs ~prev:t.prev ~cur:g :: t.deltas;
     t.prev <- g;
     t.filled <- round
   end

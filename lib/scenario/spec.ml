@@ -397,15 +397,10 @@ let of_string content =
   | Error e -> Error [ "invalid JSON: " ^ e ]
 
 let load path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error [ msg ]
-  | ic ->
-      let content =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      (match of_string content with
+  | content -> (
+      match of_string content with
       | Ok _ as ok -> ok
       | Error errs -> Error (List.map (fun e -> path ^ ": " ^ e) errs))
 

@@ -7,7 +7,7 @@ type header = {
   provenance : string;
 }
 
-type delta = { round : int; add : (int * int) list; del : (int * int) list }
+type delta = { add : int array; del : int array }
 type t = { header : header; deltas : delta array }
 
 let version = 1
@@ -17,32 +17,32 @@ let rounds t = Array.length t.deltas
 let make ?seed ?(provenance = "unknown") ~n deltas =
   { header = { version; n; seed; provenance }; deltas = Array.of_list deltas }
 
-(* Canonical delta between consecutive round graphs: a merge walk over
-   their sorted keys, from the top down so both pair lists come out
-   ascending (key order) without a reversal. *)
-let delta_of_graphs ~round ~prev ~cur =
-  let n = Dynet.Graph.n cur in
-  if Dynet.Graph.n prev <> n then
-    invalid_arg "Trace_io.delta_of_graphs: node counts differ";
+(* Canonical delta between consecutive round graphs: one merge walk
+   over their sorted keys, into arrays sized by [Graph.delta_counts]
+   (which refuses graphs whose node counts differ). *)
+let delta_of_graphs ~prev ~cur =
+  let inserted, removed = Dynet.Graph.delta_counts ~prev ~cur in
   let a = Dynet.Graph.edges prev and b = Dynet.Graph.edges cur in
-  let pair key = (key / n, key mod n) in
-  let add = ref [] and del = ref [] in
-  let i = ref (Array.length a - 1) and j = ref (Array.length b - 1) in
-  while !i >= 0 || !j >= 0 do
-    if !j < 0 || (!i >= 0 && a.(!i) > b.(!j)) then begin
-      del := pair a.(!i) :: !del;
-      decr i
+  let add = Array.make inserted 0 and del = Array.make removed 0 in
+  let i = ref 0 and j = ref 0 and na = ref 0 and nd = ref 0 in
+  while !na < inserted || !nd < removed do
+    if !j >= Array.length b || (!i < Array.length a && a.(!i) < b.(!j))
+    then begin
+      del.(!nd) <- a.(!i);
+      incr nd;
+      incr i
     end
-    else if !i < 0 || b.(!j) > a.(!i) then begin
-      add := pair b.(!j) :: !add;
-      decr j
+    else if !i >= Array.length a || b.(!j) < a.(!i) then begin
+      add.(!na) <- b.(!j);
+      incr na;
+      incr j
     end
     else begin
-      decr i;
-      decr j
+      incr i;
+      incr j
     end
   done;
-  { round; add = !add; del = !del }
+  { add; del }
 
 let of_graphs ?seed ?(provenance = "unknown") ~n graphs =
   let prev = ref (Dynet.Graph.empty ~n) in
@@ -54,7 +54,7 @@ let of_graphs ?seed ?(provenance = "unknown") ~n graphs =
             (Printf.sprintf
                "Trace_io.of_graphs: round %d has %d nodes, expected %d"
                (i + 1) (Dynet.Graph.n g) n);
-        let d = delta_of_graphs ~round:(i + 1) ~prev:!prev ~cur:g in
+        let d = delta_of_graphs ~prev:!prev ~cur:g in
         prev := g;
         d)
       graphs
@@ -63,9 +63,13 @@ let of_graphs ?seed ?(provenance = "unknown") ~n graphs =
 
 (* {2 Encoding} *)
 
-let json_of_pairs ps =
+let json_of_keys ~n keys =
   Obs.Json.List
-    (List.map (fun (u, v) -> Obs.Json.List [ Obs.Json.Int u; Obs.Json.Int v ]) ps)
+    (Array.fold_right
+       (fun key acc ->
+         Obs.Json.List [ Obs.Json.Int (key / n); Obs.Json.Int (key mod n) ]
+         :: acc)
+       keys [])
 
 (* The header's [rounds] field is advisory (readers recount), but
    emitting the true value keeps files self-describing. *)
@@ -79,20 +83,20 @@ let header_to_json h ~rounds =
     @ [ ("provenance", Obs.Json.String h.provenance);
         ("rounds", Obs.Json.Int rounds) ])
 
-let delta_to_json d =
+let delta_to_json ~n ~round d =
   Obs.Json.Obj
     [
-      ("round", Obs.Json.Int d.round);
-      ("add", json_of_pairs d.add);
-      ("del", json_of_pairs d.del);
+      ("round", Obs.Json.Int round);
+      ("add", json_of_keys ~n d.add);
+      ("del", json_of_keys ~n d.del);
     ]
 
 let to_buffer buf t =
   Obs.Json.to_buffer buf (header_to_json t.header ~rounds:(rounds t));
   Buffer.add_char buf '\n';
-  Array.iter
-    (fun d ->
-      Obs.Json.to_buffer buf (delta_to_json d);
+  Array.iteri
+    (fun i d ->
+      Obs.Json.to_buffer buf (delta_to_json ~n:t.header.n ~round:(i + 1) d);
       Buffer.add_char buf '\n')
     t.deltas
 
@@ -122,19 +126,38 @@ let member_string ~line name j =
   | Some _ -> errf "line %d: field %S is not a string" line name
   | None -> errf "line %d: missing field %S" line name
 
-let pairs_of_json ~line name j =
+(* A field's [[u, v], ...] pairs as packed keys, each pair checked as
+   it is read: canonical and in range ([0 <= u < v < n]), and above
+   the pair before it, so the keys come out strictly ascending. *)
+let keys_of_json ~n ~line name j =
   match Obs.Json.member name j with
   | None -> errf "line %d: missing field %S" line name
   | Some (Obs.Json.List items) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
+      let keys = Array.make (List.length items) 0 in
+      let rec go i = function
+        | [] -> Ok keys
         | Obs.Json.List [ Obs.Json.Int u; Obs.Json.Int v ] :: rest ->
-            go ((u, v) :: acc) rest
+            if u < 0 || u >= v || v >= n then
+              errf "line %d: field %S has [%d, %d], need 0 <= u < v < n = %d"
+                line name u v n
+            else
+              let key = (u * n) + v in
+              if i > 0 && key <= keys.(i - 1) then
+                errf
+                  "line %d: field %S has [%d, %d] after [%d, %d]: pairs must \
+                   be strictly ascending"
+                  line name u v
+                  (keys.(i - 1) / n)
+                  (keys.(i - 1) mod n)
+              else begin
+                keys.(i) <- key;
+                go (i + 1) rest
+              end
         | _ :: _ ->
             errf "line %d: field %S must be a list of [u, v] integer pairs"
               line name
       in
-      go [] items
+      go 0 items
   | Some _ -> errf "line %d: field %S is not a list" line name
 
 let header_of_json ~line j =
@@ -157,61 +180,62 @@ let header_of_json ~line j =
       let* provenance = member_string ~line "provenance" j in
       Ok { version; n; seed; provenance }
 
-let delta_of_json ~line ~expect_round j =
+let delta_of_json ~n ~line ~expect_round j =
   let* round = member_int ~line "round" j in
   if round <> expect_round then
     errf "line %d: round %d out of order (expected %d: rounds are \
           contiguous from 1)"
       line round expect_round
   else
-    let* add = pairs_of_json ~line "add" j in
-    let* del = pairs_of_json ~line "del" j in
-    Ok { round; add; del }
+    let* add = keys_of_json ~n ~line "add" j in
+    let* del = keys_of_json ~n ~line "del" j in
+    Ok { add; del }
+
+(* The first non-blank line at or after byte [pos], whose 1-based
+   number is [line] or more: its number, its trimmed text and the byte
+   after it. *)
+let rec next_line content ~pos ~line =
+  if pos >= String.length content then None
+  else
+    let stop =
+      Option.value
+        (String.index_from_opt content pos '\n')
+        ~default:(String.length content)
+    in
+    let text = String.trim (String.sub content pos (stop - pos)) in
+    if String.equal text "" then
+      next_line content ~pos:(stop + 1) ~line:(line + 1)
+    else Some (line, text, stop + 1)
+
+let json_of_line ~line text =
+  match Obs.Json.of_string text with
+  | Ok j -> Ok j
+  | Error e -> errf "line %d: %s" line e
 
 let of_string content =
-  let lines = String.split_on_char '\n' content in
-  (* Keep 1-based line numbers; drop blank lines (the trailing newline
-     yields one) but keep counting them. *)
-  let numbered =
-    List.mapi (fun i l -> (i + 1, String.trim l)) lines
-    |> List.filter (fun (_, l) -> not (String.equal l ""))
-  in
-  match numbered with
-  | [] -> Error "line 1: empty trace file (expected a header line)"
-  | (hline, htext) :: rest ->
-      let* hjson =
-        match Obs.Json.of_string htext with
-        | Ok j -> Ok j
-        | Error e -> errf "line %d: %s" hline e
-      in
+  match next_line content ~pos:0 ~line:1 with
+  | None -> Error "line 1: empty trace file (expected a header line)"
+  | Some (hline, htext, pos) ->
+      let* hjson = json_of_line ~line:hline htext in
       let* header = header_of_json ~line:hline hjson in
-      let rec go acc expect = function
-        | [] -> Ok (List.rev acc)
-        | (line, text) :: rest ->
-            let* j =
-              match Obs.Json.of_string text with
-              | Ok j -> Ok j
-              | Error e -> errf "line %d: %s" line e
-            in
-            let* d = delta_of_json ~line ~expect_round:expect j in
-            go (d :: acc) (expect + 1) rest
+      let rec go acc ~round ~pos ~line =
+        match next_line content ~pos ~line with
+        | None -> Ok (List.rev acc)
+        | Some (line, text, pos) ->
+            let* j = json_of_line ~line text in
+            let* d = delta_of_json ~n:header.n ~line ~expect_round:round j in
+            go (d :: acc) ~round:(round + 1) ~pos ~line:(line + 1)
       in
-      let* deltas = go [] 1 rest in
+      let* deltas = go [] ~round:1 ~pos ~line:(hline + 1) in
       Ok { header; deltas = Array.of_list deltas }
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-
 let load path =
-  let* content = read_file path in
-  match of_string content with
-  | Ok t -> Ok t
-  | Error e -> errf "%s: %s" path e
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | content -> (
+      match of_string content with
+      | Ok t -> Ok t
+      | Error e -> errf "%s: %s" path e)
 
 let save path t =
   match open_out_bin path with
@@ -225,86 +249,50 @@ let save path t =
 
 (* {2 Replay / validation} *)
 
-let check_pair ~n ~round (u, v) =
-  if u < 0 || v < 0 || u >= n || v >= n then
-    invalid_arg
-      (Printf.sprintf "trace round %d: endpoint out of range in (%d, %d)"
-         round u v);
-  if u = v then
-    invalid_arg (Printf.sprintf "trace round %d: self-loop on %d" round u)
-
-(* Index of [key] in the ascending array [keys], or -1. *)
-let find keys key =
-  let lo = ref 0 and hi = ref (Array.length keys) in
-  while !hi - !lo > 0 do
-    let mid = (!lo + !hi) / 2 in
-    if keys.(mid) < key then lo := mid + 1 else hi := mid
-  done;
-  if !lo < Array.length keys && keys.(!lo) = key then !lo else -1
-
-(* The packed keys of [pairs] as a strictly ascending array, checked in
-   list order exactly as applying the pairs one at a time would check
-   them: the first pair that is out of range, a self-loop, repeats an
-   earlier pair's edge, or fails [ok] raises ([error] for the last
-   two).  The pairs of a validated trace are already ascending, so the
-   Edge_table does not sort them. *)
-let checked_keys ~n ~round ~ok ~error pairs =
-  let table = Dynet.Edge_table.create ~n ~size_hint:(List.length pairs) () in
-  List.iter
-    (fun (u, v) ->
-      if u >= 0 && v >= 0 && u < n && v < n && u <> v then
-        Dynet.Edge_table.add_pair table u v)
-    pairs;
-  let keys = Dynet.Edge_table.sorted_keys table in
-  let seen = Array.make (Array.length keys) false in
-  List.iter
-    (fun (u, v) ->
-      check_pair ~n ~round (u, v);
-      let slot = find keys (Dynet.Edge_table.key ~n u v) in
-      if seen.(slot) || not (ok keys.(slot)) then error (u, v);
-      seen.(slot) <- true)
-    pairs;
-  keys
-
 let next_graph ~round prev d =
-  match (d.add, d.del) with
-  | [], [] -> prev
-  | _ ->
-      let n = Dynet.Graph.n prev and pk = Dynet.Graph.edges prev in
-      let adds =
-        checked_keys ~n ~round d.add
-          ~ok:(fun k -> find pk k < 0)
-          ~error:(fun (u, v) ->
-            invalid_arg
-              (Printf.sprintf "trace round %d: adding present edge (%d, %d)"
-                 round u v))
-      in
-      let dels =
-        checked_keys ~n ~round d.del
-          ~ok:(fun k -> find pk k >= 0 || find adds k >= 0)
-          ~error:(fun (u, v) ->
-            invalid_arg
-              (Printf.sprintf "trace round %d: deleting absent edge (%d, %d)"
-                 round u v))
-      in
-      (* The dels all lie in the union of the previous keys and the
-         (disjoint) adds. *)
-      let union =
-        Dynet.Edge_table.merge_keys pk (Array.length pk) adds
-          (Array.length adds)
-      in
-      let out = Array.make (Array.length union - Array.length dels) 0 in
-      let next_del = ref 0 and m = ref 0 in
-      Array.iter
-        (fun key ->
-          if !next_del < Array.length dels && dels.(!next_del) = key then
-            incr next_del
-          else begin
-            out.(!m) <- key;
-            incr m
-          end)
-        union;
-      Dynet.Graph.make ~n out
+  if Array.length d.add = 0 && Array.length d.del = 0 then prev
+  else begin
+    let n = Dynet.Graph.n prev and pk = Dynet.Graph.edges prev in
+    let violation what key =
+      raise
+        (Engine.Engine_error.Adversary_violation
+           (Printf.sprintf "trace round %d: %s edge (%d, %d)" round what
+              (key / n) (key mod n)))
+    in
+    (* Merge the adds into the previous keys. *)
+    let lp = Array.length pk and la = Array.length d.add in
+    let keys = Array.make (lp + la) 0 in
+    let i = ref 0 and m = ref 0 in
+    Array.iter
+      (fun key ->
+        while !i < lp && pk.(!i) < key do
+          keys.(!m) <- pk.(!i);
+          incr m;
+          incr i
+        done;
+        if !i < lp && pk.(!i) = key then violation "adding present" key;
+        keys.(!m) <- key;
+        incr m)
+      d.add;
+    Array.blit pk !i keys !m (lp - !i);
+    (* Drop the dels, compacting in place. *)
+    let ld = Array.length d.del in
+    let i = ref 0 and m = ref 0 in
+    Array.iter
+      (fun key ->
+        while !i < lp + la && keys.(!i) < key do
+          keys.(!m) <- keys.(!i);
+          incr m;
+          incr i
+        done;
+        if !i >= lp + la || keys.(!i) <> key then
+          violation "deleting absent" key;
+        incr i)
+      d.del;
+    Array.blit keys !i keys !m (lp + la - !i);
+    Dynet.Graph.make ~n
+      (if ld = 0 then keys else Array.sub keys 0 (lp + la - ld))
+  end
 
 let fold_graphs t ~init ~f =
   let g = ref (Dynet.Graph.empty ~n:t.header.n) in
@@ -324,36 +312,7 @@ type stats = {
   first_disconnected : int option;
 }
 
-let canonical_sorted ps =
-  let rec go prev = function
-    | [] -> true
-    | (u, v) :: rest ->
-        u < v
-        && (match prev with
-           | None -> true
-           | Some (pu, pv) -> pu < u || (pu = u && pv < v))
-        && go (Some (u, v)) rest
-  in
-  go None ps
-
 let validate t =
-  let check_pairs ~round name ps =
-    if canonical_sorted ps then Ok ()
-    else
-      errf
-        "round %d: %s pairs must be canonical (u < v), strictly sorted, \
-         duplicate-free"
-        round name
-  in
-  let rec check_deltas i =
-    if i >= Array.length t.deltas then Ok ()
-    else
-      let d = t.deltas.(i) in
-      let* () = check_pairs ~round:d.round "add" d.add in
-      let* () = check_pairs ~round:d.round "del" d.del in
-      check_deltas (i + 1)
-  in
-  let* () = check_deltas 0 in
   match
     fold_graphs t
       ~init:{ stat_rounds = 0; stat_tc = 0; stat_max_edges = 0;
@@ -361,7 +320,7 @@ let validate t =
       ~f:(fun acc ~round g ->
         {
           stat_rounds = round;
-          stat_tc = acc.stat_tc + List.length t.deltas.(round - 1).add;
+          stat_tc = acc.stat_tc + Array.length t.deltas.(round - 1).add;
           stat_max_edges = max acc.stat_max_edges (Dynet.Graph.edge_count g);
           first_disconnected =
             (match acc.first_disconnected with
@@ -370,4 +329,4 @@ let validate t =
         })
   with
   | stats -> Ok stats
-  | exception Invalid_argument msg -> Error msg
+  | exception Engine.Engine_error.Adversary_violation msg -> Error msg

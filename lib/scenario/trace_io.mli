@@ -18,15 +18,20 @@
     Round [r]'s graph is the previous round's graph plus [add] minus
     [del]; round 1 is relative to the empty graph [G_0], so the [add]
     lists summed over a trace are exactly the paper's [TC(E)]
-    (Definition 1.2).  Edge pairs are canonical ([u < v]) and sorted,
-    and every field is emitted in a fixed order, so encoding is
-    byte-deterministic: two traces of the same schedule diff clean.
+    (Definition 1.2).  Edge pairs are canonical ([0 <= u < v < n]) and
+    strictly ascending, and every field is emitted in a fixed order, so
+    encoding is byte-deterministic: two traces of the same schedule
+    diff clean.
 
-    Only the {e deltas} are resident after a load (a few ints per
-    changed edge); graphs are reconstructed on demand by {!fold_graphs}
-    and {!Replay.schedule}, which keep only the current round's graph
-    — large traces never need all their round graphs in memory at
-    once.
+    The parser checks each pair once, as it reads it, and keeps the
+    deltas as the packed keys [u * n + v] that {!Dynet.Graph.t} holds
+    (one word per changed edge); a structural fault is a parse error
+    that names its line and field.  Graphs are reconstructed on demand
+    by {!fold_graphs} and {!Replay.schedule}, which keep only the
+    current round's graph — large traces never need all their round
+    graphs in memory at once.  What the parser cannot see (an add of
+    a present edge, a del of an absent one) is found by replay, which
+    raises {!Engine.Engine_error.Adversary_violation}.
 
     {b Versioning policy}: the schema name is
     [dynspread-trace/v<version>].  Readers reject any other version;
@@ -47,10 +52,11 @@ type header = {
 }
 
 type delta = {
-  round : int;
-  add : (int * int) list;  (** Canonical [u < v] pairs, sorted. *)
-  del : (int * int) list;  (** Canonical [u < v] pairs, sorted. *)
+  add : int array;  (** Strictly ascending packed keys [u * n + v]. *)
+  del : int array;  (** Strictly ascending packed keys [u * n + v]. *)
 }
+(** The edge delta of round [i + 1], where [i] is its index in
+    [deltas]. *)
 
 type t = { header : header; deltas : delta array }
 
@@ -64,14 +70,14 @@ val rounds : t -> int
 (** Number of recorded rounds. *)
 
 val make : ?seed:int -> ?provenance:string -> n:int -> delta list -> t
-(** Assemble a trace from already-canonical deltas (provenance defaults
-    to ["unknown"]).  Use {!Record} to build deltas from graphs. *)
+(** Assemble a trace from already-canonical deltas, round 1 first
+    (provenance defaults to ["unknown"]).  Use {!Record} to build
+    deltas from graphs. *)
 
-val delta_of_graphs :
-  round:int -> prev:Dynet.Graph.t -> cur:Dynet.Graph.t -> delta
-(** The canonical (sorted, [u < v]) edge delta between two consecutive
-    round graphs — what {!Record} accumulates incrementally.  One merge
-    walk over the graphs' sorted keys.
+val delta_of_graphs : prev:Dynet.Graph.t -> cur:Dynet.Graph.t -> delta
+(** The edge delta between two consecutive round graphs — what
+    {!Record} accumulates incrementally.  One merge walk over the
+    graphs' sorted keys.
     @raise Invalid_argument if the node counts differ. *)
 
 val of_graphs : ?seed:int -> ?provenance:string -> n:int ->
@@ -83,23 +89,24 @@ val of_graphs : ?seed:int -> ?provenance:string -> n:int ->
 
 val next_graph : round:int -> Dynet.Graph.t -> delta -> Dynet.Graph.t
 (** One replay step: the graph after applying round [round]'s delta to
-    the previous round's graph — a merge walk over its sorted keys into
-    {!Dynet.Graph.make}.  An empty delta returns the previous
-    graph itself.  The pairs are checked in list order (adds, then
-    dels), as applying them one at a time would, so an unvalidated
-    delta with unsorted or repeated pairs gives the same graph or the
-    same error.
-    @raise Invalid_argument on an inconsistent delta (endpoint out of
-    range, self-loop, adding a present edge, deleting an absent one) —
-    the error names the round and the offending pair. *)
+    the previous round's graph.  One merge walk of the previous keys
+    with the adds, then one walk that drops the dels, straight into
+    {!Dynet.Graph.make}.  An empty delta returns the previous graph
+    itself.
+    @raise Engine.Engine_error.Adversary_violation on an add of a
+    present edge or a del of an absent one (adds before dels); the
+    message names the round and the edge.
+    @raise Invalid_argument from {!Dynet.Graph.make} if the merged
+    keys are not strictly ascending canonical keys.  {!of_string} and
+    {!delta_of_graphs} make deltas that are; keys out of order in a
+    delta built by hand may also be misreported as a violation. *)
 
 val fold_graphs :
   t -> init:'a -> f:('a -> round:int -> Dynet.Graph.t -> 'a) -> 'a
 (** Replay the deltas, calling [f] with each round's reconstructed
     graph in round order.  One graph is live at a time.
-    @raise Invalid_argument on an inconsistent trace (adding a present
-    edge, deleting an absent one, endpoint out of range) — run
-    {!validate} first for a [result]-typed answer. *)
+    @raise Engine.Engine_error.Adversary_violation as {!next_graph}
+    does — run {!validate} first for a [result]-typed answer. *)
 
 (** {2 Encoding / decoding} *)
 
@@ -112,7 +119,9 @@ val write : out_channel -> t -> unit
 val of_string : string -> (t, string) result
 (** Strict parse.  [Error] messages carry the 1-based line number and
     what was expected — schema mismatches, missing fields, non-array
-    pairs, non-contiguous round numbers all name their line. *)
+    pairs, non-contiguous round numbers, endpoints out of range,
+    self-loops, [u > v], and pairs out of order or repeated all name
+    their line (and field). *)
 
 val load : string -> (t, string) result
 (** [of_string] on a file's contents; [Error] on IO failure too. *)
@@ -134,8 +143,8 @@ type stats = {
 }
 
 val validate : t -> (stats, string) result
-(** Structural and semantic checks beyond what parsing enforces: every
-    endpoint in range, no self-loops, no duplicate pairs within a
-    record, pairs canonical and sorted, rounds contiguous from 1, no
-    add of a present edge, no del of an absent edge.  On success the
-    returned stats summarize the replayed trace. *)
+(** Replay the trace ({!fold_graphs}): [Error] carries the message of
+    the first {!Engine.Engine_error.Adversary_violation} (an add of a
+    present edge, a del of an absent one), the same text a run of the
+    trace stops with.  On success the returned stats summarize the
+    replayed trace. *)

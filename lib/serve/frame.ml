@@ -4,20 +4,15 @@ open Dynet.Ops
    terminated.  The splitter is incremental — sessions feed whatever
    the socket handed them and get back the complete lines — and
    bounded, so a peer streaming an endless line cannot grow a session
-   buffer without limit: the first frame to exceed [max_frame] is a
-   protocol error and the session is torn down. *)
+   buffer without limit: the first frame to exceed [default_max_frame]
+   is a protocol error and the session is torn down. *)
 
 let default_max_frame = 4 * 1024 * 1024
 
-type splitter = {
-  buf : Buffer.t;
-  max_frame : int;
-  mutable poisoned : bool;
-}
+type splitter = { buf : Buffer.t; mutable poisoned : bool }
 
-let splitter ?(max_frame = default_max_frame) () =
-  if max_frame < 1 then invalid_arg "Frame.splitter: max_frame must be >= 1";
-  { buf = Buffer.create 256; max_frame; poisoned = false }
+let splitter () = { buf = Buffer.create 256; poisoned = false }
+let too_long = Printf.sprintf "frame exceeds %d bytes" default_max_frame
 
 (* Strip one optional trailing CR so a telnet/CRLF peer still frames
    correctly; embedded CRs are the frame's own business. *)
@@ -46,10 +41,8 @@ let feed t chunk =
                l
              end
            in
-           if String.length line > t.max_frame then begin
-             error :=
-               Some
-                 (Printf.sprintf "frame exceeds %d bytes" t.max_frame);
+           if String.length line > default_max_frame then begin
+             error := Some too_long;
              raise Exit
            end;
            let line = chop_cr line in
@@ -65,9 +58,9 @@ let feed t chunk =
     | None ->
         if !start < n then
           Buffer.add_substring t.buf chunk !start (n - !start);
-        if Buffer.length t.buf > t.max_frame then begin
+        if Buffer.length t.buf > default_max_frame then begin
           t.poisoned <- true;
-          Error (Printf.sprintf "frame exceeds %d bytes" t.max_frame)
+          Error too_long
         end
         else Ok (List.rev !lines)
   end

@@ -93,8 +93,33 @@ let test_codec_errors () =
   fails (header ^ "\n" ^ {|{"round":1,"add":[[0]],"del":[]}|});
   fails (header ^ "\n" ^ {|{"round":1,"add":"x","del":[]}|});
   fails "";
-  fails "not json at all"
+  fails "not json at all";
+  (* Each pair is checked as it is read: a bad pair on the third line
+     (after a blank one) is refused at parse time, naming its line and
+     field. *)
+  let third_line field pairs =
+    let add, del =
+      if String.equal field "add" then (pairs, "[]") else ("[]", pairs)
+    in
+    header ^ "\n" ^ {|{"round":1,"add":[[0,1],[1,2],[2,3]],"del":[]}|}
+    ^ "\n\n"
+    ^ Printf.sprintf {|{"round":2,"add":%s,"del":%s}|} add del
+  in
+  List.iter
+    (fun (field, pairs) ->
+      fails ~msg_has:(Printf.sprintf "line 4: field %S" field)
+        (third_line field pairs))
+    [
+      ("add", "[[0,9]]") (* endpoint out of range *);
+      ("del", "[[-1,2]]") (* negative endpoint *);
+      ("add", "[[2,2]]") (* self-loop *);
+      ("add", "[[1,0]]") (* u > v *);
+      ("del", "[[1,2],[0,1]]") (* unsorted *);
+      ("add", "[[0,2],[0,2]]") (* duplicate *);
+    ]
 
+(* What the parser cannot see, replay finds: the same texts a run of
+   the trace stops with. *)
 let test_validate_catches_semantic_breaks () =
   let header = {|{"schema":"dynspread-trace/v1","n":4,"provenance":"t"}|} in
   let parse s =
@@ -107,10 +132,6 @@ let test_validate_catches_semantic_breaks () =
     | Ok _ -> Alcotest.failf "validate accepted: %s" s
     | Error e -> check Alcotest.string "validate error" expected e
   in
-  let not_canonical =
-    "round 1: add pairs must be canonical (u < v), strictly sorted, \
-     duplicate-free"
-  in
   (* add of an already-present edge *)
   invalid "trace round 2: adding present edge (0, 1)"
     (header ^ "\n" ^ {|{"round":1,"add":[[0,1],[1,2],[2,3]],"del":[]}|}
@@ -118,15 +139,6 @@ let test_validate_catches_semantic_breaks () =
   (* del of an absent edge *)
   invalid "trace round 1: deleting absent edge (0, 3)"
     (header ^ "\n" ^ {|{"round":1,"add":[[0,1],[1,2],[2,3]],"del":[[0,3]]}|});
-  (* endpoint out of range *)
-  invalid "trace round 1: endpoint out of range in (0, 9)"
-    (header ^ "\n" ^ {|{"round":1,"add":[[0,9]],"del":[]}|});
-  (* self-loop: caught by the canonical-form check before replay *)
-  invalid not_canonical
-    (header ^ "\n" ^ {|{"round":1,"add":[[2,2]],"del":[]}|});
-  (* non-canonical pair order *)
-  invalid not_canonical
-    (header ^ "\n" ^ {|{"round":1,"add":[[1,0]],"del":[]}|});
   (* a good trace validates, with the right stats *)
   let good =
     parse
@@ -194,15 +206,17 @@ let test_replay_past_end () =
     end
   done
 
-(* Replay does not require a validated trace: out-of-order and
-   non-canonical pairs apply as if one at a time, and the first
-   inconsistent pair (in list order, adds before dels) names itself. *)
+(* Deltas built in memory skip the parser, so replay names the first
+   inconsistent key itself (ascending, adds before dels) and leaves
+   keys that are not strictly ascending to Graph.make. *)
 let test_replay_unvalidated_deltas () =
+  let key u v = (u * 5) + v in
+  let keys ps = Array.of_list (List.map (fun (u, v) -> key u v) ps) in
+  let delta add del = { Scenario.Trace_io.add = keys add; del = keys del } in
   let base =
     [
-      { Scenario.Trace_io.round = 1;
-        add = [ (3, 4); (1, 0); (2, 1); (0, 4) ]; del = [] };
-      { round = 2; add = [ (2, 3); (1, 3) ]; del = [ (4, 0); (2, 1) ] };
+      delta [ (0, 1); (0, 4); (1, 2); (3, 4) ] [];
+      delta [ (1, 3); (2, 3) ] [ (0, 4); (1, 2) ];
     ]
   in
   let replay extra =
@@ -214,24 +228,93 @@ let test_replay_unvalidated_deltas () =
     List.rev !acc
   in
   let edges = Alcotest.(list (pair int int)) in
-  let ok = replay [] in
-  check edges "unsorted round 1" [ (0, 1); (0, 4); (1, 2); (3, 4) ]
+  let ok = replay [ delta [ (0, 2) ] [ (0, 2); (1, 3) ] ] in
+  check edges "round 1" [ (0, 1); (0, 4); (1, 2); (3, 4) ]
     (pairs (Adversary.Schedule.get ok 1));
-  check edges "unsorted round 2" [ (0, 1); (1, 3); (2, 3); (3, 4) ]
+  check edges "round 2" [ (0, 1); (1, 3); (2, 3); (3, 4) ]
     (pairs (Adversary.Schedule.get ok 2));
-  let fails name msg extra =
-    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+  check edges "round 3 deletes its own add" [ (0, 1); (2, 3); (3, 4) ]
+    (pairs (Adversary.Schedule.get ok 3));
+  let fails name exn extra =
+    Alcotest.check_raises name exn (fun () ->
         ignore (Adversary.Schedule.get (replay extra) 3))
   in
-  fails "duplicated add" "trace round 3: adding present edge (2, 0)"
-    [ { round = 3; add = [ (0, 2); (4, 1); (2, 0) ]; del = [] } ];
-  fails "present-edge add" "trace round 3: adding present edge (4, 3)"
-    [ { round = 3; add = [ (0, 2); (4, 3) ]; del = [ (9, 9) ] } ];
-  fails "absent-edge delete" "trace round 3: deleting absent edge (2, 4)"
-    [ { round = 3; add = [ (4, 2) ]; del = [ (4, 2); (0, 1); (2, 4) ] } ];
-  fails "out-of-range add before a later present add"
-    "trace round 3: endpoint out of range in (7, 1)"
-    [ { round = 3; add = [ (0, 2); (7, 1); (3, 4) ]; del = [] } ]
+  let violation msg = Engine.Engine_error.Adversary_violation msg in
+  fails "present-edge add before an absent del"
+    (violation "trace round 3: adding present edge (3, 4)")
+    [ delta [ (0, 2); (3, 4) ] [ (1, 4) ] ];
+  fails "absent-edge delete"
+    (violation "trace round 3: deleting absent edge (1, 4)")
+    [ delta [ (2, 4) ] [ (0, 1); (1, 4); (2, 4) ] ];
+  fails "descending adds reach Graph.make"
+    (Invalid_argument
+       "Graph.make: keys must be strictly ascending canonical packed edges")
+    [ { Scenario.Trace_io.add = [| key 2 4; key 0 2 |]; del = [||] } ]
+
+(* One replay step against the set algebra of its definition: on any
+   previous graph and any ascending add/del keys, [next_graph] either
+   builds (prev ∪ add) \ del or names the first add of a present edge,
+   else the first del of an edge absent from prev ∪ add. *)
+let prop_next_graph_matches_model =
+  let module S = Edge_model.Edge_set in
+  (* Per pair: untouched, kept, deleted, added, added then deleted, or
+     one of the two faults (rarer, so about half the cases are clean). *)
+  let state =
+    QCheck.Gen.frequency
+      (List.map (fun (w, s) -> (w, QCheck.Gen.return s))
+         [ (12, `None); (12, `Prev); (6, `Prev_del); (6, `Add);
+           (4, `Add_del); (1, `Present_add); (1, `Absent_del) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 2 7 >>= fun n ->
+      map
+        (fun states -> (n, states))
+        (array_size (return (n * (n - 1) / 2)) state))
+  in
+  QCheck.Test.make ~name:"next_graph = (prev ∪ add) \\ del, or names its fault"
+    ~count:300 (QCheck.make gen)
+    (fun (n, states) ->
+      let pairs =
+        List.concat_map
+          (fun u -> List.init (n - u - 1) (fun i -> (u, u + i + 1)))
+          (List.init n Fun.id)
+      in
+      let prev = ref S.empty and add = ref S.empty and del = ref S.empty in
+      List.iteri
+        (fun i p ->
+          let add_to s = s := S.add p !s in
+          match states.(i) with
+          | `None -> ()
+          | `Prev -> add_to prev
+          | `Prev_del -> add_to prev; add_to del
+          | `Add -> add_to add
+          | `Add_del -> add_to add; add_to del
+          | `Present_add -> add_to prev; add_to add
+          | `Absent_del -> add_to del)
+        pairs;
+      let union = S.union !prev !add in
+      let expected =
+        match S.elements (S.inter !add !prev) with
+        | (u, v) :: _ ->
+            Error (Printf.sprintf "trace round 7: adding present edge (%d, %d)" u v)
+        | [] -> (
+            match S.elements (S.diff !del union) with
+            | (u, v) :: _ ->
+                Error
+                  (Printf.sprintf "trace round 7: deleting absent edge (%d, %d)"
+                     u v)
+            | [] -> Ok (S.elements (S.diff union !del)))
+      in
+      let actual =
+        match
+          Scenario.Trace_io.next_graph ~round:7 (Edge_model.graph ~n !prev)
+            { add = Edge_model.keys ~n !add; del = Edge_model.keys ~n !del }
+        with
+        | g -> Ok (S.elements (Edge_model.of_graph g))
+        | exception Engine.Engine_error.Adversary_violation msg -> Error msg
+      in
+      expected = actual)
 
 (* {2 The engine recorder hook} *)
 
@@ -794,6 +877,7 @@ let suite =
       test_validate_catches_semantic_breaks;
     Alcotest.test_case "replay: unvalidated deltas, errors in order" `Quick
       test_replay_unvalidated_deltas;
+    QCheck_alcotest.to_alcotest prop_next_graph_matches_model;
     Alcotest.test_case "replay: Hold/Loop/Fail tails" `Quick
       test_replay_past_end;
     Alcotest.test_case "engine hook records the realized schedule" `Quick

@@ -93,8 +93,10 @@ let test_frame_reassembly () =
     (feed "\n\n{\"d\":4}\n\n")
 
 let test_frame_poison () =
-  let sp = Serve.Frame.splitter ~max_frame:8 () in
-  (match Serve.Frame.feed sp "0123456789abcdef" with
+  let sp = Serve.Frame.splitter () in
+  (match
+     Serve.Frame.feed sp (String.make (Serve.Frame.default_max_frame + 1) 'x')
+   with
   | Ok _ -> Alcotest.fail "oversize frame accepted"
   | Error _ -> ());
   match Serve.Frame.feed sp "{}\n" with
