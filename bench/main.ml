@@ -269,6 +269,29 @@ let bench_e14_weak_adversary () =
     ignore
       (adv ~round:1 ~prev:(Dynet.Graph.empty ~n) ~states ~intents)
 
+(* {2 The dynet primitives of a fresh-random round} *)
+
+(* One round graph of the oblivious fresh-random adversary at
+   perfbench's fresh-flood size; the rng runs on across samples, so
+   every run draws a new graph. *)
+let bench_dynet_random_connected () =
+  let n = 80 and rng = Dynet.Rng.make ~seed in
+  fun () -> ignore (Dynet.Graph_gen.random_connected rng ~n ~p:0.25)
+
+(* The ledger's TC(E) step between consecutive fresh-random rounds.
+   Each run takes the next pair of a ring of graphs: one fixed pair
+   would let the branch predictor learn its comparisons. *)
+let bench_dynet_delta_counts () =
+  let n = 80 and rng = Dynet.Rng.make ~seed in
+  let ring =
+    Array.init 64 (fun _ -> Dynet.Graph_gen.random_connected rng ~n ~p:0.25)
+  in
+  let r = ref 0 in
+  fun () ->
+    let i = !r in
+    r := (i + 1) land 63;
+    ignore (Dynet.Graph.delta_counts ~prev:ring.(i) ~cur:ring.(!r))
+
 let tests ~shards =
   Test.make_grouped ~name:"dynspread"
     [
@@ -302,6 +325,10 @@ let tests ~shards =
         (Staged.stage (bench_e15_reliable_under_loss ()));
       Test.make ~name:"e17/real-trace:multi-source"
         (Staged.stage (bench_e17_real_trace ()));
+      Test.make ~name:"dynet/random-connected:n80-p0.25"
+        (Staged.stage (bench_dynet_random_connected ()));
+      Test.make ~name:"dynet/delta-counts:n80"
+        (Staged.stage (bench_dynet_delta_counts ()));
       Test.make ~name:"e18/mega:flooding-round-100k"
         (Staged.stage
            (bench_e18_mega ~n:100_000 ~shards:1 ~max_rounds:mega_rounds ()));

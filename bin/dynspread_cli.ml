@@ -1421,23 +1421,16 @@ let () =
      "internal error" backtraces before the matches below could run. *)
   match Cmd.eval ~catch:false main_cmd with
   | code -> exit code
-  | exception Engine.Engine_error.Protocol_violation msg ->
-      Obs.Console.error ("dynspread: protocol violation: " ^ msg);
-      exit 3
-  | exception Engine.Engine_error.Adversary_violation msg ->
-      Obs.Console.error ("dynspread: adversary violation: " ^ msg);
-      exit 3
-  | exception Check.Check_failed msg ->
-      Obs.Console.error ("dynspread: invariant check failed: " ^ msg);
+  | exception
+      (( Engine.Engine_error.Protocol_violation _
+       | Engine.Engine_error.Adversary_violation _ | Check.Check_failed _ ) as
+       e) ->
+      Obs.Console.error ("dynspread: " ^ Engine.Engine_error.describe e);
       exit 3
   (* Asking a finite recorded schedule for a round it does not have is
      an invocation problem (the trace is too short for the run), not a
      model violation — same exit bucket as bad flags and invalid
      specs. *)
-  | exception Engine.Engine_error.Schedule_exhausted { round; available } ->
-      Obs.Console.error
-        (Printf.sprintf
-           "dynspread: trace exhausted: round %d requested but only %d \
-            rounds recorded"
-           round available);
+  | exception (Engine.Engine_error.Schedule_exhausted _ as e) ->
+      Obs.Console.error ("dynspread: " ^ Engine.Engine_error.describe e);
       exit 2

@@ -87,24 +87,34 @@ let max_degree t =
 let iter_pairs f t =
   Array.iter (fun key -> f (key / t.n) (key mod t.n)) t.keys
 
+(* Both key arrays visit the rows u in ascending order.  For each row,
+   cur's keys stamp their larger endpoint with u in a per-call scratch,
+   then prev's keys in the row count as common when their endpoint
+   carries the stamp; the row's base steps forward instead of dividing
+   each key by n.  Both graphs are sets, so the common count gives
+   both sides of the delta.  [Int.equal] rather than Ops' [=] keeps
+   the test inline in [-opaque] builds too. *)
 let delta_counts ~prev ~cur =
   if prev.n <> cur.n then invalid_arg "Graph.delta_counts: node counts differ";
   if prev == cur || prev.keys == cur.keys then (0, 0)
   else begin
-    (* Merge walk over two sorted key arrays. *)
-    let a = prev.keys and b = cur.keys in
+    let n = cur.n and a = prev.keys and b = cur.keys in
     let la = Array.length a and lb = Array.length b in
-    let i = ref 0 and j = ref 0 in
-    let removed = ref 0 and inserted = ref 0 in
-    while !i < la && !j < lb do
-      let ka = a.(!i) and kb = b.(!j) in
-      if ka = kb then begin incr i; incr j end
-      else if ka < kb then begin incr removed; incr i end
-      else begin incr inserted; incr j end
+    let stamp = Array.make n (-1) in
+    let i = ref 0 and j = ref 0 and common = ref 0 in
+    for u = 0 to n - 1 do
+      let base = u * n in
+      let limit = base + n in
+      while !j < lb && b.(!j) < limit do
+        stamp.(b.(!j) - base) <- u;
+        incr j
+      done;
+      while !i < la && a.(!i) < limit do
+        common := !common + Bool.to_int (Int.equal stamp.(a.(!i) - base) u);
+        incr i
+      done
     done;
-    removed := !removed + (la - !i);
-    inserted := !inserted + (lb - !j);
-    (!inserted, !removed)
+    (lb - !common, la - !common)
   end
 
 let same_edges a b =

@@ -43,9 +43,11 @@ val mem_edge : t -> Node_id.t -> Node_id.t -> bool
 
 val delta_counts : prev:t -> cur:t -> int * int
 (** [(inserted, removed)] edge counts between two snapshots on the same
-    node set — a single merge walk over the sorted key arrays, with a
-    physical-equality fast path returning [(0, 0)] when the adversary
-    reused the previous round's graph.
+    node set, in O(n + m): row by row, [cur]'s keys stamp their larger
+    endpoint in a per-call n-slot scratch and [prev]'s keys in the row
+    that find the stamp are counted as common.  A physical-equality
+    fast path returns [(0, 0)] when the adversary reused the previous
+    round's graph (or its key array).
     @raise Invalid_argument if node counts differ. *)
 
 val same_edges : t -> t -> bool

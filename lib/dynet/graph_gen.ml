@@ -2,8 +2,8 @@ open Ops
 
 (* Every builder hands Graph ascending packed keys.  The static
    builders and the random trees append to an Edge_table, which sorts
-   only when the appends arrived out of order; random_connected merges
-   its tree into the already-ascending Bernoulli keys directly. *)
+   only when the appends arrived out of order; random_connected emits
+   its keys in ascending order as it draws them. *)
 
 let table ~n ?size_hint () = Edge_table.create ~n ?size_hint ()
 
@@ -101,37 +101,57 @@ let hypercube ~n =
     Graph.of_table t
   end
 
-(* Random-tree edges into an existing table. *)
-let add_random_tree t rng ~n =
+(* The random-attachment draws: a uniform permutation, then node
+   [order.(i)] attaches to a uniformly random earlier node.  The tree
+   comes back as a parent array; the first node of the order is the
+   root, its own parent, and every other node [v] gives the edge
+   [(v, parent.(v))].  Needs [n >= 1]. *)
+let random_parents rng ~n =
   let order = Rng.permutation rng n in
+  let parent = Array.make n order.(0) in
   for i = 1 to n - 1 do
-    let attach_to = order.(Rng.int rng i) in
-    Edge_table.add_pair t order.(i) attach_to
-  done
+    parent.(order.(i)) <- order.(Rng.int rng i)
+  done;
+  parent
 
 let random_tree rng ~n =
   if n <= 1 then Graph.empty ~n
   else begin
     let t = table ~n ~size_hint:n () in
-    add_random_tree t rng ~n;
+    Array.iteri
+      (fun v p -> if p <> v then Edge_table.add_pair t v p)
+      (random_parents rng ~n);
     Graph.of_table t
   end
 
-(* The Bernoulli loop visits pairs in ascending key order, so its keys
-   need no sort; the sorted tree keys are merged in afterwards, dropping
-   a tree edge the loop drew too.  The buffer starts at the expected
+(* One pass in ascending key order.  The tree's draws come first, as
+   in [random_tree]; each tree edge is then filed under its smaller
+   endpoint (a linked list through [next], named by its child), and
+   before row i is walked its tree edges stamp both their endpoints
+   with i.  The walk draws for every pair, so the stream matches the
+   tree-then-Bernoulli order, and keeps a pair whose draw succeeds or
+   whose larger end carries the stamp: the keys come out ascending and
+   final, with no sort or merge.  The buffer starts at the expected
    edge count plus slack and doubles if a round overshoots it.  Each
    row reserves room for all its pairs up front, so the loop writes
-   every candidate key and advances the length by the draw's outcome:
-   the only branches left are the draw's own. *)
+   every candidate key and advances the length by the kept bit: the
+   only branches left are the draw's own.  The stamp test is
+   [Int.equal], not Ops' [=], which is a call per pair wherever the
+   library is compiled [-opaque] (dune's dev profile). *)
 let random_connected rng ~n ~p =
   if n <= 1 then Graph.empty ~n
   else begin
-    let tree =
-      let t = table ~n ~size_hint:n () in
-      add_random_tree t rng ~n;
-      Edge_table.sorted_keys t
-    in
+    let parent = random_parents rng ~n in
+    let head = Array.make n (-1) and next = Array.make n (-1) in
+    for v = 0 to n - 1 do
+      let u = parent.(v) in
+      if u <> v then begin
+        let lo = Int.min u v in
+        next.(v) <- head.(lo);
+        head.(lo) <- v
+      end
+    done;
+    let mark = Array.make n (-1) in
     let expected =
       (if p > 0. then Float.min p 1. else 0.) *. float_of_int (n * (n - 1) / 2)
     in
@@ -147,14 +167,24 @@ let random_connected rng ~n ~p =
         Array.blit !drawn 0 bigger 0 !len;
         drawn := bigger
       end;
+      let e = ref head.(i) in
+      while !e >= 0 do
+        mark.(!e) <- i;
+        mark.(parent.(!e)) <- i;
+        e := next.(!e)
+      done;
       let buf = !drawn and base = i * n in
       for j = i + 1 to n - 1 do
         buf.(!len) <- base + j;
-        len := !len + Bool.to_int (Rng.below rng th)
+        len :=
+          !len
+          + (Bool.to_int (Rng.below rng th)
+            lor Bool.to_int (Int.equal mark.(j) i))
       done
     done;
+    let keys = !drawn in
     Graph.make ~n
-      (Edge_table.merge_keys tree (Array.length tree) !drawn !len)
+      (if !len = Array.length keys then keys else Array.sub keys 0 !len)
   end
 
 let random_regularish rng ~n ~d =

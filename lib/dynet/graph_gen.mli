@@ -54,7 +54,13 @@ val random_tree : Rng.t -> n:int -> Graph.t
 
 val random_connected : Rng.t -> n:int -> p:float -> Graph.t
 (** Erdős–Rényi [G(n, p)] patched to connectivity by adding the edges of
-    a {!random_tree} on top.  Expected ~[p·n(n-1)/2 + n] edges. *)
+    a {!random_tree} on top.  Expected ~[p·n(n-1)/2 + n] edges.
+
+    The rng draws the tree first, exactly as {!random_tree} does, then
+    one Bernoulli trial per pair [u < v] in ascending key order.  One
+    pass over the pairs keeps those whose trial succeeds or that are
+    tree edges, so the keys reach {!Graph.make} ascending, with no sort
+    or merge. *)
 
 val random_regularish : Rng.t -> n:int -> d:int -> Graph.t
 (** Connected graph with degrees concentrated around [d]: union of a

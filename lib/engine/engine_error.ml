@@ -4,15 +4,15 @@ exception Protocol_violation of string
 exception Adversary_violation of string
 exception Schedule_exhausted of { round : int; available : int }
 
-let () =
-  Printexc.register_printer (function
-    | Schedule_exhausted { round; available } ->
-        Some
-          (Printf.sprintf
-             "Engine_error.Schedule_exhausted: round %d is beyond the %d \
-              recorded rounds"
-             round available)
-    | _ -> None)
+let describe = function
+  | Protocol_violation msg -> "protocol violation: " ^ msg
+  | Adversary_violation msg -> "adversary violation: " ^ msg
+  | Check.Check_failed msg -> "invariant check failed: " ^ msg
+  | Schedule_exhausted { round; available } ->
+      Printf.sprintf
+        "trace exhausted: round %d requested but only %d rounds recorded" round
+        available
+  | e -> Printexc.to_string e
 
 let check_graph ~round ~n g =
   if Dynet.Graph.n g <> n then

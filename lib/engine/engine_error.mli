@@ -23,5 +23,13 @@ exception Schedule_exhausted of { round : int; available : int }
     is too short for the requested run — so the CLI maps it to its
     usage exit code (2), not the model-violation code (3). *)
 
+val describe : exn -> string
+(** The one-line text of a failed run: [protocol violation: ...],
+    [adversary violation: ...], [invariant check failed: ...] (for
+    {!Check.Check_failed}) or [trace exhausted: ...]; any other
+    exception falls back to [Printexc.to_string].  The CLI prefixes it
+    with [dynspread: ]; a daemon job's [Failed] outcome carries it
+    as is. *)
+
 val check_graph : round:int -> n:int -> Dynet.Graph.t -> unit
 (** Validates a round graph, raising {!Adversary_violation}. *)

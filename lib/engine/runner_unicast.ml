@@ -84,6 +84,8 @@ let run_sharded (type s m)
      replayed already sent [dst] a token this round. *)
   let token_mark = Array.make (max n 1) 0 in
   let sender_mark = ref 0 in
+  (* Per-node send counts, flushed into the ledger once at the end. *)
+  let loads = Array.make n 0 in
   let traffic = ref ([] : traffic) in
   let run =
     Ctx.start ctx ~n ~ledger ~max_rounds ~target:target_progress
@@ -172,7 +174,7 @@ let run_sharded (type s m)
               | Msg_class.Control ->
                   ());
               Ledger.record ledger cls 1;
-              Ledger.record_sender ledger v 1;
+              loads.(v) <- loads.(v) + 1;
               if checking then Delivery.sent dl 1;
               if tracing then
                 Obs.Sink.emit obs
@@ -214,6 +216,9 @@ let run_sharded (type s m)
       traffic := List.rev !round_traffic;
       Ctx.round_done run
     end
+  done;
+  for v = 0 to n - 1 do
+    if loads.(v) > 0 then Ledger.record_sender ledger v loads.(v)
   done;
   (Ctx.finish run ~fault_counts:(Delivery.fault_counts dl), states)
 

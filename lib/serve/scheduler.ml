@@ -145,9 +145,9 @@ let execute t job =
       ((if Atomic.get job.cancel then Cancelled else Completed), !streamed)
   | exception e ->
       (* Engine violations (protocol/adversary/check) and anything
-         else a run throws turn into a Failed outcome on this job —
-         the daemon keeps serving. *)
-      (Failed (Printexc.to_string e), !streamed)
+         else a run throws turn into a Failed outcome on this job, with
+         the text the CLI prints — the daemon keeps serving. *)
+      (Failed (Engine.Engine_error.describe e), !streamed)
 
 let finish t job outcome ~reports ~was_running =
   Mutex.lock t.m;

@@ -149,12 +149,59 @@ let prop_of_table_matches_make =
            (fun v -> Graph.neighbors g v = Graph.neighbors g' v)
            (List.init n Fun.id))
 
+(* Graph shapes for the delta property, on n in [0, 64]: the empty and
+   complete graphs besides random pairs.  [None] as the second graph
+   asks for a copy of the first: equal keys in another array, so the
+   physical fast path does not apply. *)
+type shape = Empty | Complete | Pairs of (int * int) list
+
+let shape_gen n =
+  QCheck.Gen.(
+    if n < 2 then return Empty
+    else
+      frequency
+        [
+          (1, return Empty);
+          (1, return Complete);
+          ( 6,
+            map
+              (fun ps -> Pairs ps)
+              (list_size
+                 (int_bound (n * n / 2))
+                 (pair (int_bound (n - 1)) (int_bound (n - 1)))) );
+        ])
+
+let print_shape = function
+  | Empty -> "empty"
+  | Complete -> "complete"
+  | Pairs ps ->
+      String.concat ", "
+        (List.map (fun (u, v) -> Printf.sprintf "(%d,%d)" u v) ps)
+
+let graph_of_shape n = function
+  | Empty -> Graph.empty ~n
+  | Complete -> Graph_gen.clique ~n
+  | Pairs ps -> graph_of_pairs n ps
+
 let prop_delta_counts_match_set_diff =
   QCheck.Test.make ~name:"graph: delta_counts ≡ Edge_set.diff cardinals"
-    ~count:200
-    (QCheck.pair (pairs_arb 16) (pairs_arb 16))
-    (fun (ps_a, ps_b) ->
-      let a = graph_of_pairs 16 ps_a and b = graph_of_pairs 16 ps_b in
+    ~count:300
+    (QCheck.make
+       ~print:(fun (n, a, b) ->
+         Printf.sprintf "n = %d; prev: %s; cur: %s" n (print_shape a)
+           (Option.fold ~none:"copy of prev" ~some:print_shape b))
+       QCheck.Gen.(
+         int_bound 64 >>= fun n ->
+         triple (return n) (shape_gen n)
+           (frequency
+              [ (1, return None); (5, map Option.some (shape_gen n)) ])))
+    (fun (n, sa, sb) ->
+      let a = graph_of_shape n sa in
+      let b =
+        match sb with
+        | None -> Graph.make ~n (Array.copy (Graph.edges a))
+        | Some s -> graph_of_shape n s
+      in
       let inserted, removed = Graph.delta_counts ~prev:a ~cur:b in
       let sa = Edge_model.of_graph a and sb = Edge_model.of_graph b in
       inserted = Edge_set.cardinal (Edge_set.diff sb sa)
@@ -257,6 +304,33 @@ let prop_random_connected_matches_oracle =
       Graph.edges g = keys
       && Array.init n (Graph.neighbors g) = oracle_adjacency ~n keys
       (* same number of draws: the streams stay in step *)
+      && Rng.int rng 1_000_000 = Rng.int oracle_rng 1_000_000)
+
+(* The same reference for [random_tree]: its attachment draws into a
+   Hashtbl of packed keys, sorted at the end. *)
+let oracle_random_tree rng ~n =
+  if n <= 1 then [||]
+  else begin
+    let tbl = Hashtbl.create (2 * n) in
+    let order = Rng.permutation rng n in
+    for i = 1 to n - 1 do
+      let attach_to = order.(Rng.int rng i) in
+      Hashtbl.replace tbl (Edge_table.key ~n order.(i) attach_to) ()
+    done;
+    let keys = Array.of_seq (Hashtbl.to_seq_keys tbl) in
+    Array.sort compare keys;
+    keys
+  end
+
+let prop_random_tree_matches_oracle =
+  QCheck.Test.make ~name:"graph_gen: random_tree ≡ hashed oracle" ~count:300
+    QCheck.(pair (int_bound 100) int)
+    (fun (n, seed) ->
+      let rng = Rng.make ~seed and oracle_rng = Rng.make ~seed in
+      let g = Graph_gen.random_tree rng ~n in
+      let keys = oracle_random_tree oracle_rng ~n in
+      Graph.edges g = keys
+      && Array.init n (Graph.neighbors g) = oracle_adjacency ~n keys
       && Rng.int rng 1_000_000 = Rng.int oracle_rng 1_000_000)
 
 (* {2 Stability: physical reuse of unchanged rounds} *)
@@ -364,6 +438,7 @@ let suite =
     qcheck prop_of_table_matches_make;
     qcheck prop_delta_counts_match_set_diff;
     qcheck prop_random_connected_matches_oracle;
+    qcheck prop_random_tree_matches_oracle;
     Alcotest.test_case "graph: make validates its keys" `Quick
       test_make_validates;
     Alcotest.test_case "edge_table: dedup, order, validation" `Quick

@@ -488,6 +488,38 @@ let test_sched_fair_rotation () =
 
 (* {2 The daemon end to end} *)
 
+(* A run that stops on an adversary violation fails its job with the
+   text the CLI prints for it, not the exception's constructor. *)
+let test_sched_failure_text () =
+  let trace = Filename.temp_file "present-add" ".trace.jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove trace) @@ fun () ->
+  Out_channel.with_open_bin trace (fun oc ->
+      output_string oc
+        {|{"schema":"dynspread-trace/v1","n":4,"provenance":"t"}
+{"round":1,"add":[[0,1],[1,2],[2,3]],"del":[]}
+{"round":2,"add":[[0,1]],"del":[]}
+|});
+  let spec =
+    Printf.sprintf
+      {|{ "schema": "dynspread-scenario/v1", "name": "present-add",
+          "algorithm": "flooding",
+          "env": { "family": "trace", "path": %S },
+          "k": 4, "seed": 1 }|}
+      trace
+  in
+  with_sched ~workers:1 (fun sched dump ->
+      let job = admit sched (prepared_of spec) in
+      match wait_finished dump job with
+      | Serve.Scheduler.Failed msg, _ ->
+          check Alcotest.string "failure text"
+            "adversary violation: trace round 2: adding present edge (0, 1)"
+            msg;
+          check Alcotest.bool "no constructor name" false
+            (Astring.String.is_infix ~affix:"Adversary_violation" msg)
+      | outcome, _ ->
+          Alcotest.failf "job ended %s"
+            (Serve.Scheduler.outcome_name outcome))
+
 let sock_path () =
   let f = Filename.temp_file "dynspread-serve" ".sock" in
   Sys.remove f;
@@ -813,4 +845,6 @@ let suite =
       test_cancel_lower_bound_before_start;
     Alcotest.test_case "server: lower-bound byte-identical" `Quick
       test_server_lower_bound;
+    Alcotest.test_case "scheduler: failure reads as the CLI prints it" `Quick
+      test_sched_failure_text;
   ]
